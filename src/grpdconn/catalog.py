@@ -20,7 +20,6 @@ from .geometry import (
     Point,
     ProductSpace,
     Space,
-    Tangent,
     circle,
     finite,
     line,
@@ -28,7 +27,7 @@ from .geometry import (
 )
 from .groupoid import Groupoid, GroupoidMorphism, KernelData, TransportSamplers
 from .paths import BasePath, coordinate_path
-from .smoothmap import PairMap, SmoothMap
+from .smoothmap import PairMap, SmoothMap, identity_map, jacobian
 
 BOX = DEFAULT.groupoid_sample_box
 TWO_PI = 2.0 * math.pi
@@ -127,70 +126,6 @@ def segment_path(space: Space, patch_index: int, start, end, label: str = "") ->
 
 
 # ---------------------------------------------------------------------------
-# matrix helpers for product packings
-
-
-def _injector(indices, total_dim) -> np.ndarray:
-    J = np.zeros((total_dim, len(indices)))
-    for col, row in enumerate(indices):
-        J[row, col] = 1.0
-    J.setflags(write=False)
-    return J
-
-
-def product_indices(ps: ProductSpace, packed_index: int):
-    ia, ib = ps._indices(packed_index)
-    pa, pb = ps.left.patches[ia], ps.right.patches[ib]
-    la, lb, ca = pa.lin_count, pb.lin_count, pa.circ_count
-    left = list(range(la)) + list(range(la + lb, la + lb + ca))
-    right = list(range(la, la + lb)) + list(range(la + lb + ca, pa.dim + pb.dim))
-    return left, right
-
-
-def _selector_cache(ps: ProductSpace) -> dict:
-    cache = getattr(ps, "_packing_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(ps, "_packing_cache", cache)
-    return cache
-
-
-def _packing(ps: ProductSpace, packed_index: int, kind: str) -> np.ndarray:
-    cache = _selector_cache(ps)
-    key = (packed_index, kind)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    left, right = product_indices(ps, packed_index)
-    dim = ps.space.patches[packed_index].dim
-    mats = {
-        "li": _injector(left, dim),
-        "ri": _injector(right, dim),
-    }
-    mats["ls"] = mats["li"].T
-    mats["rs"] = mats["ri"].T
-    for k, m in mats.items():
-        cache[(packed_index, k)] = m
-    return cache[key]
-
-
-def left_injector(ps: ProductSpace, packed_index: int) -> np.ndarray:
-    return _packing(ps, packed_index, "li")
-
-
-def right_injector(ps: ProductSpace, packed_index: int) -> np.ndarray:
-    return _packing(ps, packed_index, "ri")
-
-
-def left_selector(ps: ProductSpace, packed_index: int) -> np.ndarray:
-    return _packing(ps, packed_index, "ls")
-
-
-def right_selector(ps: ProductSpace, packed_index: int) -> np.ndarray:
-    return _packing(ps, packed_index, "rs")
-
-
-# ---------------------------------------------------------------------------
 # pair groupoid
 
 
@@ -218,28 +153,27 @@ def pair_groupoid(M: Space, name: str = "") -> Groupoid:
         return prod.join(a, c)
 
     def src_jac(p):
-        return right_selector(prod, p.patch_index)
+        return prod.selectors(p.patch_index)[1]
 
     def tgt_jac(p):
-        return left_selector(prod, p.patch_index)
+        return prod.selectors(p.patch_index)[0]
 
     def unit_jac(x):
-        idx = prod.pack_index(x.patch_index, x.patch_index)
-        return left_injector(prod, idx) + right_injector(prod, idx)
+        S_a, S_b = prod.selectors(prod.pack_index(x.patch_index, x.patch_index))
+        return S_a.T + S_b.T
 
     def inv_jac(p):
-        a_idx, b_idx = prod._indices(p.patch_index)
-        out = prod.pack_index(b_idx, a_idx)
-        return left_injector(prod, out) @ right_selector(prod, p.patch_index) + right_injector(
-            prod, out
-        ) @ left_selector(prod, p.patch_index)
+        a_idx, b_idx = prod.unpack_index(p.patch_index)
+        out_a, out_b = prod.selectors(prod.pack_index(b_idx, a_idx))
+        S_a, S_b = prod.selectors(p.patch_index)
+        return out_a.T @ S_b + out_b.T @ S_a
 
     def mul_jac(g, h):
-        a_idx = prod._indices(g.patch_index)[0]
-        c_idx = prod._indices(h.patch_index)[1]
-        out = prod.pack_index(a_idx, c_idx)
-        A_part = left_injector(prod, out) @ left_selector(prod, g.patch_index)
-        B_part = right_injector(prod, out) @ right_selector(prod, h.patch_index)
+        a_idx = prod.unpack_index(g.patch_index)[0]
+        c_idx = prod.unpack_index(h.patch_index)[1]
+        out_a, out_c = prod.selectors(prod.pack_index(a_idx, c_idx))
+        A_part = out_a.T @ prod.selectors(g.patch_index)[0]
+        B_part = out_c.T @ prod.selectors(h.patch_index)[1]
         return A_part, B_part
 
     def arrow_sampler(rng):
@@ -302,7 +236,136 @@ def unit_groupoid(M: Space, name: str = "") -> Groupoid:
         sfiber_sampler=lambda x, rng: x,
         tfiber_sampler=lambda x, rng: x,
         sfiber_grid=lambda x, n: [x],
-        metadata={"is_unit_groupoid": True},
+        metadata={"is_unit_groupoid": True,
+                  "tfiber_nodes": lambda x, n: ([x], [1.0]),
+                  "compact_tfibers": True,
+                  "source_connected": True},
+    )
+
+
+# ---------------------------------------------------------------------------
+# product groupoids G1 x G2 and the projection onto the first factor
+
+
+def product_map(f1: SmoothMap, f2: SmoothMap, domain: ProductSpace,
+                codomain: ProductSpace, name: str) -> SmoothMap:
+    """f1 x f2 in packed coordinates; its Jacobian is block-diagonal."""
+
+    def ev(p):
+        a, b = domain.split(p)
+        return codomain.join(f1(a), f2(b))
+
+    def jac(p):
+        a, b = domain.split(p)
+        out = codomain.pack_index(f1(a).patch_index, f2(b).patch_index)
+        return codomain.factorwise_jacobian(out, jacobian(f1, a), jacobian(f2, b),
+                                            domain, p.patch_index)
+
+    return SmoothMap(domain.space, codomain.space, ev, jac, name)
+
+
+def product_groupoid(G1: Groupoid, G2: Groupoid, name: str = "") -> Groupoid:
+    """Product groupoid G1 x G2 over G1.objects x G2.objects.
+
+    Structure maps act on each factor separately, so Jacobians and ``mul``
+    partials are block-diagonal. Every sampler draws from G1 first, then from
+    G2. Fibre grids, target-fibre quadratures and probe objects exist when the
+    factors supply them (a factor without probe objects contributes its
+    origin).
+    """
+    arr = ProductSpace(G1.arrows, G2.arrows)
+    obj = ProductSpace(G1.objects, G2.objects)
+    A = arr.space
+
+    def mul_eval(g, h):
+        g1, g2 = arr.split(g)
+        h1, h2 = arr.split(h)
+        return arr.join(G1.mul(g1, h1), G2.mul(g2, h2))
+
+    def mul_jac(g, h):
+        g1, g2 = arr.split(g)
+        h1, h2 = arr.split(h)
+        A1, B1 = G1.mul.partials(g1, h1)
+        A2, B2 = G2.mul.partials(g2, h2)
+        out = mul_eval(g, h).patch_index
+        return (arr.factorwise_jacobian(out, A1, A2, arr, g.patch_index),
+                arr.factorwise_jacobian(out, B1, B2, arr, h.patch_index))
+
+    def fiber_sampler(sample1, sample2):
+        def sample(x, rng):
+            x1, x2 = obj.split(x)
+            return arr.join(sample1(x1, rng), sample2(x2, rng))
+
+        return sample
+
+    def sfiber_grid(x, n):
+        x1, x2 = obj.split(x)
+        return [arr.join(a, b) for a in G1.sfiber_grid(x1, n) for b in G2.sfiber_grid(x2, n)]
+
+    nodes1, nodes2 = G1.metadata.get("tfiber_nodes"), G2.metadata.get("tfiber_nodes")
+
+    def tfiber_nodes(x, n):
+        x1, x2 = obj.split(x)
+        pts1, w1 = nodes1(x1, n)
+        pts2, w2 = nodes2(x2, n)
+        return ([arr.join(a, b) for a in pts1 for b in pts2],
+                [u * v for u in w1 for v in w2])
+
+    def origin(space):
+        return Point.raw(space, 0, (0.0,) * space.dim)
+
+    def both(key):
+        return bool(G1.metadata.get(key)) and bool(G2.metadata.get(key))
+
+    return Groupoid(
+        name=name or f"{G1.name}x{G2.name}",
+        objects=obj.space,
+        arrows=A,
+        src=product_map(G1.src, G2.src, arr, obj, "src"),
+        tgt=product_map(G1.tgt, G2.tgt, arr, obj, "tgt"),
+        unit=product_map(G1.unit, G2.unit, obj, arr, "unit"),
+        inv=product_map(G1.inv, G2.inv, arr, arr, "inv"),
+        mul=PairMap(A, A, A, mul_eval, mul_jac, "mul",
+                    constant_partials=G1.mul.constant_partials and G2.mul.constant_partials),
+        arrow_sampler=lambda rng: arr.join(G1.arrow_sampler(rng), G2.arrow_sampler(rng)),
+        object_sampler=lambda rng: obj.join(G1.object_sampler(rng), G2.object_sampler(rng)),
+        sfiber_sampler=fiber_sampler(G1.sfiber_sampler, G2.sfiber_sampler),
+        tfiber_sampler=fiber_sampler(G1.tfiber_sampler, G2.tfiber_sampler),
+        sfiber_grid=sfiber_grid if G1.sfiber_grid and G2.sfiber_grid else None,
+        probe_objects=(
+            tuple(obj.join(x, origin(G2.objects)) for x in G1.probe_objects)
+            + tuple(obj.join(origin(G1.objects), x) for x in G2.probe_objects)
+        ),
+        metadata={
+            "arr_product": arr,
+            "obj_product": obj,
+            "factors": (G1, G2),
+            "tfiber_nodes": tfiber_nodes if nodes1 and nodes2 else None,
+            "compact_tfibers": both("compact_tfibers"),
+            "source_connected": both("source_connected"),
+        },
+    )
+
+
+def product_projection(G: Groupoid, name: str, **fields) -> GroupoidMorphism:
+    """The projection pr1: G1 x G2 -> G1 of a product groupoid.
+
+    Fibres are sampled with G2's samplers; ``fields`` (kernel, transport,
+    metadata) are passed on to the morphism.
+    """
+    G1, G2 = G.metadata["factors"]
+    arr, obj = G.metadata["arr_product"], G.metadata["obj_product"]
+    return GroupoidMorphism(
+        name=name,
+        total=G,
+        base_grpd=G1,
+        arrow_map=SmoothMap(arr.space, G1.arrows, lambda p: arr.split(p)[0],
+                            lambda p: arr.selectors(p.patch_index)[0], "pr1"),
+        object_map=SmoothMap(obj.space, G1.objects, lambda x: obj.split(x)[0],
+                             lambda x: obj.selectors(x.patch_index)[0], "pr1_0"),
+        fiber_sampler=lambda h, rng: arr.join(h, G2.arrow_sampler(rng)),
+        object_fiber_sampler=lambda y, rng: obj.join(y, G2.object_sampler(rng)),
+        **fields,
     )
 
 
@@ -455,23 +518,19 @@ def group_bundle(
             return prod.join(x, Point.raw(circ, 0, (th_g.coords[0] + th_h.coords[0],)))
 
         def src_jac(p):
-            return left_selector(prod, p.patch_index)
+            return prod.selectors(p.patch_index)[0]
 
         def unit_jac(x):
-            return left_injector(prod, prod.pack_index(x.patch_index, 0))
+            return prod.selectors(prod.pack_index(x.patch_index, 0))[0].T
 
         def inv_jac(p):
-            i = p.patch_index
-            return left_injector(prod, i) @ left_selector(prod, i) - right_injector(
-                prod, i
-            ) @ right_selector(prod, i)
+            S_x, S_th = prod.selectors(p.patch_index)
+            return S_x.T @ S_x - S_th.T @ S_th
 
         def mul_jac(g, h):
-            i = h.patch_index
-            A_part = right_injector(prod, i) @ right_selector(prod, g.patch_index)
-            B_part = left_injector(prod, i) @ left_selector(prod, i) + right_injector(
-                prod, i
-            ) @ right_selector(prod, i)
+            S_x, S_th = prod.selectors(h.patch_index)
+            A_part = S_th.T @ prod.selectors(g.patch_index)[1]
+            B_part = S_x.T @ S_x + S_th.T @ S_th
             return A_part, B_part
 
         def tfiber_nodes(x, n):
@@ -588,8 +647,10 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
         w, psi = split(h)
         return prod.join(Point.raw(M, 0, tuple(w)), Point.raw(circ, 0, (phi + psi,)))
 
+    S_v, S_phi = prod.selectors(0)
+
     def src_jac(p):
-        return left_selector(prod, p.patch_index)
+        return S_v
 
     def _dact(phi, v):
         if trivial:
@@ -602,19 +663,17 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
         return np.hstack([R, _dact(phi, v)])
 
     def unit_jac(x):
-        return left_injector(prod, 0)
+        return S_v.T
 
     def inv_jac(p):
         v, phi = split(p)
         J_v = np.hstack([_rot(0.0 if trivial else phi), _dact(phi, v)])
         J_phi = np.array([[0.0, 0.0, -1.0]])
-        return left_injector(prod, 0) @ J_v + right_injector(prod, 0) @ J_phi
+        return S_v.T @ J_v + S_phi.T @ J_phi
 
     def mul_jac(g, h):
-        A_part = right_injector(prod, 0) @ right_selector(prod, 0)
-        B_part = left_injector(prod, 0) @ left_selector(prod, 0) + right_injector(
-            prod, 0
-        ) @ right_selector(prod, 0)
+        A_part = S_phi.T @ S_phi
+        B_part = S_v.T @ S_v + S_phi.T @ S_phi
         return A_part, B_part
 
     def tfiber(x, rng):
@@ -678,7 +737,7 @@ def so2_action_morphism(trivial: bool = False) -> GroupoidMorphism:
         return Point.raw(H.arrows, 0, th.coords)
 
     def arrow_jac(p):
-        return right_selector(prod, p.patch_index)
+        return prod.selectors(p.patch_index)[1]
 
     def object_eval(x):
         return Point.raw(H.objects, 0, ())
@@ -799,476 +858,79 @@ def pullback_of_projection(H: Groupoid, F: Space, name: str = "") -> GroupoidMor
     """Pullback groupoid pi0*H for pi0 = pr1: M = N x F -> N, with the
     projection morphism onto H (a Morita fibration).
 
-    Arrows are coordinatized freely as (h, f_t, f_s): the triple
-    (x, h, y) with x = (tgt(h), f_t), y = (src(h), f_s).
+    The pullback is the product H x Pair(F): an arrow (h, f_t, f_s) is the
+    triple (x, h, y) with x = (tgt(h), f_t), y = (src(h), f_s). Its kernel is
+    Unit(N) x Pair(F), embedded by H.unit x id.
     """
     N = H.objects
-    base_prod = ProductSpace(N, F)
-    M = base_prod.space
-    arr_prod_inner = ProductSpace(H.arrows, F)
-    arr_prod = ProductSpace(arr_prod_inner.space, F)
-    A = arr_prod.space
+    pair_F = pair_groupoid(F)
+    fibre_pairs: ProductSpace = pair_F.metadata["product_space"]
+    G = product_groupoid(H, pair_F, name=name or f"pullback({H.name})")
+    arr: ProductSpace = G.metadata["arr_product"]
 
     def split3(p):
-        hf, fs = arr_prod.split(p)
-        h, ft = arr_prod_inner.split(hf)
-        return h, ft, fs
+        h, f = arr.split(p)
+        return (h, *fibre_pairs.split(f))
 
     def join3(h, ft, fs):
-        return arr_prod.join(arr_prod_inner.join(h, ft), fs)
+        return arr.join(h, fibre_pairs.join(ft, fs))
 
-    def src_eval(p):
-        h, _, fs = split3(p)
-        return base_prod.join(H.src(h), fs)
+    ker_name = f"ker[{name or 'pullback'}]"
+    K = product_groupoid(unit_groupoid(N), pair_F, name=ker_name)
+    embed = product_map(H.unit, identity_map(pair_F.arrows), K.metadata["arr_product"], arr,
+                        "ker_incl")
+    kernel_family = product_projection(K, f"{ker_name}->N", metadata={"family": True})
 
-    def tgt_eval(p):
-        h, ft, _ = split3(p)
-        return base_prod.join(H.tgt(h), ft)
-
-    def unit_eval(x):
-        n, f = base_prod.split(x)
-        return join3(H.unit(n), f, f)
-
-    def inv_eval(p):
-        h, ft, fs = split3(p)
-        return join3(H.inv(h), fs, ft)
-
-    def mul_eval(g, k):
-        h1, ft, _ = split3(g)
-        h2, _, fs2 = split3(k)
-        return join3(H.mul(h1, h2), ft, fs2)
-
-    # block assembly helpers: tangent coords of A split as (dh, dft, dfs)
-    def _sel(p):
-        hf_idx = arr_prod._indices(p.patch_index)[0]
-        S_hf = left_selector(arr_prod, p.patch_index)
-        S_h = left_selector(arr_prod_inner, hf_idx) @ S_hf
-        S_ft = right_selector(arr_prod_inner, hf_idx) @ S_hf
-        S_fs = right_selector(arr_prod, p.patch_index)
-        return S_h, S_ft, S_fs
-
-    def _inj(packed_index):
-        hf_idx = arr_prod._indices(packed_index)[0]
-        I_hf = left_injector(arr_prod, packed_index)
-        I_h = I_hf @ left_injector(arr_prod_inner, hf_idx)
-        I_ft = I_hf @ right_injector(arr_prod_inner, hf_idx)
-        I_fs = right_injector(arr_prod, packed_index)
-        return I_h, I_ft, I_fs
-
-    def _base_inj(packed_index):
-        return left_injector(base_prod, packed_index), right_injector(base_prod, packed_index)
-
-    from .smoothmap import jacobian as _jac
-
-    def src_jac(p):
-        h, _, fs = split3(p)
-        S_h, _, S_fs = _sel(p)
-        out = base_prod.pack_index(H.src(h).patch_index, fs.patch_index)
-        I_n, I_f = _base_inj(out)
-        return I_n @ _jac(H.src, h) @ S_h + I_f @ S_fs
-
-    def tgt_jac(p):
-        h, ft, _ = split3(p)
-        S_h, S_ft, _ = _sel(p)
-        out = base_prod.pack_index(H.tgt(h).patch_index, ft.patch_index)
-        I_n, I_f = _base_inj(out)
-        return I_n @ _jac(H.tgt, h) @ S_h + I_f @ S_ft
-
-    def unit_jac(x):
-        n, f = base_prod.split(x)
-        u = H.unit(n)
-        out = unit_eval(x).patch_index
-        I_h, I_ft, I_fs = _inj(out)
-        S_n = left_selector(base_prod, x.patch_index)
-        S_f = right_selector(base_prod, x.patch_index)
-        return I_h @ _jac(H.unit, n) @ S_n + (I_ft + I_fs) @ S_f
-
-    def inv_jac(p):
-        h, ft, fs = split3(p)
-        S_h, S_ft, S_fs = _sel(p)
-        out = inv_eval(p).patch_index
-        I_h, I_ft, I_fs = _inj(out)
-        return I_h @ _jac(H.inv, h) @ S_h + I_ft @ S_fs + I_fs @ S_ft
-
-    def mul_jac(g, k):
-        h1, ft, _ = split3(g)
-        h2, _, fs2 = split3(k)
-        Ah, Bh = H.mul.partials(h1, h2)
-        out = mul_eval(g, k).patch_index
-        I_h, I_ft, I_fs = _inj(out)
-        S_h1, S_ft1, _ = _sel(g)
-        S_h2, _, S_fs2 = _sel(k)
-        A_part = I_h @ Ah @ S_h1 + I_ft @ S_ft1
-        B_part = I_h @ Bh @ S_h2 + I_fs @ S_fs2
-        return A_part, B_part
-
-    def arrow_sampler(rng):
-        h = H.arrow_sampler(rng)
-        return join3(h, sample_point(F, rng), sample_point(F, rng))
-
-    def sfiber(x, rng):
-        n, fs = base_prod.split(x)
-        h = H.sfiber_sampler(n, rng)
-        return join3(h, sample_point(F, rng), fs)
-
-    def tfiber(x, rng):
-        n, ft = base_prod.split(x)
-        h = H.tfiber_sampler(n, rng)
-        return join3(h, ft, sample_point(F, rng))
-
-    def sfiber_grid(x, n_grid):
-        n, fs = base_prod.split(x)
-        out = []
-        per = max(2, int(round(n_grid ** 0.5)))
-        hs = H.sfiber_grid(n, per) if H.sfiber_grid else [
-            H.sfiber_sampler(n, np.random.default_rng(j)) for j in range(per)
-        ]
-        for j, h in enumerate(hs):
-            for l in range(max(1, n_grid // max(1, len(hs)))):
-                f = Point.raw(F, 0, tuple(
-                    -BOX + 2 * BOX * ((l + 0.5) / max(1, n_grid // max(1, len(hs))))
-                    for _ in range(F.dim)))
-                out.append(join3(h, f, fs))
-        return out
-
-    G = Groupoid(
-        name=name or f"pullback({H.name})",
-        objects=M,
-        arrows=A,
-        src=SmoothMap(A, M, src_eval, src_jac, "src"),
-        tgt=SmoothMap(A, M, tgt_eval, tgt_jac, "tgt"),
-        unit=SmoothMap(M, A, unit_eval, unit_jac, "unit"),
-        inv=SmoothMap(A, A, inv_eval, inv_jac, "inv"),
-        mul=PairMap(A, A, A, mul_eval, mul_jac, "mul", constant_partials=True),
-        arrow_sampler=arrow_sampler,
-        object_sampler=lambda rng: base_prod.join(H.object_sampler(rng), sample_point(F, rng)),
-        sfiber_sampler=sfiber,
-        tfiber_sampler=tfiber,
-        metadata={"triple": (split3, join3), "base_product": base_prod,
-                  "arr_prod_inner": arr_prod_inner, "arr_prod": arr_prod},
-    )
-
-    def pi_eval(p):
-        return split3(p)[0]
-
-    def pi_jac(p):
-        return _sel(p)[0]
-
-    def pi0_eval(x):
-        return base_prod.split(x)[0]
-
-    def pi0_jac(x):
-        return left_selector(base_prod, x.patch_index)
-
-    def fiber_sampler(h, rng):
-        return join3(h, sample_point(F, rng), sample_point(F, rng))
-
-    # kernel: pairs over a base object, K = {(n, ft, fs)}
-    ker_prod_inner = ProductSpace(N, F)
-    ker_prod = ProductSpace(ker_prod_inner.space, F)
-    KA = ker_prod.space
-
-    def ker_split(p):
-        nf, fs = ker_prod.split(p)
-        n, ft = ker_prod_inner.split(nf)
-        return n, ft, fs
-
-    def ker_join(n, ft, fs):
-        return ker_prod.join(ker_prod_inner.join(n, ft), fs)
-
-    def k_src(p):
-        n, _, fs = ker_split(p)
-        return base_prod.join(n, fs)
-
-    def k_tgt(p):
-        n, ft, _ = ker_split(p)
-        return base_prod.join(n, ft)
-
-    def k_unit(x):
-        n, f = base_prod.split(x)
-        return ker_join(n, f, f)
-
-    def k_inv(p):
-        n, ft, fs = ker_split(p)
-        return ker_join(n, fs, ft)
-
-    def k_mul(g, k):
-        n, ft, _ = ker_split(g)
-        _, _, fs = ker_split(k)
-        return ker_join(n, ft, fs)
-
-    dimN, dimF = N.dim, F.dim
-
-    def k_sel(p):
-        nf_idx = ker_prod._indices(p.patch_index)[0]
-        S_nf = left_selector(ker_prod, p.patch_index)
-        return (
-            left_selector(ker_prod_inner, nf_idx) @ S_nf,
-            right_selector(ker_prod_inner, nf_idx) @ S_nf,
-            right_selector(ker_prod, p.patch_index),
-        )
-
-    def k_src_jac(p):
-        S_n, _, S_fs = k_sel(p)
-        I_n, I_f = _base_inj(0)
-        return I_n @ S_n + I_f @ S_fs
-
-    def k_tgt_jac(p):
-        S_n, S_ft, _ = k_sel(p)
-        I_n, I_f = _base_inj(0)
-        return I_n @ S_n + I_f @ S_ft
-
-    def k_unit_jac(x):
-        out = k_unit(x).patch_index
-        nf_idx = ker_prod._indices(out)[0]
-        I_nf = left_injector(ker_prod, out)
-        I_n = I_nf @ left_injector(ker_prod_inner, nf_idx)
-        I_ft = I_nf @ right_injector(ker_prod_inner, nf_idx)
-        I_fs = right_injector(ker_prod, out)
-        S_n = left_selector(base_prod, x.patch_index)
-        S_f = right_selector(base_prod, x.patch_index)
-        return I_n @ S_n + (I_ft + I_fs) @ S_f
-
-    def k_inv_jac(p):
-        S_n, S_ft, S_fs = k_sel(p)
-        out = k_inv(p).patch_index
-        nf_idx = ker_prod._indices(out)[0]
-        I_nf = left_injector(ker_prod, out)
-        I_n = I_nf @ left_injector(ker_prod_inner, nf_idx)
-        I_ft = I_nf @ right_injector(ker_prod_inner, nf_idx)
-        I_fs = right_injector(ker_prod, out)
-        return I_n @ S_n + I_ft @ S_fs + I_fs @ S_ft
-
-    def k_mul_jac(g, k):
-        S_n1, S_ft1, _ = k_sel(g)
-        _, _, S_fs2 = k_sel(k)
-        out = k_mul(g, k).patch_index
-        nf_idx = ker_prod._indices(out)[0]
-        I_nf = left_injector(ker_prod, out)
-        I_n = I_nf @ left_injector(ker_prod_inner, nf_idx)
-        I_ft = I_nf @ right_injector(ker_prod_inner, nf_idx)
-        I_fs = right_injector(ker_prod, out)
-        return I_n @ S_n1 + I_ft @ S_ft1, I_fs @ S_fs2
-
-    K = Groupoid(
-        name=f"ker[{name or 'pullback'}]",
-        objects=M,
-        arrows=KA,
-        src=SmoothMap(KA, M, k_src, k_src_jac, "src"),
-        tgt=SmoothMap(KA, M, k_tgt, k_tgt_jac, "tgt"),
-        unit=SmoothMap(M, KA, k_unit, k_unit_jac, "unit"),
-        inv=SmoothMap(KA, KA, k_inv, k_inv_jac, "inv"),
-        mul=PairMap(KA, KA, KA, k_mul, k_mul_jac, "mul", constant_partials=True),
-        arrow_sampler=lambda rng: ker_join(
-            H.object_sampler(rng), sample_point(F, rng), sample_point(F, rng)
-        ),
-        object_sampler=G.object_sampler,
-        sfiber_sampler=lambda x, rng: k_join_over(x, rng),
-        tfiber_sampler=lambda x, rng: k_join_over_t(x, rng),
-        metadata={"source_connected": True},
-    )
-
-    def k_join_over(x, rng):
-        n, fs = base_prod.split(x)
-        return ker_join(n, sample_point(F, rng), fs)
-
-    def k_join_over_t(x, rng):
-        n, ft = base_prod.split(x)
-        return ker_join(n, ft, sample_point(F, rng))
-
-    def embed_eval(p):
-        n, ft, fs = ker_split(p)
-        return join3(H.unit(n), ft, fs)
-
-    def embed_jac(p):
-        n, ft, fs = ker_split(p)
-        S_n, S_ft, S_fs = k_sel(p)
-        out = embed_eval(p).patch_index
-        I_h, I_ft, I_fs = _inj(out)
-        return I_h @ _jac(H.unit, n) @ S_n + I_ft @ S_ft + I_fs @ S_fs
-
-    NU = unit_groupoid(N)
-
-    def k_family_arrow(p):
-        return ker_split(p)[0]
-
-    def k_family_arrow_jac(p):
-        return k_sel(p)[0]
-
-    kernel_family = GroupoidMorphism(
-        name=f"ker[{name or 'pullback'}]->N",
-        total=K,
-        base_grpd=NU,
-        arrow_map=SmoothMap(KA, N, k_family_arrow, k_family_arrow_jac, "pi_K"),
-        object_map=SmoothMap(M, N, pi0_eval, pi0_jac, "pi0"),
-        fiber_sampler=lambda n, rng: ker_join(n, sample_point(F, rng), sample_point(F, rng)),
-        object_fiber_sampler=lambda n, rng: base_prod.join(n, sample_point(F, rng)),
-        metadata={"family": True},
-    )
-
-    morphism = GroupoidMorphism(
-        name=name or f"pr[{H.name}]",
-        total=G,
-        base_grpd=H,
-        arrow_map=SmoothMap(A, H.arrows, pi_eval, pi_jac, "pr"),
-        object_map=SmoothMap(M, N, pi0_eval, pi0_jac, "pi0"),
-        fiber_sampler=fiber_sampler,
-        object_fiber_sampler=lambda n, rng: base_prod.join(n, sample_point(F, rng)),
-        kernel=KernelData(K, SmoothMap(KA, A, embed_eval, embed_jac, "ker_incl"), kernel_family),
+    return product_projection(
+        G,
+        name or f"pr[{H.name}]",
+        kernel=KernelData(K, embed, kernel_family),
         metadata={
             "morita_fibration": True,
             "declared_fibration": True,
             "kernel_source_connected": True,
             "triple": (split3, join3),
-            "base_product": base_prod,
-            "arr_prod_inner": arr_prod_inner,
-            "arr_prod": arr_prod,
+            "base_product": G.metadata["obj_product"],
         },
     )
-    return morphism
+
 
 # ---------------------------------------------------------------------------
 # trivial family N x Fiber -> N (with its projection morphism)
 
 
 def trivial_family(N: Space, fiber: Groupoid, name: str = "") -> GroupoidMorphism:
-    """Constant family of groupoids over N with the projection morphism."""
-    arr_prod = ProductSpace(N, fiber.arrows)
-    obj_prod = ProductSpace(N, fiber.objects)
-    A, M = arr_prod.space, obj_prod.space
-    from .smoothmap import jacobian as _jac
-
-    def lift(fmap: SmoothMap, in_prod: ProductSpace, out_prod: ProductSpace, nm: str):
-        def ev(p):
-            y, q = in_prod.split(p)
-            return out_prod.join(y, fmap(q))
-
-        def jac(p):
-            y, q = in_prod.split(p)
-            img = fmap(q)
-            out = out_prod.pack_index(y.patch_index, img.patch_index)
-            return left_injector(out_prod, out) @ left_selector(
-                in_prod, p.patch_index
-            ) + right_injector(out_prod, out) @ _jac(fmap, q) @ right_selector(
-                in_prod, p.patch_index
-            )
-
-        return SmoothMap(in_prod.space, out_prod.space, ev, jac, nm)
-
-    def mul_eval(g, h):
-        _, qg = arr_prod.split(g)
-        y, qh = arr_prod.split(h)
-        return arr_prod.join(y, fiber.mul(qg, qh))
-
-    def mul_jac(g, h):
-        _, qg = arr_prod.split(g)
-        y, qh = arr_prod.split(h)
-        Aq, Bq = fiber.mul.partials(qg, qh)
-        out = mul_eval(g, h).patch_index
-        I_y = left_injector(arr_prod, out)
-        I_q = right_injector(arr_prod, out)
-        A_part = I_q @ Aq @ right_selector(arr_prod, g.patch_index)
-        B_part = I_y @ left_selector(arr_prod, h.patch_index) + I_q @ Bq @ right_selector(
-            arr_prod, h.patch_index
-        )
-        return A_part, B_part
-
-    def tfiber_nodes(x, n):
-        y, q = obj_prod.split(x)
-        base = fiber.metadata.get("tfiber_nodes")
-        if base is None:
-            return None
-        pts, w = base(q, n)
-        return [arr_prod.join(y, p) for p in pts], w
-
-    G = Groupoid(
-        name=name or f"{N.name}x{fiber.name}",
-        objects=M,
-        arrows=A,
-        src=lift(fiber.src, arr_prod, obj_prod, "src"),
-        tgt=lift(fiber.tgt, arr_prod, obj_prod, "tgt"),
-        unit=lift(fiber.unit, obj_prod, arr_prod, "unit"),
-        inv=lift(fiber.inv, arr_prod, arr_prod, "inv"),
-        mul=PairMap(A, A, A, mul_eval, mul_jac, "mul", constant_partials=True),
-        arrow_sampler=lambda rng: arr_prod.join(sample_point(N, rng), fiber.arrow_sampler(rng)),
-        object_sampler=lambda rng: obj_prod.join(sample_point(N, rng), fiber.object_sampler(rng)),
-        sfiber_sampler=lambda x, rng: _tf_fiber(x, rng, fiber.sfiber_sampler),
-        tfiber_sampler=lambda x, rng: _tf_fiber(x, rng, fiber.tfiber_sampler),
-        sfiber_grid=(
-            (lambda x, n: [arr_prod.join(obj_prod.split(x)[0], q)
-                           for q in fiber.sfiber_grid(obj_prod.split(x)[1], n)])
-            if fiber.sfiber_grid else None
-        ),
-        probe_objects=tuple(
-            obj_prod.join(Point.raw(N, 0, (0.0,) * N.dim), q)
-            for q in _fiber_probe_objects(fiber)
-        ),
-        metadata={
-            "arr_product": arr_prod,
-            "obj_product": obj_prod,
-            "fiber": fiber,
-            "tfiber_nodes": tfiber_nodes if "tfiber_nodes" in fiber.metadata else None,
-            "compact_tfibers": fiber.metadata.get("compact_tfibers", False),
-            "source_connected": fiber.metadata.get("source_connected", False),
-        },
-    )
-
-    def _tf_fiber(x, rng, fiber_sampler):
-        y, q = obj_prod.split(x)
-        return arr_prod.join(y, fiber_sampler(q, rng))
-
-    NU = unit_groupoid(N)
-
-    def pi_eval(p):
-        return arr_prod.split(p)[0]
-
-    def pi_jac(p):
-        return left_selector(arr_prod, p.patch_index)
-
-    def pi0_eval(x):
-        return obj_prod.split(x)[0]
-
-    def pi0_jac(x):
-        return left_selector(obj_prod, x.patch_index)
+    """Constant family Unit(N) x fiber of groupoids over N with the projection
+    morphism."""
+    G = product_groupoid(unit_groupoid(N), fiber, name=name or f"{N.name}x{fiber.name}")
+    arr, obj = G.metadata["arr_product"], G.metadata["obj_product"]
 
     def path_with_start(rng):
         gamma = random_smooth_path(N, 0, rng)
-        g = arr_prod.join(gamma.point(0.0), fiber.arrow_sampler(rng))
+        g = arr.join(gamma.point(0.0), fiber.arrow_sampler(rng))
         return gamma, g
 
     def composable(rng):
         gamma = random_smooth_path(N, 0, rng)
         y0 = gamma.point(0.0)
         qg, qh = fiber.pair_sample(rng)
-        return gamma, gamma, arr_prod.join(y0, qg), arr_prod.join(y0, qh)
+        return gamma, gamma, arr.join(y0, qg), arr.join(y0, qh)
 
     def object_path_with_start(rng):
         delta = random_smooth_path(N, 0, rng)
-        x = obj_prod.join(delta.point(0.0), fiber.object_sampler(rng))
+        x = obj.join(delta.point(0.0), fiber.object_sampler(rng))
         return delta, x
 
-    return GroupoidMorphism(
-        name=name or f"family[{G.name}]",
-        total=G,
-        base_grpd=NU,
-        arrow_map=SmoothMap(A, N, pi_eval, pi_jac, "pi"),
-        object_map=SmoothMap(M, N, pi0_eval, pi0_jac, "pi0"),
-        fiber_sampler=lambda y, rng: arr_prod.join(y, fiber.arrow_sampler(rng)),
-        object_fiber_sampler=lambda y, rng: obj_prod.join(y, fiber.object_sampler(rng)),
+    return product_projection(
+        G,
+        name or f"family[{G.name}]",
         transport=TransportSamplers(path_with_start, composable, object_path_with_start),
         metadata={
             "family": True,
             "declared_fibration": True,
             "kernel_source_connected": fiber.metadata.get("source_connected", False),
-            "arr_product": arr_prod,
-            "obj_product": obj_prod,
-            "fiber": fiber,
         },
     )
-
-
-def _fiber_probe_objects(fiber: Groupoid):
-    return fiber.probe_objects
 
 
 # ---------------------------------------------------------------------------
@@ -1311,8 +973,6 @@ def disjoint_union(parts: list[Groupoid], name: str = "") -> Groupoid:
         raise InvalidParams("disjoint union requires equal patch dimensions")
     ua = UnionSpace.of(*(g.arrows for g in parts))
     uo = UnionSpace.of(*(g.objects for g in parts))
-    from .smoothmap import jacobian as _jac
-
     def route(get_map, in_union, out_union, nm):
         def ev(p):
             i, q = in_union.split(p)
@@ -1320,7 +980,7 @@ def disjoint_union(parts: list[Groupoid], name: str = "") -> Groupoid:
 
         def jac(p):
             i, q = in_union.split(p)
-            return _jac(get_map(parts[i]), q)
+            return jacobian(get_map(parts[i]), q)
 
         return SmoothMap(in_union.space, out_union.space, ev, jac, nm)
 
@@ -1523,91 +1183,22 @@ def covering_union_morphism(
 
 
 def product_with_manifold(H: Groupoid, P: Space, name: str = "") -> GroupoidMorphism:
-    arr_prod = ProductSpace(H.arrows, P)
-    obj_prod = ProductSpace(H.objects, P)
-    A, M = arr_prod.space, obj_prod.space
-    from .smoothmap import jacobian as _jac
-
-    def lift(fmap, in_prod, out_prod, nm):
-        def ev(p):
-            h, q = in_prod.split(p)
-            return out_prod.join(fmap(h), q)
-
-        def jac(p):
-            h, q = in_prod.split(p)
-            img = fmap(h)
-            out = out_prod.pack_index(img.patch_index, q.patch_index)
-            return left_injector(out_prod, out) @ _jac(fmap, h) @ left_selector(
-                in_prod, p.patch_index
-            ) + right_injector(out_prod, out) @ right_selector(in_prod, p.patch_index)
-
-        return SmoothMap(in_prod.space, out_prod.space, ev, jac, nm)
-
-    def mul_eval(g, h):
-        hg, _ = arr_prod.split(g)
-        hh, q = arr_prod.split(h)
-        return arr_prod.join(H.mul(hg, hh), q)
-
-    def mul_jac(g, h):
-        hg, _ = arr_prod.split(g)
-        hh, q = arr_prod.split(h)
-        Ah, Bh = H.mul.partials(hg, hh)
-        out = mul_eval(g, h).patch_index
-        I_h = left_injector(arr_prod, out)
-        I_q = right_injector(arr_prod, out)
-        A_part = I_h @ Ah @ left_selector(arr_prod, g.patch_index)
-        B_part = I_h @ Bh @ left_selector(arr_prod, h.patch_index) + I_q @ right_selector(
-            arr_prod, h.patch_index
-        )
-        return A_part, B_part
-
-    G = Groupoid(
-        name=name or f"{H.name}xP",
-        objects=M,
-        arrows=A,
-        src=lift(H.src, arr_prod, obj_prod, "src"),
-        tgt=lift(H.tgt, arr_prod, obj_prod, "tgt"),
-        unit=lift(H.unit, obj_prod, arr_prod, "unit"),
-        inv=lift(H.inv, arr_prod, arr_prod, "inv"),
-        mul=PairMap(A, A, A, mul_eval, mul_jac, "mul", constant_partials=True),
-        arrow_sampler=lambda rng: arr_prod.join(H.arrow_sampler(rng), sample_point(P, rng)),
-        object_sampler=lambda rng: obj_prod.join(H.object_sampler(rng), sample_point(P, rng)),
-        sfiber_sampler=lambda x, rng: _fib(x, rng, H.sfiber_sampler),
-        tfiber_sampler=lambda x, rng: _fib(x, rng, H.tfiber_sampler),
-        sfiber_grid=(
-            (lambda x, n: [arr_prod.join(h, obj_prod.split(x)[1])
-                           for h in H.sfiber_grid(obj_prod.split(x)[0], n)])
-            if H.sfiber_grid else None
-        ),
-        metadata={"arr_product": arr_prod, "obj_product": obj_prod},
-    )
-
-    def _fib(x, rng, fiber_sampler):
-        h, q = obj_prod.split(x)
-        return arr_prod.join(fiber_sampler(h, rng), q)
-
-    def pi_eval(p):
-        return arr_prod.split(p)[0]
+    """H x Unit(P) with the projection onto H."""
+    G = product_groupoid(H, unit_groupoid(P), name=name or f"{H.name}xP")
+    arr = G.metadata["arr_product"]
 
     def path_with_start(rng):
         gamma = random_smooth_path(H.arrows, int(rng.integers(len(H.arrows.patches))), rng)
-        g = arr_prod.join(gamma.point(0.0), sample_point(P, rng))
+        g = arr.join(gamma.point(0.0), sample_point(P, rng))
         return gamma, g
 
-    return GroupoidMorphism(
-        name=name or f"pr1[{G.name}]",
-        total=G,
-        base_grpd=H,
-        arrow_map=SmoothMap(A, H.arrows, pi_eval,
-                            lambda p: left_selector(arr_prod, p.patch_index), "pr1"),
-        object_map=SmoothMap(M, H.objects,
-                             lambda x: obj_prod.split(x)[0],
-                             lambda x: left_selector(obj_prod, x.patch_index), "pr1_0"),
-        fiber_sampler=lambda h, rng: arr_prod.join(h, sample_point(P, rng)),
-        object_fiber_sampler=lambda y, rng: obj_prod.join(y, sample_point(P, rng)),
+    return product_projection(
+        G,
+        name or f"pr1[{G.name}]",
         transport=TransportSamplers(path_with_start, None, None),
         metadata={"declared_fibration": True, "kernel_source_connected": P.dim > 0},
     )
+
 
 # ---------------------------------------------------------------------------
 # pair-groupoid fibration Pair(M) -> Pair(S^1) for M a fibred circle product
@@ -1857,14 +1448,12 @@ def bundle_family_morphism(bundle: Groupoid, name: str = "") -> GroupoidMorphism
         delta = segment_path(M, 0, a, b)
         return delta, delta.point(0.0)
 
-    from .smoothmap import jacobian as _jac
-
     morphism = GroupoidMorphism(
         name=name or f"family[{bundle.name}]",
         total=bundle,
         base_grpd=NU,
         arrow_map=SmoothMap(bundle.arrows, M, pi_eval,
-                            lambda p: _jac(bundle.src, p), "pi"),
+                            lambda p: jacobian(bundle.src, p), "pi"),
         object_map=SmoothMap(M, M, lambda x: x, lambda x: cached_eye(dim), "id"),
         fiber_sampler=lambda x, rng: bundle.sfiber_sampler(x, rng),
         object_fiber_sampler=lambda x, rng: x,

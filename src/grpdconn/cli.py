@@ -9,7 +9,7 @@ import sys
 from .config import DEFAULT, parse_config_file
 from .errors import UnknownScenario
 from .groupoid import rng_for
-from .scenarios import REGISTRY, emit_report, list_scenarios, run_scenario
+from .scenarios import REGISTRY, SCHEMA_VERSION, emit_report, list_scenarios, run_scenario
 
 
 def _load_config(path):
@@ -106,12 +106,24 @@ def main(argv=None) -> int:
     if args.command == "replay":
         with open(args.report, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
+        if saved.get("schema_version") != SCHEMA_VERSION:
+            print(f"replay: unknown schema_version {saved.get('schema_version')!r}, "
+                  f"expected {SCHEMA_VERSION!r}", file=sys.stderr)
+            return 2
         name = saved["scenario"]
         seed = saved["seed"]
         doc = run_scenario(name, seed=seed, budget_scale=args.budget_scale, cfg=cfg)
         fresh = doc.to_json_obj()
+        fresh_checks = {c["name"]: c for c in fresh["checks"]}
+        paired = set()
         mismatches = []
-        for old, new in zip(saved["checks"], fresh["checks"]):
+        for old in saved["checks"]:
+            new = fresh_checks.get(old["name"])
+            if new is None or old["name"] in paired:
+                mismatches.append(old["name"])
+                print(f"[EXTRA] {old['name']}: not produced by the re-run")
+                continue
+            paired.add(old["name"])
             if old != new:
                 mismatches.append(old["name"])
             status = "match" if old == new else "DIFFERS"
@@ -120,6 +132,10 @@ def main(argv=None) -> int:
                   + (f" residual={resid}" if resid is not None else ""))
             if old != new and old.get("witness"):
                 print(f"    saved witness: {old['witness']}")
+        for check in fresh_checks:
+            if check not in paired:
+                mismatches.append(check)
+                print(f"[MISSING] {check}: absent from the saved report")
         if saved.get("config") != fresh.get("config"):
             mismatches.append("config")
             print("[DIFFERS] config snapshot")

@@ -50,12 +50,14 @@ def morita_connection(pi: GroupoidMorphism, hor0, cfg: Config = DEFAULT) -> Conn
     """
     if not pi.metadata.get("morita_fibration"):
         raise NotASubmersion(f"{pi.name} is not a pullback projection")
-    split3, join3 = pi.metadata["triple"]
     base_prod = pi.metadata["base_product"]
+    arr = pi.total.metadata["arr_product"]
+    fibre_pairs = pi.total.metadata["factors"][1].metadata["product_space"]
     H = pi.base_grpd
 
     def hor(g: Point, a: Tangent) -> Tangent:
-        h, ft, fs = split3(g)
+        h, f = arr.split(g)
+        ft, fs = fibre_pairs.split(f)
         Tt = jacobian(H.tgt, h, cfg)
         Ts = jacobian(H.src, h, cfg)
         x = base_prod.join(H.tgt(h), ft)
@@ -64,8 +66,8 @@ def morita_connection(pi: GroupoidMorphism, hor0, cfg: Config = DEFAULT) -> Conn
         lift_s = hor0(y, Tangent(H.src(h), tuple(Ts @ np.asarray(a.coeffs))))
         _, dft = base_prod.split_coeffs(x, lift_t.coeffs)
         _, dfs = base_prod.split_coeffs(y, lift_s.coeffs)
-        coeffs = _pullback_coeffs(pi, g, a.coeffs, dft, dfs)
-        return Tangent(g, coeffs)
+        fibre = fibre_pairs.join_coeffs(f, tuple(dft), tuple(dfs))
+        return Tangent(g, arr.join_coeffs(g, tuple(a.coeffs), fibre))
 
     return Connection(
         morphism=pi,
@@ -73,15 +75,6 @@ def morita_connection(pi: GroupoidMorphism, hor0, cfg: Config = DEFAULT) -> Conn
         hor0=hor0,
         metadata={"provenance": "pullback_lift", "claimed_multiplicative": True},
     )
-
-
-def _pullback_coeffs(pi, g, dh, dft, dfs):
-    """Pack (dh, dft, dfs) tangent blocks into pullback arrow coordinates."""
-    inner_prod = pi.metadata["arr_prod_inner"]
-    outer_prod = pi.metadata["arr_prod"]
-    hf, _ = outer_prod.split(g)
-    inner = inner_prod.join_coeffs(hf, tuple(dh), tuple(dft))
-    return outer_prod.join_coeffs(g, inner, tuple(dfs))
 
 
 def morita_compare(
@@ -113,12 +106,6 @@ def smoothstep(u: float) -> float:
     if u >= 1.0:
         return 1.0
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-
-
-def smoothstep_deriv(u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    return 30.0 * u * u * (1.0 - u) * (1.0 - u)
 
 
 @dataclass
@@ -153,8 +140,9 @@ class TrivializingAtlas:
     fiber: Groupoid
 
     def __post_init__(self):
-        arr_prod = self.family.metadata.get("arr_product")
-        if arr_prod is None or self.family.base_grpd.objects.dim != 1:
+        constant_family = (self.family.metadata.get("family")
+                           and "arr_product" in self.family.total.metadata)
+        if not constant_family or self.family.base_grpd.objects.dim != 1:
             raise AtlasMismatch("atlas requires a catalog constant family over a 1-d base")
         if self.fiber.objects.dim != 1 or self.fiber.objects.patches[0].circ_count:
             raise AtlasMismatch("atlas fibres must carry a single line coordinate")
@@ -211,7 +199,7 @@ class TrivializingAtlas:
 
     def _sample_pair_over(self, y: float, rng):
         G = self.family.total
-        obj_prod = self.family.metadata["obj_product"]
+        obj_prod = self.family.total.metadata["obj_product"]
         N = self.family.base_grpd.objects
         fib_obj = self.fiber.object_sampler(rng)
         x = obj_prod.join(Point.raw(N, 0, (y,)), fib_obj)

@@ -69,10 +69,6 @@ class PairSamplerFailure(SamplerFailure):
     pass
 
 
-class NotAFibration(GrpdConnError):
-    pass
-
-
 class NotASubmersion(GrpdConnError):
     pass
 

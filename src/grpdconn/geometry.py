@@ -205,10 +205,6 @@ def tangent(p: Point, coeffs) -> Tangent:
     return Tangent(p, tuple(float(c) for c in coeffs))
 
 
-def zero_tangent(p: Point) -> Tangent:
-    return Tangent(p, (0.0,) * p.patch.dim)
-
-
 # ---------------------------------------------------------------------------
 # products of spaces
 
@@ -224,11 +220,18 @@ class ProductSpace:
     must stay finite sets, a factor exclusion is only representable when the
     partner factor is zero-dimensional; otherwise catalog code models the
     puncture directly on the factor used for sampling and guards.
+
+    This class owns the packing: ``split``/``join`` move points and tangent
+    coefficients between the product and its factors, ``selectors`` pick each
+    factor's coordinates out of a packed patch, and ``factorwise_jacobian``
+    places the Jacobians of a factor-by-factor map into packed coordinates.
     """
 
     left: Space
     right: Space
     space: Space = field(init=False)
+    # packed patch -> (left indices, right indices, left selector, right selector)
+    _layout: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         patches = []
@@ -256,12 +259,43 @@ class ProductSpace:
             Space(tuple(patches), name=f"{self.left.name}x{self.right.name}"),
         )
 
-    def _indices(self, packed_index: int) -> tuple[int, int]:
+    def unpack_index(self, packed_index: int) -> tuple[int, int]:
         nb = len(self.right.patches)
         return packed_index // nb, packed_index % nb
 
     def pack_index(self, ia: int, ib: int) -> int:
         return ia * len(self.right.patches) + ib
+
+    def _patch_layout(self, packed_index: int):
+        hit = self._layout.get(packed_index)
+        if hit is None:
+            ia, ib = self.unpack_index(packed_index)
+            pa, pb = self.left.patches[ia], self.right.patches[ib]
+            la, lb, ca = pa.lin_count, pb.lin_count, pa.circ_count
+            dim = pa.dim + pb.dim
+            left = _np.array([*range(la), *range(la + lb, la + lb + ca)], dtype=_np.intp)
+            right = _np.array([*range(la, la + lb), *range(la + lb + ca, dim)], dtype=_np.intp)
+            sel_left, sel_right = cached_eye(dim)[left], cached_eye(dim)[right]
+            sel_left.setflags(write=False)
+            sel_right.setflags(write=False)
+            hit = self._layout[packed_index] = (left, right, sel_left, sel_right)
+        return hit
+
+    def selectors(self, packed_index: int):
+        """Read-only 0/1 matrices taking packed coefficients to each factor's."""
+        return self._patch_layout(packed_index)[2:]
+
+    def factorwise_jacobian(self, packed_index: int, J_left, J_right,
+                            domain: "ProductSpace", domain_index: int):
+        """Jacobian into patch ``packed_index`` of a map acting on each factor
+        separately, J_left on the left factors and J_right on the right ones,
+        from patch ``domain_index`` of the product ``domain``."""
+        rows_left, rows_right = self._patch_layout(packed_index)[:2]
+        cols_left, cols_right = domain._patch_layout(domain_index)[:2]
+        J = _np.zeros((len(rows_left) + len(rows_right), len(cols_left) + len(cols_right)))
+        J[rows_left[:, None], cols_left] = J_left
+        J[rows_right[:, None], cols_right] = J_right
+        return J
 
     def join(self, a: Point, b: Point) -> Point:
         pa, pb = a.patch, b.patch
@@ -274,7 +308,7 @@ class ProductSpace:
         return Point.raw(self.space, self.pack_index(a.patch_index, b.patch_index), coords)
 
     def split(self, p: Point) -> tuple[Point, Point]:
-        ia, ib = self._indices(p.patch_index)
+        ia, ib = self.unpack_index(p.patch_index)
         pa, pb = self.left.patches[ia], self.right.patches[ib]
         la, lb = pa.lin_count, pb.lin_count
         ca = pa.circ_count
@@ -284,12 +318,12 @@ class ProductSpace:
         return Point.raw(self.left, ia, a), Point.raw(self.right, ib, b)
 
     def join_coeffs(self, p: Point, ca: tuple[float, ...], cb: tuple[float, ...]):
-        ia, ib = self._indices(p.patch_index)
+        ia, ib = self.unpack_index(p.patch_index)
         pa, pb = self.left.patches[ia], self.right.patches[ib]
         return ca[: pa.lin_count] + cb[: pb.lin_count] + ca[pa.lin_count:] + cb[pb.lin_count:]
 
     def split_coeffs(self, p: Point, coeffs: tuple[float, ...]):
-        ia, ib = self._indices(p.patch_index)
+        ia, ib = self.unpack_index(p.patch_index)
         pa, pb = self.left.patches[ia], self.right.patches[ib]
         la, lb, ca = pa.lin_count, pb.lin_count, pa.circ_count
         a = coeffs[:la] + coeffs[la + lb: la + lb + ca]

@@ -8,13 +8,14 @@ Angle coordinates evolve in the universal cover; consumers wrap on demand.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .config import DEFAULT, Config
 from .errors import InvalidHorizon
-from .geometry import Point, Tangent
+from .geometry import TWO_PI, Point, Tangent
 
 NORM_BLOWUP = "NormBlowup"
 EXCLUDED_POINT = "ExcludedPoint"
@@ -65,7 +66,7 @@ def _rk4(f, t, y, h):
     ]
 
 
-def _segment_ball_hit(y0, y1, center, radius):
+def _chord_ball_hit(y0, y1, center, radius):
     """Parameter of closest approach if the chord y0->y1 enters the ball."""
     d = [b - a for a, b in zip(y0, y1)]
     w = [a - c for a, c in zip(y0, center)]
@@ -74,6 +75,27 @@ def _segment_ball_hit(y0, y1, center, radius):
     closest = [a + s * x for a, x in zip(y0, d)]
     dist = math.sqrt(sum((c - e) ** 2 for c, e in zip(closest, center)))
     return s if dist < radius else None
+
+
+def _segment_ball_hit(y0, y1, center, radius, lin_count):
+    """Earliest closest-approach parameter over the lifts of the ball that the
+    chord y0->y1 enters.
+
+    The chord lies in the universal cover, while angle coordinates of the
+    centre (indices from ``lin_count`` on) are normalised to [0, 2pi), so each
+    is tried at every lift ``centre + 2pi k`` within ``radius`` of the chord.
+    """
+    lifts = []
+    for i, c in enumerate(center):
+        lo, hi = min(y0[i], y1[i]) - radius, max(y0[i], y1[i]) + radius
+        if i < lin_count or not math.isfinite(hi - lo):
+            lifts.append((c,))
+            continue
+        k_lo, k_hi = math.ceil((lo - c) / TWO_PI), math.floor((hi - c) / TWO_PI)
+        lifts.append(tuple(c + TWO_PI * k for k in range(k_lo, k_hi + 1)))
+    hits = [s for lifted in itertools.product(*lifts)
+            if (s := _chord_ball_hit(y0, y1, lifted, radius)) is not None]
+    return min(hits, default=None)
 
 
 def integrate(
@@ -109,7 +131,7 @@ def integrate(
         if any(abs(c) > bound for c in y1):
             raise _Escape(t1, NORM_BLOWUP, y1)
         for center, radius in exclusions:
-            s = _segment_ball_hit(y0, y1, center, radius)
+            s = _segment_ball_hit(y0, y1, center, radius, patch.lin_count)
             if s is not None:
                 raise _Escape(t0 + s * (t1 - t0), EXCLUDED_POINT, y1)
         if domain_guard is not None and not domain_guard(

@@ -290,9 +290,9 @@ def morita_punctured_setup(cfg: Config = DEFAULT):
 def _attach_morita_transport(pi: GroupoidMorphism, punctured: bool):
     """Closed-form path samplers for pullbacks of the line pair groupoid."""
     H = pi.base_grpd
-    prodH: ProductSpace = H.metadata["product_space"]
-    split3, join3 = pi.metadata["triple"]
-    F = pi.metadata["arr_prod_inner"].right
+    base_prod: ProductSpace = pi.metadata["base_product"]
+    _, join3 = pi.metadata["triple"]
+    F = base_prod.right
 
     def scalar_curve(rng):
         a = float(rng.uniform(-1.5, 1.5))
@@ -334,7 +334,6 @@ def _attach_morita_transport(pi: GroupoidMorphism, punctured: bool):
     def object_path_with_start(rng):
         f, df = scalar_curve(rng)
         delta = coordinate_path(H.objects, 0, lambda t: (f(t),), lambda t: (df(t),))
-        base_prod = pi.metadata["base_product"]
         x = base_prod.join(delta.point(0.0), fiber_point(rng))
         return delta, x
 
@@ -404,7 +403,6 @@ def so2_family_setup(cfg: Config = DEFAULT, nodes: int = 0):
 
 def skewed_family_field(fam: GroupoidMorphism):
     """A generic source-projectable lift of the unit base field."""
-    arr_prod: ProductSpace = fam.metadata["arr_product"]
 
     def X(g: Point) -> Tangent:
         y = g.coords[0]
@@ -840,9 +838,6 @@ def _run_proper_average(seed: int, cfg: Config, scale: float) -> list[CheckResul
     out[-1].wall_time = dt
 
     # full proper-family connection from a skewed source lift
-    arr_prod: ProductSpace = fam.metadata["arr_product"]
-    obj_prod: ProductSpace = fam.metadata["obj_product"]
-
     def hor_s(g: Point, w: Tangent) -> Tangent:
         phi = g.coords[3]
         skew = 0.2 * math.sin(phi) * w.coeffs[1] + 0.1 * w.coeffs[2]

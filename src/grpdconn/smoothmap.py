@@ -6,7 +6,7 @@ wraparound handling on angle coordinates in both domain and codomain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,6 +123,9 @@ class PairMap:
     jac2: Optional[Callable[[Point, Point], tuple[np.ndarray, np.ndarray]]] = None
     name: str = ""
     constant_partials: bool = False
+    # (patch of g, patch of h) -> partials, filled when constant_partials holds
+    _partials_cache: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
     def __call__(self, g: Point, h: Point) -> Point:
         return self.eval2(g, h)
@@ -130,16 +133,12 @@ class PairMap:
     def partials(self, g: Point, h: Point, cfg: Config = DEFAULT):
         if self.jac2 is not None:
             if self.constant_partials:
-                cache = getattr(self, "_partials_cache", None)
-                if cache is None:
-                    cache = {}
-                    object.__setattr__(self, "_partials_cache", cache)
                 key = (g.patch_index, h.patch_index)
-                hit = cache.get(key)
+                hit = self._partials_cache.get(key)
                 if hit is None:
                     A, B = self.jac2(g, h)
                     hit = (np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-                    cache[key] = hit
+                    self._partials_cache[key] = hit
                 return hit
             A, B = self.jac2(g, h)
             return np.asarray(A, dtype=float), np.asarray(B, dtype=float)

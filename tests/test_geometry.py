@@ -61,6 +61,22 @@ def test_product_roundtrip():
     assert ca == (1.0, 2.0) and cb == (3.0, 4.0)
 
 
+@pytest.mark.parametrize("F", [line(1, name="F"), circle(),
+                               Space((Patch(1, 0, "pos"), Patch(1, 0, "neg")), name="F*")])
+def test_product_packing_is_associative(F):
+    # (H x F) x F and H x (F x F) pack patches, labels and coordinates alike
+    H = ProductSpace(torus_line(1, 1), torus_line(1, 1)).space
+    inner_left, inner_right = ProductSpace(H, F), ProductSpace(F, F)
+    nested_left = ProductSpace(inner_left.space, F)
+    nested_right = ProductSpace(H, inner_right.space)
+    assert nested_left.space == nested_right.space
+    h = Point.raw(H, 0, (0.1, 0.2, 0.3, 0.4))
+    ft = Point.raw(F, len(F.patches) - 1, (0.5,))
+    fs = Point.raw(F, 0, (0.6,))
+    assert (nested_left.join(inner_left.join(h, ft), fs)
+            == nested_right.join(h, inner_right.join(ft, fs)))
+
+
 def test_tangent_dimension_checked():
     p = Point.make(line(2), 0, (0.0, 0.0))
     with pytest.raises(ValueError):

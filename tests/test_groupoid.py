@@ -10,7 +10,13 @@ from grpdconn.groupoid import check_axioms, morphism_check, rng_for
 from grpdconn.smoothmap import PairMap
 
 
-@pytest.mark.parametrize("name,G", cat.default_instances())
+# a product of two non-unit factors, kept out of default_instances()
+PRODUCT_OF_NON_UNITS = ("pair(S1)xSO(2)⋉R2",
+                        cat.product_groupoid(cat.pair_groupoid(circle()),
+                                             cat.so2_action_groupoid()))
+
+
+@pytest.mark.parametrize("name,G", cat.default_instances() + [PRODUCT_OF_NON_UNITS])
 def test_catalog_axioms(name, G):
     rep = check_axioms(G, 50, seed=7)
     assert rep.passed, (name, rep.max_residual, rep.witness)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from grpdconn.errors import InvalidHorizon
-from grpdconn.geometry import Point, Tangent, line
+from grpdconn.geometry import Patch, Point, Space, Tangent, line
 from grpdconn.integrate import EXCLUDED_POINT, NORM_BLOWUP, integrate
 
 R = line(1)
@@ -64,3 +64,12 @@ def test_completed_reaches_horizon():
     out = integrate(_field(lambda t, x: math.sin(t)), Point.make(R, 0, (0.0,)), 0.7)
     assert out.completed
     assert abs(out.samples[-1][0] - 0.7) < 1e-9
+
+
+def test_excluded_ball_on_angle_patch_caught_after_winding():
+    # the ball at theta = 1 is next met at theta = 1 + 2 pi, from theta = 2
+    circle = Space((Patch(0, 1, "", (((1.0,), 0.1),)),))
+    field = lambda t, p: Tangent(p, (10.0,))
+    out = integrate(field, Point.make(circle, 0, (2.0,)), 1.0, h=2e-2)
+    assert out.escape_reason == EXCLUDED_POINT
+    assert abs(out.escape_time - (2 * math.pi - 1.1) / 10) < 2e-2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grpdconn.config import DEFAULT
-from grpdconn.catalog import default_instances
+from grpdconn.catalog import default_instances, pair_groupoid, product_groupoid, so2_action_groupoid
 from grpdconn.geometry import Point, circle, line
 from grpdconn.groupoid import rng_for
 from grpdconn.smoothmap import SmoothMap, fd_jacobian, jacobian
@@ -32,7 +32,12 @@ def test_angle_doubling_wraps():
     assert abs(J[0, 0] - 2.0) < DEFAULT.numeric_tol_fd
 
 
-@pytest.mark.parametrize("name,G", default_instances())
+# a product of two non-unit factors, kept out of default_instances()
+PRODUCT_OF_NON_UNITS = ("pair(S1)xSO(2)⋉R2",
+                        product_groupoid(pair_groupoid(circle()), so2_action_groupoid()))
+
+
+@pytest.mark.parametrize("name,G", default_instances() + [PRODUCT_OF_NON_UNITS])
 def test_analytic_jacobians_match_finite_differences(name, G):
     for i in range(100):
         rng = rng_for(101, i)

@@ -117,6 +117,25 @@ def test_cli_replay_round_trip(tmp_path, capsys):
     assert "identical" in out
 
 
+@pytest.mark.parametrize("alteration", ["duplicate_check", "missing_check", "unknown_schema"])
+def test_cli_replay_rejects_altered_report(tmp_path, capsys, alteration):
+    rc = main(["--seed", "5", "--budget-scale", "0.2", "--format", "json",
+               "--output-dir", str(tmp_path), "run", "splitting_fixture"])
+    assert rc == 0
+    report = tmp_path / "splitting_fixture.json"
+    saved = json.loads(report.read_text())
+    if alteration == "duplicate_check":
+        saved["checks"].append(saved["checks"][0])
+    elif alteration == "missing_check":
+        saved["checks"].pop()
+    else:
+        saved["schema_version"] = "bogus"
+    report.write_text(json.dumps(saved))
+    rc = main(["--budget-scale", "0.2", "replay", str(report)])
+    assert rc != 0
+    assert "identical" not in capsys.readouterr().out
+
+
 def test_trajectory_dump(tmp_path):
     rc = main(["--seed", "3", "--budget-scale", "0.1", "--format", "json",
                "--output-dir", str(tmp_path), "--dump-trajectories",
