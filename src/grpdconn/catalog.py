@@ -6,6 +6,7 @@ scenarios need them, closed-form path samplers and kernel presentations.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -198,7 +199,7 @@ def pair_groupoid(M: Space, name: str = "") -> Groupoid:
         object_sampler=lambda rng: sample_point(M, rng),
         sfiber_sampler=sfiber,
         tfiber_sampler=tfiber,
-        metadata={"product_space": prod},
+        metadata={"product_space": prod, "source_connected": len(M.patches) == 1},
     )
 
 
@@ -370,7 +371,65 @@ def product_projection(G: Groupoid, name: str, **fields) -> GroupoidMorphism:
 
 
 # ---------------------------------------------------------------------------
-# group bundles M x Gamma over M (Gamma finite cyclic or the circle)
+# abelian groups Z_n x R^a x T^b over a point, and bundles of them
+
+
+def abelian_group(A: Space, name: str) -> Groupoid:
+    """The abelian group Z_n x R^a x T^b on A as a groupoid over a point.
+
+    Each of the n patches of A is one copy of R^a x T^b; patch indices add
+    mod n and coordinates add. Compact groups (a = 0) carry uniform
+    target-fibre nodes and source-fibre grids: m equally spaced angles on
+    each circle, so m^b points per patch for node count m.
+    """
+    shape = (A.patches[0].lin_count, A.patches[0].circ_count)
+    if any((p.lin_count, p.circ_count) != shape or p.excluded_points for p in A.patches):
+        raise InvalidParams(f"{name}: group patches must be equal and unpunctured")
+    pt = point_space()
+    order, dim = len(A.patches), A.dim
+    origin = Point.raw(pt, 0, ())
+
+    def mul_eval(g, h):
+        return Point.raw(A, (g.patch_index + h.patch_index) % order,
+                         tuple(a + b for a, b in zip(g.coords, h.coords)))
+
+    def inv_eval(p):
+        return Point.raw(A, (-p.patch_index) % order, tuple(-c for c in p.coords))
+
+    def tfiber_nodes(x, n):
+        angles = list(itertools.product([TWO_PI * j / n for j in range(n)], repeat=dim))
+        pts = [Point.raw(A, k, c) for k in range(order) for c in angles]
+        return pts, [1.0 / len(pts)] * len(pts)
+
+    compact = shape[0] == 0
+    return Groupoid(
+        name=name,
+        objects=pt,
+        arrows=A,
+        src=SmoothMap(A, pt, lambda p: origin, lambda p: np.zeros((0, dim)), "src"),
+        tgt=SmoothMap(A, pt, lambda p: origin, lambda p: np.zeros((0, dim)), "tgt"),
+        unit=SmoothMap(pt, A, lambda x: Point.raw(A, 0, (0.0,) * dim),
+                       lambda x: np.zeros((dim, 0)), "unit"),
+        inv=SmoothMap(A, A, inv_eval, lambda p: -np.eye(dim), "inv"),
+        mul=PairMap(A, A, A, mul_eval, lambda g, h: (np.eye(dim), np.eye(dim)), "mul",
+                    constant_partials=True),
+        arrow_sampler=lambda rng: sample_point(A, rng),
+        object_sampler=lambda rng: origin,
+        sfiber_sampler=lambda x, rng: sample_point(A, rng),
+        tfiber_sampler=lambda x, rng: sample_point(A, rng),
+        sfiber_grid=(lambda x, n: tfiber_nodes(x, n)[0]) if compact else None,
+        metadata={"source_connected": order == 1,
+                  "compact_tfibers": compact,
+                  "tfiber_nodes": tfiber_nodes if compact else None},
+    )
+
+
+def so2_group() -> Groupoid:
+    return abelian_group(circle("SO2"), "SO(2)")
+
+
+def finite_group_groupoid(order: int = 2) -> Groupoid:
+    return abelian_group(finite(range(order), name=f"Z{order}"), f"Z{order}")
 
 
 def group_bundle(
@@ -383,234 +442,101 @@ def group_bundle(
 ) -> Groupoid:
     """Bundle of groups M x Gamma with fiberwise group law.
 
-    ``group`` is "finite" (cyclic of ``order``) or "circle". The punctured
-    variant removes {x0} x (Gamma \\ {e}) for finite Gamma, realized as an
-    exclusion ball on every nontrivial-element patch.
+    ``group`` is "finite" (cyclic of ``order``) or "circle"; the bundle is the
+    product Unit(M) x Gamma. The punctured variant removes
+    {x0} x (Gamma \\ {e}) for finite Gamma, realized as an exclusion ball on
+    every nontrivial-element patch; it is not a product and is built directly
+    over M.
     """
     if group == "finite":
         if order < 1:
             raise InvalidParams("finite group order must be >= 1")
-        if punctured_at is not None:
-            base_patch = M.patches[0]
-            if len(M.patches) != 1:
-                raise InvalidParams("punctured bundles need a single-patch base")
-            patches = [Patch(base_patch.lin_count, base_patch.circ_count, "0")]
-            for k in range(1, order):
-                patches.append(
-                    Patch(
-                        base_patch.lin_count,
-                        base_patch.circ_count,
-                        str(k),
-                        ((tuple(punctured_at), excl_radius),),
-                    )
-                )
-            A = Space(tuple(patches), name=f"{M.name}xZ{order}*")
-        else:
-            gamma = finite(range(order), name=f"Z{order}")
-            A = ProductSpace(M, gamma).space
-        dim = M.dim
-
-        def elt(p: Point) -> int:
-            return p.patch_index % order if punctured_at is None else p.patch_index
-
-        def patch_of(x: Point, k: int) -> int:
-            if punctured_at is not None:
-                return k
-            return x.patch_index * order + k
-
-        def to_M(p: Point) -> Point:
-            return Point.raw(M, 0 if punctured_at is not None else p.patch_index // order, p.coords)
-
-        def src_eval(p):
-            return to_M(p)
-
-        def unit_eval(x):
-            return Point.raw(A, patch_of(x, 0), x.coords)
-
-        def inv_eval(p):
-            k = elt(p)
-            return Point.raw(A, patch_of(to_M(p), (-k) % order), p.coords)
-
-        def mul_eval(g, h):
-            k = (elt(g) + elt(h)) % order
-            return Point.raw(A, patch_of(to_M(h), k), h.coords)
-
-        eye = lambda p: cached_eye(dim)
-
-        def mul_jac(g, h):
-            return np.zeros((dim, dim)), np.eye(dim)
-
-        def arrow_sampler(rng):
-            k = int(rng.integers(order))
-            x = sample_point(M, rng)
-            q = Point.raw(A, patch_of(x, k), sample_coords(A.patches[patch_of(x, k)], rng))
-            return q
-
-        def allowed_elements(x: Point):
-            if punctured_at is None:
-                return list(range(order))
-            patch1 = A.patches[1] if order > 1 else A.patches[0]
-            for center, radius in patch1.excluded_points:
-                if patch1.coord_distance(x.coords, center) <= radius:
-                    return [0]
-            return list(range(order))
-
-        def sfiber(x, rng):
-            ks = allowed_elements(x)
-            k = int(ks[rng.integers(len(ks))])
-            return Point.raw(A, patch_of(x, k), x.coords)
-
-        def sfiber_grid(x, n):
-            return [Point.raw(A, patch_of(x, k), x.coords) for k in allowed_elements(x)]
-
-        def tfiber_nodes(x, n):
-            pts = sfiber_grid(x, n)
-            w = [1.0 / len(pts)] * len(pts)
-            return pts, w
-
-        return Groupoid(
-            name=name or f"bundle({M.name},Z{order}{'*' if punctured_at else ''})",
-            objects=M,
-            arrows=A,
-            src=SmoothMap(A, M, src_eval, eye, "src"),
-            tgt=SmoothMap(A, M, src_eval, eye, "tgt"),
-            unit=SmoothMap(M, A, unit_eval, eye, "unit"),
-            inv=SmoothMap(A, A, inv_eval, eye, "inv"),
-            mul=PairMap(A, A, A, mul_eval, mul_jac, "mul", constant_partials=True),
-            arrow_sampler=arrow_sampler,
-            object_sampler=lambda rng: sample_point(M, rng),
-            sfiber_sampler=sfiber,
-            tfiber_sampler=sfiber,
-            sfiber_grid=sfiber_grid,
-            probe_objects=(
-                (Point.raw(M, 0, punctured_at),) if punctured_at is not None else ()
-            ),
-            metadata={
-                "tfiber_nodes": tfiber_nodes,
-                "compact_tfibers": True,
-                "group_order": order,
-                "source_connected": order == 1,
-            },
-        )
-
-    if group == "circle":
+        gamma, label = finite_group_groupoid(order), f"Z{order}"
+    elif group == "circle":
         if punctured_at is not None:
             raise InvalidParams("punctured bundles require a finite group")
-        prod = ProductSpace(M, circle())
-        A = prod.space
-        dim = M.dim
+        gamma, label = so2_group(), "S1"
+    else:
+        raise InvalidParams(f"unknown group kind: {group}")
+    if punctured_at is None:
+        return product_groupoid(unit_groupoid(M), gamma,
+                                name=name or f"bundle({M.name},{label})")
+    if len(M.patches) != 1:
+        raise InvalidParams("punctured bundles need a single-patch base")
+    base = M.patches[0]
+    ball = ((tuple(punctured_at), excl_radius),)
+    A = Space(tuple(Patch(base.lin_count, base.circ_count, str(k), ball if k else ())
+                    for k in range(order)), name=f"{M.name}xZ{order}*")
+    dim = M.dim
+    eye = lambda p: cached_eye(dim)
 
-        def src_eval(p):
-            return prod.split(p)[0]
+    def src_eval(p):
+        return Point.raw(M, 0, p.coords)
 
-        def unit_eval(x):
-            return prod.join(x, Point.raw(circle(), 0, (0.0,)))
+    def inv_eval(p):
+        return Point.raw(A, (-p.patch_index) % order, p.coords)
 
-        circ = circle()
+    def mul_eval(g, h):
+        return Point.raw(A, (g.patch_index + h.patch_index) % order, h.coords)
 
-        def inv_eval(p):
-            x, th = prod.split(p)
-            return prod.join(x, Point.raw(circ, 0, (-th.coords[0],)))
+    def mul_jac(g, h):
+        return np.zeros((dim, dim)), np.eye(dim)
 
-        def mul_eval(g, h):
-            _, th_g = prod.split(g)
-            x, th_h = prod.split(h)
-            return prod.join(x, Point.raw(circ, 0, (th_g.coords[0] + th_h.coords[0],)))
+    def arrow_sampler(rng):
+        k = int(rng.integers(order))
+        sample_point(M, rng)  # discarded, so that seeded samples stay as reported
+        return Point.raw(A, k, sample_coords(A.patches[k], rng))
 
-        def src_jac(p):
-            return prod.selectors(p.patch_index)[0]
+    def elements_over(x: Point):
+        # the identity alone survives over the puncture; patch -1 carries the
+        # ball whenever order > 1
+        for center, radius in A.patches[-1].excluded_points:
+            if A.patches[-1].coord_distance(x.coords, center) <= radius:
+                return [0]
+        return list(range(order))
 
-        def unit_jac(x):
-            return prod.selectors(prod.pack_index(x.patch_index, 0))[0].T
+    def sfiber(x, rng):
+        ks = elements_over(x)
+        return Point.raw(A, ks[rng.integers(len(ks))], x.coords)
 
-        def inv_jac(p):
-            S_x, S_th = prod.selectors(p.patch_index)
-            return S_x.T @ S_x - S_th.T @ S_th
+    def sfiber_grid(x, n):
+        return [Point.raw(A, k, x.coords) for k in elements_over(x)]
 
-        def mul_jac(g, h):
-            S_x, S_th = prod.selectors(h.patch_index)
-            A_part = S_th.T @ prod.selectors(g.patch_index)[1]
-            B_part = S_x.T @ S_x + S_th.T @ S_th
-            return A_part, B_part
+    def tfiber_nodes(x, n):
+        pts = sfiber_grid(x, n)
+        return pts, [1.0 / len(pts)] * len(pts)
 
-        def tfiber_nodes(x, n):
-            pts = [
-                prod.join(x, Point.raw(circ, 0, (TWO_PI * j / n,))) for j in range(n)
-            ]
-            return pts, [1.0 / n] * n
-
-        return Groupoid(
-            name=name or f"bundle({M.name},S1)",
-            objects=M,
-            arrows=A,
-            src=SmoothMap(A, M, src_eval, src_jac, "src"),
-            tgt=SmoothMap(A, M, src_eval, src_jac, "tgt"),
-            unit=SmoothMap(M, A, unit_eval, unit_jac, "unit"),
-            inv=SmoothMap(A, A, inv_eval, inv_jac, "inv"),
-            mul=PairMap(A, A, A, mul_eval, mul_jac, "mul", constant_partials=True),
-            arrow_sampler=lambda rng: sample_point(A, rng),
-            object_sampler=lambda rng: sample_point(M, rng),
-            sfiber_sampler=lambda x, rng: prod.join(
-                x, Point.raw(circ, 0, (float(rng.uniform(0, TWO_PI)),))
-            ),
-            tfiber_sampler=lambda x, rng: prod.join(
-                x, Point.raw(circ, 0, (float(rng.uniform(0, TWO_PI)),))
-            ),
-            sfiber_grid=lambda x, n: tfiber_nodes(x, n)[0],
-            metadata={"tfiber_nodes": tfiber_nodes, "compact_tfibers": True,
-                      "source_connected": True},
-        )
-
-    raise InvalidParams(f"unknown group kind: {group}")
+    return Groupoid(
+        name=name or f"bundle({M.name},Z{order}*)",
+        objects=M,
+        arrows=A,
+        src=SmoothMap(A, M, src_eval, eye, "src"),
+        tgt=SmoothMap(A, M, src_eval, eye, "tgt"),
+        unit=SmoothMap(M, A, lambda x: Point.raw(A, 0, x.coords), eye, "unit"),
+        inv=SmoothMap(A, A, inv_eval, eye, "inv"),
+        mul=PairMap(A, A, A, mul_eval, mul_jac, "mul", constant_partials=True),
+        arrow_sampler=arrow_sampler,
+        object_sampler=lambda rng: sample_point(M, rng),
+        sfiber_sampler=sfiber,
+        tfiber_sampler=sfiber,
+        sfiber_grid=sfiber_grid,
+        probe_objects=(Point.raw(M, 0, punctured_at),),
+        metadata={
+            "tfiber_nodes": tfiber_nodes,
+            "compact_tfibers": True,
+            "group_order": order,
+            "source_connected": order == 1,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
-# SO(2) as a Lie group, its plane action, and the action groupoid
+# the rotation action of SO(2) on the plane and its action groupoid
 
 
 def _rot(phi: float) -> np.ndarray:
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[c, -s], [s, c]])
-
-
-def so2_group() -> Groupoid:
-    pt = point_space()
-    A = circle("SO2")
-
-    def to_pt(p):
-        return Point.raw(pt, 0, ())
-
-    z01 = lambda p: np.zeros((0, 1))
-    z10 = lambda p: np.zeros((1, 0))
-
-    def mul_eval(g, h):
-        return Point.raw(A, 0, (g.coords[0] + h.coords[0],))
-
-    def mul_jac(g, h):
-        return np.eye(1), np.eye(1)
-
-    def inv_jac(p):
-        return -np.eye(1)
-
-    return Groupoid(
-        name="SO(2)",
-        objects=pt,
-        arrows=A,
-        src=SmoothMap(A, pt, to_pt, z01, "src"),
-        tgt=SmoothMap(A, pt, to_pt, z01, "tgt"),
-        unit=SmoothMap(pt, A, lambda x: Point.raw(A, 0, (0.0,)), z10, "unit"),
-        inv=SmoothMap(A, A, lambda p: Point.raw(A, 0, (-p.coords[0],)), inv_jac, "inv"),
-        mul=PairMap(A, A, A, mul_eval, mul_jac, "mul", constant_partials=True),
-        arrow_sampler=lambda rng: sample_point(A, rng),
-        object_sampler=lambda rng: Point.raw(pt, 0, ()),
-        sfiber_sampler=lambda x, rng: sample_point(A, rng),
-        tfiber_sampler=lambda x, rng: sample_point(A, rng),
-        metadata={"source_connected": True,
-                  "compact_tfibers": True,
-                  "tfiber_nodes": lambda x, n: (
-                      [Point.raw(A, 0, (TWO_PI * j / n,)) for j in range(n)],
-                      [1.0 / n] * n)},
-    )
 
 
 def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
@@ -767,49 +693,8 @@ def plane_to_circle_morphism() -> GroupoidMorphism:
     pt = point_space()
     plane = line(2, name="R2grp")
     circ_arr = circle("S1grp")
-
-    z = lambda p: np.zeros((0, 2))
-
-    def mk_group(space, addf, add_jac, neg, neg_jac, zero, name):
-        A = space
-
-        def to_pt(p):
-            return Point.raw(pt, 0, ())
-
-        return Groupoid(
-            name=name,
-            objects=pt,
-            arrows=A,
-            src=SmoothMap(A, pt, to_pt, lambda p: np.zeros((0, A.dim)), "src"),
-            tgt=SmoothMap(A, pt, to_pt, lambda p: np.zeros((0, A.dim)), "tgt"),
-            unit=SmoothMap(pt, A, lambda x: zero, lambda p: np.zeros((A.dim, 0)), "unit"),
-            inv=SmoothMap(A, A, neg, neg_jac, "inv"),
-            mul=PairMap(A, A, A, addf, add_jac, "mul", constant_partials=True),
-            arrow_sampler=lambda rng: sample_point(A, rng),
-            object_sampler=lambda rng: Point.raw(pt, 0, ()),
-            sfiber_sampler=lambda x, rng: sample_point(A, rng),
-            tfiber_sampler=lambda x, rng: sample_point(A, rng),
-            metadata={"source_connected": True},
-        )
-
-    G = mk_group(
-        plane,
-        lambda g, h: Point.raw(plane, 0, (g.coords[0] + h.coords[0], g.coords[1] + h.coords[1])),
-        lambda g, h: (np.eye(2), np.eye(2)),
-        lambda p: Point.raw(plane, 0, (-p.coords[0], -p.coords[1])),
-        lambda p: -np.eye(2),
-        Point.raw(plane, 0, (0.0, 0.0)),
-        "R2-group",
-    )
-    H = mk_group(
-        circ_arr,
-        lambda g, h: Point.raw(circ_arr, 0, (g.coords[0] + h.coords[0],)),
-        lambda g, h: (np.eye(1), np.eye(1)),
-        lambda p: Point.raw(circ_arr, 0, (-p.coords[0],)),
-        lambda p: -np.eye(1),
-        Point.raw(circ_arr, 0, (0.0,)),
-        "S1-group",
-    )
+    G = abelian_group(plane, "R2-group")
+    H = abelian_group(circ_arr, "S1-group")
 
     def pi_eval(p):
         return Point.raw(circ_arr, 0, (p.coords[0],))
@@ -888,7 +773,7 @@ def pullback_of_projection(H: Groupoid, F: Space, name: str = "") -> GroupoidMor
         metadata={
             "morita_fibration": True,
             "declared_fibration": True,
-            "kernel_source_connected": True,
+            "kernel_source_connected": K.metadata["source_connected"],
             "triple": (split3, join3),
             "base_product": G.metadata["obj_product"],
         },
@@ -1063,8 +948,8 @@ def covering_union_morphism(
         return Point.raw(H.arrows, q.patch_index, q.coords)
 
     def pi0_eval(x):
-        i, q = uo.split(x)
-        return q
+        # H's objects are M x pt, H*'s are M: the same coordinates
+        return Point.raw(H.objects, 0, uo.split(x)[1].coords)
 
     def pi_jac(p):
         return np.eye(1)
@@ -1204,14 +1089,6 @@ def product_with_manifold(H: Groupoid, P: Space, name: str = "") -> GroupoidMorp
 # pair-groupoid fibration Pair(M) -> Pair(S^1) for M a fibred circle product
 
 
-def _fiber_patches(punctured: bool):
-    """Fibre coordinate charts: plain R, or log charts on R \\ {0}."""
-    if not punctured:
-        return (Patch(1, 1, "all"),), (lambda i, u: u), (lambda i, x: x)
-    # x = +exp(u) on patch "pos", x = -exp(u) on patch "neg"
-    return (Patch(1, 1, "pos"), Patch(1, 1, "neg")), None, None
-
-
 def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
     """Pair(M) -> Pair(S^1) over pi0 = angle projection, M = fibre x S^1.
 
@@ -1219,7 +1096,8 @@ def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
     (x = ±exp(u)), so escape through the deleted point is a finite-time event
     for fibre-translating base lifts.
     """
-    patches, _, _ = _fiber_patches(punctured)
+    # fibre charts: plain R, or log charts x = +exp(u) on "pos", -exp(u) on "neg"
+    patches = (Patch(1, 1, "pos"), Patch(1, 1, "neg")) if punctured else (Patch(1, 1, "all"),)
     M = Space(patches, name="S1xR*" if punctured else "S1xR")
     Ncirc = circle("S1")
     G = pair_groupoid(M, name=f"pair({M.name})")
@@ -1499,37 +1377,7 @@ def base_submersion_morphism(pi: GroupoidMorphism) -> GroupoidMorphism:
 
 
 # ---------------------------------------------------------------------------
-# finite group and its reflection action on R
-
-
-def finite_group_groupoid(order: int = 2) -> Groupoid:
-    pt = point_space()
-    A = finite(range(order), name=f"Z{order}")
-
-    def mul_eval(g, h):
-        return Point.raw(A, (g.patch_index + h.patch_index) % order, ())
-
-    z00 = lambda p: np.zeros((0, 0))
-
-    return Groupoid(
-        name=f"Z{order}",
-        objects=pt,
-        arrows=A,
-        src=SmoothMap(A, pt, lambda p: Point.raw(pt, 0, ()), z00, "src"),
-        tgt=SmoothMap(A, pt, lambda p: Point.raw(pt, 0, ()), z00, "tgt"),
-        unit=SmoothMap(pt, A, lambda x: Point.raw(A, 0, ()), z00, "unit"),
-        inv=SmoothMap(A, A, lambda p: Point.raw(A, (-p.patch_index) % order, ()), z00, "inv"),
-        mul=PairMap(A, A, A, mul_eval, lambda g, h: (np.zeros((0, 0)), np.zeros((0, 0))), "mul", constant_partials=True),
-        arrow_sampler=lambda rng: Point.raw(A, int(rng.integers(order)), ()),
-        object_sampler=lambda rng: Point.raw(pt, 0, ()),
-        sfiber_sampler=lambda x, rng: Point.raw(A, int(rng.integers(order)), ()),
-        tfiber_sampler=lambda x, rng: Point.raw(A, int(rng.integers(order)), ()),
-        sfiber_grid=lambda x, n: [Point.raw(A, k, ()) for k in range(order)],
-        metadata={"source_connected": order == 1,
-                  "tfiber_nodes": lambda x, n: (
-                      [Point.raw(A, k, ()) for k in range(order)],
-                      [1.0 / order] * order)},
-    )
+# the reflection action of Z2 on R
 
 
 def reflection_action_morphism() -> GroupoidMorphism:

@@ -81,7 +81,11 @@ def main(argv=None) -> int:
     replay_p.add_argument("report", help="path to a JSON report")
 
     args = parser.parse_args(argv)
-    cfg = _load_config(args.config)
+    try:
+        cfg = _load_config(args.config)
+    except (OSError, ValueError) as exc:
+        print(f"grpdconn: bad --config: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "list":
         for name, description, note in list_scenarios():

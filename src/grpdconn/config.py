@@ -6,6 +6,7 @@ programmatically; reports embed a snapshot of the values they ran with.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -45,15 +46,27 @@ class Config:
     constr_atlas_margin: float = 1e-2   # required closure(U) to V margin
     constr_box: float = 2.5             # half-width of the certification box
 
-    def with_overrides(self, overrides: dict[str, float]) -> "Config":
-        """Return a copy with dotted-key overrides applied."""
+    def with_overrides(self, overrides: dict[str, float | str]) -> "Config":
+        """Return a copy with dotted-key overrides applied.
+
+        Every value must read as a finite positive number, integral for the
+        integer fields; anything else raises ``ValueError`` naming the key.
+        """
         kwargs = {}
         for key, value in overrides.items():
             attr = key.replace(".", "_")
             if not any(f.name == attr for f in fields(self)):
                 raise KeyError(f"unknown configuration key: {key}")
-            current = getattr(self, attr)
-            kwargs[attr] = type(current)(value)
+            kind = type(getattr(self, attr))
+            try:
+                value = float(value)
+            except ValueError:
+                raise ValueError(f"{key} must be a number, got {value!r}") from None
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{key} must be finite and positive, got {value!r}")
+            if kind is int and not value.is_integer():
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            kwargs[attr] = kind(value)
         return replace(self, **kwargs)
 
     def snapshot(self) -> dict[str, str]:
@@ -72,9 +85,11 @@ def parse_config_file(path: str) -> Config:
     """Parse a line-oriented ``key = value`` file into a Config.
 
     Blank lines and lines starting with ``#`` are ignored. Keys are dotted
-    (``transport.drift_tol``).
+    (``transport.drift_tol``). A malformed line, an unknown key or a value
+    that ``Config.with_overrides`` rejects raises ``ValueError`` prefixed with
+    ``path:lineno``.
     """
-    overrides: dict[str, float] = {}
+    cfg = DEFAULT
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -83,5 +98,8 @@ def parse_config_file(path: str) -> Config:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
-            overrides[key.strip()] = float(value.strip())
-    return DEFAULT.with_overrides(overrides)
+            try:
+                cfg = cfg.with_overrides({key.strip(): value.strip()})
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from exc
+    return cfg

@@ -213,13 +213,11 @@ def tangent(p: Point, coeffs) -> Tangent:
 class ProductSpace:
     """Product of two Spaces with coordinate packing (linA, linB, circA, circB).
 
-    Patches are all pairs (patchA, patchB); exclusions of the factors become
-    cylinder exclusions only when a factor patch is the full complement, so
-    factor exclusions are re-attached per packed patch by embedding the
-    excluded coordinates at arbitrary partner values. Since excluded points
-    must stay finite sets, a factor exclusion is only representable when the
-    partner factor is zero-dimensional; otherwise catalog code models the
-    puncture directly on the factor used for sampling and guards.
+    Patches are all pairs (patchA, patchB). A factor patch's excluded balls
+    carry over to a packed patch only when the partner patch is
+    zero-dimensional: against a positive-dimensional partner the excluded set
+    would be a cylinder, which a finite set of balls cannot describe, so
+    construction raises ``ValueError`` instead.
 
     This class owns the packing: ``split``/``join`` move points and tangent
     coefficients between the product and its factors, ``selectors`` pick each
@@ -237,20 +235,18 @@ class ProductSpace:
         patches = []
         for pa in self.left.patches:
             for pb in self.right.patches:
-                excl = []
-                if pb.dim == 0:
-                    for coords, radius in pa.excluded_points:
-                        excl.append((coords, radius))
-                if pa.dim == 0:
-                    for coords, radius in pb.excluded_points:
-                        excl.append((coords, radius))
+                if (pa.excluded_points and pb.dim) or (pb.excluded_points and pa.dim):
+                    raise ValueError(
+                        f"{self.left.name}x{self.right.name}: excluded balls of a factor "
+                        "patch need a zero-dimensional partner patch")
+                excl = pa.excluded_points + pb.excluded_points
                 label = f"{pa.component_label}|{pb.component_label}"
                 patches.append(
                     Patch(
                         pa.lin_count + pb.lin_count,
                         pa.circ_count + pb.circ_count,
                         label,
-                        tuple(excl),
+                        excl,
                     )
                 )
         object.__setattr__(
@@ -305,7 +301,8 @@ class ProductSpace:
             + a.coords[pa.lin_count:]
             + b.coords[pb.lin_count:]
         )
-        return Point.raw(self.space, self.pack_index(a.patch_index, b.patch_index), coords)
+        # a Point's coordinates are already floats: skip Point.raw's conversion
+        return Point(self.space, self.pack_index(a.patch_index, b.patch_index), coords)
 
     def split(self, p: Point) -> tuple[Point, Point]:
         ia, ib = self.unpack_index(p.patch_index)
@@ -315,7 +312,7 @@ class ProductSpace:
         coords = p.coords
         a = coords[:la] + coords[la + lb: la + lb + ca]
         b = coords[la: la + lb] + coords[la + lb + ca:]
-        return Point.raw(self.left, ia, a), Point.raw(self.right, ib, b)
+        return Point(self.left, ia, a), Point(self.right, ib, b)
 
     def join_coeffs(self, p: Point, ca: tuple[float, ...], cb: tuple[float, ...]):
         ia, ib = self.unpack_index(p.patch_index)

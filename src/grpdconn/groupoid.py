@@ -42,11 +42,6 @@ class Groupoid:
     tfiber_sampler: Callable[[Point, np.random.Generator], Point]
     sfiber_grid: Optional[Callable[[Point, int], list[Point]]] = None
     probe_objects: tuple[Point, ...] = ()
-    path_sampler: Optional[Callable[[np.random.Generator], BasePath]] = None
-    object_path_sampler: Optional[Callable[[np.random.Generator], BasePath]] = None
-    composable_path_pair_sampler: Optional[
-        Callable[[np.random.Generator], tuple[BasePath, BasePath]]
-    ] = None
     metadata: dict = field(default_factory=dict)
 
     def pair_sample(self, rng: np.random.Generator) -> tuple[Point, Point]:

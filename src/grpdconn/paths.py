@@ -15,7 +15,6 @@ class BasePath:
     point: Callable[[float], Point]
     velocity: Callable[[float], Tangent]
     is_loop: bool = False
-    is_unit_path: bool = False
     label: str = ""
 
     def reversed(self) -> "BasePath":
@@ -25,7 +24,6 @@ class BasePath:
             lambda t: self.point(1.0 - t),
             lambda t: -1.0 * self.velocity(1.0 - t),
             is_loop=self.is_loop,
-            is_unit_path=self.is_unit_path,
             label=self.label + "~rev",
         )
 
@@ -37,7 +35,6 @@ def constant_path(p: Point, label: str = "const") -> BasePath:
         lambda t: p,
         lambda t: zero,
         is_loop=True,
-        is_unit_path=True,
         label=label,
     )
 

@@ -401,6 +401,19 @@ def so2_family_setup(cfg: Config = DEFAULT, nodes: int = 0):
     return fam, quad
 
 
+def _skewed_source_lift(g: Point, w: Tangent) -> Tangent:
+    """A source lift on the rotation-action family that is skewed in the fibre angle."""
+    phi = g.coords[3]
+    skew = 0.2 * math.sin(phi) * w.coeffs[1] + 0.1 * w.coeffs[2]
+    return Tangent(g, (w.coeffs[0], w.coeffs[1], w.coeffs[2], skew))
+
+
+def _rotating_base_lift(x: Point, w: Tangent) -> Tangent:
+    """A base-object lift on the rotation-action family that turns the plane."""
+    v1, v2 = x.coords[1], x.coords[2]
+    return Tangent(x, (w.coeffs[0], 0.05 * v2 * w.coeffs[0], -0.05 * v1 * w.coeffs[0]))
+
+
 def skewed_family_field(fam: GroupoidMorphism):
     """A generic source-projectable lift of the unit base field."""
 
@@ -838,17 +851,8 @@ def _run_proper_average(seed: int, cfg: Config, scale: float) -> list[CheckResul
     out[-1].wall_time = dt
 
     # full proper-family connection from a skewed source lift
-    def hor_s(g: Point, w: Tangent) -> Tangent:
-        phi = g.coords[3]
-        skew = 0.2 * math.sin(phi) * w.coeffs[1] + 0.1 * w.coeffs[2]
-        return Tangent(g, (w.coeffs[0], w.coeffs[1], w.coeffs[2], skew))
-
-    def hor0(x: Point, w: Tangent) -> Tangent:
-        v1, v2 = x.coords[1], x.coords[2]
-        return Tangent(x, (w.coeffs[0], 0.05 * v2 * w.coeffs[0], -0.05 * v1 * w.coeffs[0]))
-
     conn, dt = _timed(lambda: proper_family_connection(
-        fam, hor0, hor_s, quad, _scale(30, scale), seed, cfg))
+        fam, _rotating_base_lift, _skewed_source_lift, quad, _scale(30, scale), seed, cfg))
     rep2 = multiplicativity_check_pointwise(conn, _scale(50, scale), seed, cfg)
     out.append(_check("proper_family_connection", rep2.verdict, MULTIPLICATIVE,
                       rep2.max_residual, None, rep2.n_samples,
@@ -1079,16 +1083,8 @@ def proper_average_connection(cfg: Config, nodes: int = 8) -> Connection:
     # the acceptance suite re-verifies node-count independence numerically
     fam, quad = so2_family_setup(cfg, nodes=nodes)
 
-    def hor_s(g: Point, w: Tangent) -> Tangent:
-        phi = g.coords[3]
-        skew = 0.2 * math.sin(phi) * w.coeffs[1] + 0.1 * w.coeffs[2]
-        return Tangent(g, (w.coeffs[0], w.coeffs[1], w.coeffs[2], skew))
-
-    def hor0(x: Point, w: Tangent) -> Tangent:
-        v1, v2 = x.coords[1], x.coords[2]
-        return Tangent(x, (w.coeffs[0], 0.05 * v2 * w.coeffs[0], -0.05 * v1 * w.coeffs[0]))
-
-    return proper_family_connection(fam, hor0, hor_s, quad, 12, 0, cfg)
+    return proper_family_connection(fam, _rotating_base_lift, _skewed_source_lift, quad, 12,
+                                    0, cfg)
 
 
 def sproper_connection(cfg: Config) -> Connection:

@@ -35,9 +35,15 @@ from grpdconn.errors import (
     PartitionGap,
     QuadratureMissing,
 )
-from grpdconn.geometry import Point, Tangent, line
+from grpdconn.geometry import Patch, Point, Space, Tangent, line
 from grpdconn.groupoid import rng_for
-from grpdconn.scenarios import morita_setup, skewed_family_field, so2_family_setup, sproper_setup
+from grpdconn.scenarios import (
+    morita_punctured_setup,
+    morita_setup,
+    skewed_family_field,
+    so2_family_setup,
+    sproper_setup,
+)
 from grpdconn.transport import completeness_probe
 
 
@@ -78,6 +84,13 @@ def test_morita_uniqueness_comparison():
     c2 = Connection(c.morphism, perturbed, c.hor0, {})
     dev = morita_compare(c, c2, 30, seed=5)
     assert 1e-4 < dev < 1e-2
+
+
+def test_pullback_kernel_source_connected_follows_fibre():
+    # the kernel Unit(N) x Pair(F) has source fibres F: R is connected, the
+    # two-chart R \ {0} is not
+    assert morita_setup()[0].morphism.metadata["kernel_source_connected"] is True
+    assert morita_punctured_setup()[0].morphism.metadata["kernel_source_connected"] is False
 
 
 def test_circle_group_pullback_loop_transport_returns():
@@ -152,6 +165,16 @@ def test_partition_gap_detected():
 def test_quadrature_normalization_and_invariance():
     fam, quad = so2_family_setup(nodes=32)
     rep = quad.validate(fam.total, 15, seed=2)
+    assert rep.passed, rep.witness
+
+
+@pytest.mark.parametrize("G", [
+    cat.so2_group(),
+    cat.finite_group_groupoid(3),
+    cat.abelian_group(Space((Patch(0, 2, "0"), Patch(0, 2, "1")), name="Z2xT2"), "Z2xT2"),
+], ids=lambda G: G.name)
+def test_abelian_group_quadrature_is_haar(G):
+    rep = HaarFiberQuadrature.from_groupoid(G, 16).validate(G, 20, seed=3)
     assert rep.passed, rep.witness
 
 

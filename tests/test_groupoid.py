@@ -5,18 +5,23 @@ import pytest
 
 import grpdconn.catalog as cat
 from grpdconn.config import DEFAULT
-from grpdconn.geometry import Point, circle, distance, line
+from grpdconn.geometry import Patch, Point, Space, circle, distance, line
 from grpdconn.groupoid import check_axioms, morphism_check, rng_for
 from grpdconn.smoothmap import PairMap
 
 
-# a product of two non-unit factors, kept out of default_instances()
-PRODUCT_OF_NON_UNITS = ("pair(S1)xSO(2)⋉R2",
-                        cat.product_groupoid(cat.pair_groupoid(circle()),
-                                             cat.so2_action_groupoid()))
+# a product of two non-unit factors and two abelian groups, kept out of
+# default_instances()
+EXTRA_INSTANCES = [
+    ("pair(S1)xSO(2)⋉R2", cat.product_groupoid(cat.pair_groupoid(circle()),
+                                                cat.so2_action_groupoid())),
+    ("Z3", cat.finite_group_groupoid(3)),
+    ("Z2xRxT", cat.abelian_group(Space((Patch(1, 1, "0"), Patch(1, 1, "1")), name="Z2xRxT"),
+                                 "Z2xRxT")),
+]
 
 
-@pytest.mark.parametrize("name,G", cat.default_instances() + [PRODUCT_OF_NON_UNITS])
+@pytest.mark.parametrize("name,G", cat.default_instances() + EXTRA_INSTANCES)
 def test_catalog_axioms(name, G):
     rep = check_axioms(G, 50, seed=7)
     assert rep.passed, (name, rep.max_residual, rep.witness)
@@ -61,6 +66,17 @@ def test_group_bundle_adds_mod_2():
     g = G.sfiber_grid(x, 2)[1]   # the nontrivial element over x
     gg = G.compose(g, g)
     assert gg.patch_index % 2 == 0  # back to the identity component
+
+
+def test_product_rejects_a_puncture_it_cannot_carry():
+    # {0} x (Z2 \ {e}) x R is a line, not a ball: the product must refuse it
+    punctured = cat.group_bundle(line(1), "finite", order=2, punctured_at=(0.0,))
+    with pytest.raises(ValueError):
+        cat.product_groupoid(punctured, cat.unit_groupoid(line(1)))
+    # against a point the ball carries over
+    G = cat.product_groupoid(punctured, cat.finite_group_groupoid(1))
+    assert [p.excluded_points for p in G.arrows.patches] == [
+        p.excluded_points for p in punctured.arrows.patches]
 
 
 def test_pullback_of_circle_group_over_line():

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from grpdconn.config import DEFAULT
-from grpdconn.catalog import default_instances, pair_groupoid, product_groupoid, so2_action_groupoid
-from grpdconn.geometry import Point, circle, line
+from grpdconn.catalog import (
+    abelian_group,
+    default_instances,
+    finite_group_groupoid,
+    pair_groupoid,
+    product_groupoid,
+    so2_action_groupoid,
+)
+from grpdconn.geometry import Patch, Point, Space, circle, line
 from grpdconn.groupoid import rng_for
 from grpdconn.smoothmap import SmoothMap, fd_jacobian, jacobian
 
@@ -32,12 +39,17 @@ def test_angle_doubling_wraps():
     assert abs(J[0, 0] - 2.0) < DEFAULT.numeric_tol_fd
 
 
-# a product of two non-unit factors, kept out of default_instances()
-PRODUCT_OF_NON_UNITS = ("pair(S1)xSO(2)⋉R2",
-                        product_groupoid(pair_groupoid(circle()), so2_action_groupoid()))
+# a product of two non-unit factors and two abelian groups, kept out of
+# default_instances()
+EXTRA_INSTANCES = [
+    ("pair(S1)xSO(2)⋉R2", product_groupoid(pair_groupoid(circle()), so2_action_groupoid())),
+    ("Z3", finite_group_groupoid(3)),
+    ("Z2xRxT", abelian_group(Space((Patch(1, 1, "0"), Patch(1, 1, "1")), name="Z2xRxT"),
+                             "Z2xRxT")),
+]
 
 
-@pytest.mark.parametrize("name,G", default_instances() + [PRODUCT_OF_NON_UNITS])
+@pytest.mark.parametrize("name,G", default_instances() + EXTRA_INSTANCES)
 def test_analytic_jacobians_match_finite_differences(name, G):
     for i in range(100):
         rng = rng_for(101, i)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -74,7 +75,7 @@ def test_budget_scale_shrinks_samples():
     assert doc.overall_pass
 
 
-def test_config_file_parsing(tmp_path):
+def test_config_file_parsing(tmp_path, capsys):
     path = tmp_path / "conf.cfg"
     path.write_text("""
 # comment line
@@ -88,6 +89,17 @@ constr.node_count = 64
     assert cfg.constr_node_count == 64
     with pytest.raises(KeyError):
         DEFAULT.with_overrides({"bogus.key": 1.0})
+
+    # bad lines fail at load time with file, line and key, and the CLI exits 2
+    for bad in ("constr.node_count = 256.9", "numeric.h_ode = 0", "numeric.h_ode = -1e-3",
+                "numeric.ode_tol = nan", "constr.box = inf", "numeric.h_ode = fast",
+                "bogus.key = 1"):
+        key = bad.partition(" ")[0]
+        path.write_text(f"# comment\ntransport.drift_tol = 1e-5\n{bad}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*{re.escape(key)}"):
+            parse_config_file(str(path))
+        assert main(["--config", str(path), "list"]) == 2
+        assert f"{path}:3: " in capsys.readouterr().err
 
 
 def test_cli_list_and_run(tmp_path, capsys):
