@@ -34,9 +34,7 @@ def _dump_trajectories(name, seed, cfg, out_dir, count=3):
     scenario = REGISTRY[name]
     if scenario.connection_factory is None:
         return
-    conn = scenario.connection_factory(cfg)
-    if isinstance(conn, tuple):
-        conn = conn[0]
+    conn, _ = scenario.connection_factory(cfg)
     transport = conn.morphism.transport
     if transport is None:
         return

@@ -380,12 +380,12 @@ def kernel_connection(c: Connection, cfg: Config = DEFAULT) -> Connection:
 
 
 def compose_connections(
-    c1: Connection, c2: Connection, cfg: Config = DEFAULT, verify_samples: int = 20
+    c1: Connection, c2: Connection, cfg: Config = DEFAULT
 ) -> Connection:
     """Connection on pi2∘pi1 with lift hor1_g ∘ hor2_{pi1(g)}.
 
     When both inputs claim multiplicativity the composite is re-checked at
-    ``verify_samples`` samples (pass ``0`` to skip).
+    20 samples.
     """
     pi1, pi2 = c1.morphism, c2.morphism
     if pi1.base_grpd.name != pi2.total.name:
@@ -425,8 +425,8 @@ def compose_connections(
             "claimed_multiplicative": both_multiplicative,
         },
     )
-    if both_multiplicative and verify_samples:
-        rep = multiplicativity_check_pointwise(out, verify_samples, seed=0, cfg=cfg)
+    if both_multiplicative:
+        rep = multiplicativity_check_pointwise(out, 20, seed=0, cfg=cfg)
         if rep.verdict == NOT_MULTIPLICATIVE:
             raise IncompatibleMorphisms(
                 f"composite of multiplicative lifts failed the clause set "

@@ -237,12 +237,14 @@ def bump_partition(windows: list[AtlasWindow]):
     return [chi(a) for a in range(len(windows))]
 
 
+_PARTITION_CHECKS = 64   # grid intervals on which a partition's sum is checked
+
+
 def glue_local_trivial(
     family: GroupoidMorphism,
     atlas: TrivializingAtlas,
     partition: list[Callable[[float], float]],
     cfg: Config = DEFAULT,
-    n_check: int = 64,
 ) -> Connection:
     """Glue the chart-flat lifts through a base partition of unity.
 
@@ -255,8 +257,8 @@ def glue_local_trivial(
     # the inner windows must cover the working region; the sum is checked there
     lo = min(w.inner[0] for w in atlas.windows)
     hi = max(w.inner[1] for w in atlas.windows)
-    for k in range(n_check + 1):
-        y = lo + (hi - lo) * k / n_check
+    for k in range(_PARTITION_CHECKS + 1):
+        y = lo + (hi - lo) * k / _PARTITION_CHECKS
         total = sum(chi(y) for chi in partition)
         if abs(total - 1.0) > 1e-10:
             raise PartitionGap(f"partition sums to {total!r} at y = {y!r}")
@@ -376,13 +378,7 @@ def haar_average(
                 f"input field is not source-projectable (residual {resid:.3e})"
             )
 
-    cache: dict = {}
-
     def X_hat(g: Point) -> Tangent:
-        key = (g.patch_index, g.coords)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
         nodes, weights = quad.nodes_at(G.src(g))
         acc = np.zeros(g.patch.dim)
         for h, w in zip(nodes, weights):
@@ -390,9 +386,7 @@ def haar_average(
             Ti = jacobian(G.inv, h, cfg)
             v = tm_apply(G, gh, G.inv(h), X(gh), Ti @ np.asarray(X(h).coeffs), cfg)
             acc += w * v
-        out = Tangent(g, tuple(acc))
-        cache[key] = out
-        return out
+        return Tangent(g, tuple(acc))
 
     def V(x: Point) -> Tangent:
         ux = G.unit(x)
@@ -572,7 +566,6 @@ def invariant_exhaustion(
 class LevelSchedule:
     levels: dict[tuple[int, int], int]          # (i, alpha) -> integer level
     per_window: list[list[int]]
-    slab_enclosures: dict[tuple[int, int], list[Interval]]  # global fibre coord
     disjoint_verified: bool
     truncation_depth: int
     notes: list[str] = field(default_factory=list)
@@ -606,8 +599,6 @@ def level_schedule(
     windows = atlas.windows
     order = [(i, a) for i in range(truncation_depth) for a in range(len(windows))]
     levels: dict[tuple[int, int], int] = {}
-    enclosures: dict[tuple[int, int], list[Interval]] = {}
-    notes = []
 
     for (i, alpha) in order:
         bound = levels.get((i - 1, alpha), -1)
@@ -631,46 +622,15 @@ def level_schedule(
     per_window = [
         [levels[(i, a)] for i in range(truncation_depth)] for a in range(len(windows))
     ]
-    for (i, alpha), n in levels.items():
-        shifted = []
-        y_iv = windows[alpha].inner_interval()
-        sigma = windows[alpha].shift_interval(y_iv)
-        for branch in profile.preimage_enclosures(n):
-            shifted.append(branch + sigma)
-        enclosures[(i, alpha)] = shifted
-
-    disjoint = True
-    keys = sorted(levels.keys())
-    for a_idx in range(len(keys)):
-        for b_idx in range(a_idx + 1, len(keys)):
-            (i, alpha), (j, beta) = keys[a_idx], keys[b_idx]
-            if alpha == beta:
-                for ba in profile.preimage_enclosures(levels[(i, alpha)]):
-                    for bb in profile.preimage_enclosures(levels[(j, beta)]):
-                        if ba.intersects(bb):
-                            disjoint = False
-                            notes.append(f"branches of ({i},{alpha}) and ({j},{beta}) overlap")
-                continue
-            overlap = _window_overlap(windows[alpha], windows[beta])
-            if overlap is None:
-                continue
-            diff = windows[alpha].shift_interval(overlap) - windows[beta].shift_interval(overlap)
-            for ba in profile.preimage_enclosures(levels[(i, alpha)]):
-                for bb in profile.preimage_enclosures(levels[(j, beta)]):
-                    if (ba - bb + diff).contains(0.0):
-                        disjoint = False
-                        notes.append(
-                            f"slabs ({i},{alpha}) and ({j},{beta}) cannot be separated"
-                        )
-
+    disjoint, _, notes = verify_slab_disjointness(windows, profile, levels)
     return LevelSchedule(
         levels=levels,
         per_window=per_window,
-        slab_enclosures=enclosures,
         disjoint_verified=disjoint,
         truncation_depth=truncation_depth,
         notes=notes,
     )
+
 
 def verify_slab_disjointness(
     windows: list[AtlasWindow],

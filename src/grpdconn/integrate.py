@@ -52,8 +52,8 @@ class _Escape(Exception):
         self.state = state
 
 
-def _rk4(f, t, y, h):
-    k1 = f(t, y)
+def _rk4(f, t, y, h, k1):
+    """One RK4 step of size h from (t, y), given the first stage k1 = f(t, y)."""
     y2 = [yi + 0.5 * h * ki for yi, ki in zip(y, k1)]
     k2 = f(t + 0.5 * h, y2)
     y3 = [yi + 0.5 * h * ki for yi, ki in zip(y, k2)]
@@ -102,11 +102,9 @@ def integrate(
     field: Callable[[float, Point], Tangent],
     p0: Point,
     horizon: float,
-    domain_guard: Optional[Callable[[Point], bool]] = None,
     cfg: Config = DEFAULT,
     h: Optional[float] = None,
     ode_tol: Optional[float] = None,
-    blowup_bound: Optional[float] = None,
 ) -> TrajectoryOutcome:
     """Integrate ``dy/dt = field(t, y)`` from p0 over [0, horizon].
 
@@ -117,7 +115,7 @@ def integrate(
         raise InvalidHorizon(f"horizon must be positive, got {horizon}")
     h = cfg.numeric_h_ode if h is None else h
     tol = cfg.numeric_ode_tol if ode_tol is None else ode_tol
-    bound = cfg.numeric_blowup_bound if blowup_bound is None else blowup_bound
+    bound = cfg.numeric_blowup_bound
 
     space, patch_index = p0.space, p0.patch_index
     patch = p0.patch
@@ -134,21 +132,21 @@ def integrate(
             s = _segment_ball_hit(y0, y1, center, radius, patch.lin_count)
             if s is not None:
                 raise _Escape(t0 + s * (t1 - t0), EXCLUDED_POINT, y1)
-        if domain_guard is not None and not domain_guard(
-            Point.raw(space, patch_index, tuple(y1))
-        ):
-            raise _Escape(t1, EXCLUDED_POINT, y1)
 
-    def advance(t, y, step, depth):
-        y_full = _rk4(f, t, y, step)
-        y_mid = _rk4(f, t, y, 0.5 * step)
-        y_half = _rk4(f, t + 0.5 * step, y_mid, 0.5 * step)
+    def advance(t, y, step, depth, k1):
+        # the full step, the first half step and the first subdivision all
+        # start at (t, y), so they share its first stage k1 = f(t, y) (step
+        # doubling as in Hairer, Norsett & Wanner, Solving ODEs I, II.4)
+        y_full = _rk4(f, t, y, step, k1)
+        y_mid = _rk4(f, t, y, 0.5 * step, k1)
+        t_mid = t + 0.5 * step
+        y_half = _rk4(f, t_mid, y_mid, 0.5 * step, f(t_mid, y_mid))
         disagreement = max((abs(a - b) for a, b in zip(y_full, y_half)), default=0.0)
         if not math.isfinite(disagreement) or disagreement > tol:
             if depth >= _MAX_SUBDIVISION:
                 raise _Escape(t, STEP_COLLAPSE, y)
-            y_mid2 = advance(t, y, 0.5 * step, depth + 1)
-            return advance(t + 0.5 * step, y_mid2, 0.5 * step, depth + 1)
+            y_mid2 = advance(t, y, 0.5 * step, depth + 1, k1)
+            return advance(t_mid, y_mid2, 0.5 * step, depth + 1, f(t_mid, y_mid2))
         check_segment(t, t + step, y, y_half)
         return y_half
 
@@ -159,7 +157,7 @@ def integrate(
         for k in range(n_steps):
             t0 = k * h
             t1 = min((k + 1) * h, horizon)
-            y = advance(t0, y, t1 - t0, 0)
+            y = advance(t0, y, t1 - t0, 0, f(t0, y))
             samples.append((t1, Point.raw(space, patch_index, tuple(y))))
     except _Escape as esc:
         samples.append((esc.time, Point.raw(space, patch_index, tuple(esc.state))))

@@ -11,7 +11,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .groupoid import GroupoidMorphism, fibration_probe, rng_for
 from .paths import BasePath, coordinate_path
 from .tangent import VBFiberData, splitting_correspondence
 from .transport import (
+    base_connection,
     completeness_probe,
     parallel_transport,
     theorem_crosscheck_kernel,
@@ -156,7 +157,7 @@ class Scenario:
     name: str
     description: str
     note: str
-    run: Callable[[int, Config, float], list[CheckResult]]
+    run: Callable[[int, Config, float], Iterator[CheckResult]]
     connection_factory: Optional[Callable[[Config], tuple[Connection, dict]]] = None
 
 
@@ -180,10 +181,24 @@ def _scale(n: int, budget_scale: float) -> int:
     return max(1, int(round(n * budget_scale)))
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
+def _probe(name, verdict, expected, details=None) -> CheckResult:
+    """A check on a completeness probe verdict."""
+    return _check(name, verdict.kind, expected, None, verdict.witness, verdict.budget,
+                  details)
+
+
+def _crosscheck(name, cross, **details) -> CheckResult:
+    """A check on a cross-check report: its consistency and verdict triple."""
+    triple = [cross.total_verdict.kind, cross.kernel_verdict.kind, cross.base_verdict.kind]
+    return _check(name, "consistent" if cross.consistent else "violated", "consistent",
+                  details={"triple": triple, **details})
+
+
+def _pointwise(name, rep, expected, witness=None) -> CheckResult:
+    """A check on a pointwise multiplicativity report with its clause residuals."""
+    return _check(name, rep.verdict, expected, rep.max_residual, witness, rep.n_samples,
+                  {"clauses": rep.residuals})
+
 
 # ---------------------------------------------------------------------------
 # shared scenario setups (also used by the acceptance suite)
@@ -526,23 +541,20 @@ def product_not_uniform_setup(cfg: Config = DEFAULT):
     return c, {}
 
 # ---------------------------------------------------------------------------
-# scenario run functions
+# scenario run functions: each yields its checks in order
 
 
-def _run_luca(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
+def _run_luca(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
     c, _ = luca_setup(cfg)
-    out = []
-
-    rep, dt = _timed(lambda: complement_check(c, _scale(60, scale), seed, cfg))
-    out.append(_check("complement_check", "pass" if rep.passed else "fail", "pass",
-                      rep.max_residual, rep.witness, rep.n_samples))
-    out[-1].wall_time = dt
+    rep = complement_check(c, _scale(60, scale), seed, cfg)
+    yield _check("complement_check", "pass" if rep.passed else "fail", "pass",
+                 rep.max_residual, rep.witness, rep.n_samples)
 
     G = c.total
     g = Point.raw(G.arrows, 0, (1.0, 0.0))
     a = Tangent(c.morphism.arrow_map(g), (1.0,))
     resid, produced, required = product_clause_residual(c, g, g, a, a, cfg)
-    out.append(_check(
+    yield _check(
         "product_clause_witness",
         "residual>=1" if resid >= 1.0 else f"residual={resid:.3e}",
         "residual>=1",
@@ -550,179 +562,118 @@ def _run_luca(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
         {"g": [1.0, 0.0], "a": [1.0], "produced": list(produced),
          "required": list(required)},
         1,
-    ))
+    )
 
-    rep, dt = _timed(lambda: multiplicativity_check_pointwise(c, _scale(100, scale), seed, cfg))
-    out.append(_check("multiplicativity_pointwise", rep.verdict, NOT_MULTIPLICATIVE,
-                      rep.max_residual, rep.witnesses.get("worst"), rep.n_samples,
-                      {"clauses": rep.residuals}))
-    out[-1].wall_time = dt
+    rep = multiplicativity_check_pointwise(c, _scale(100, scale), seed, cfg)
+    yield _pointwise("multiplicativity_pointwise", rep, NOT_MULTIPLICATIVE,
+                     rep.witnesses.get("worst"))
 
-    rep, dt = _timed(lambda: transport_multiplicativity_check(c, _scale(25, scale), seed, cfg))
-    out.append(_check("multiplicativity_transport", rep.verdict, NOT_MULTIPLICATIVE,
-                      rep.max_residual, rep.witnesses.get("worst"), rep.n_samples,
-                      {"clauses": rep.residuals,
-                       "inconclusive_samples": rep.inconclusive_samples}))
-    out[-1].wall_time = dt
-    return out
+    rep = transport_multiplicativity_check(c, _scale(25, scale), seed, cfg)
+    yield _check("multiplicativity_transport", rep.verdict, NOT_MULTIPLICATIVE,
+                 rep.max_residual, rep.witnesses.get("worst"), rep.n_samples,
+                 {"clauses": rep.residuals,
+                  "inconclusive_samples": rep.inconclusive_samples})
 
 
-def _run_so2_action(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
-    out = []
+def _run_so2_action(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
     am = cat.so2_action_morphism(trivial=False)
 
     def zero_hor0(x: Point, w: Tangent) -> Tangent:
         return Tangent(x, (0.0,) * x.patch.dim)
 
-    result, dt = _timed(lambda: action_connection(am, zero_hor0, _scale(40, scale), seed, cfg))
+    result = action_connection(am, zero_hor0, _scale(40, scale), seed, cfg)
     if isinstance(result, Rejection):
         probe = result.probe_residuals.get("probe[0]", float("nan"))
-        out.append(_check("action_criterion", "Rejection", "Rejection",
-                          result.worst_residual, result.witness,
-                          details={"probe_residuals": result.probe_residuals}))
-        out.append(_check(
+        yield _check("action_criterion", "Rejection", "Rejection",
+                     result.worst_residual, result.witness,
+                     details={"probe_residuals": result.probe_residuals})
+        yield _check(
             "invariance_at_probe",
             "residual≈1" if abs(probe - 1.0) < 1e-6 else f"residual={probe:.6f}",
             "residual≈1", probe, {"x": [1.0, 0.0]}, 1,
-        ))
+        )
     else:
-        out.append(_check("action_criterion", "Connection", "Rejection"))
-    out[-1].wall_time = dt
+        yield _check("action_criterion", "Connection", "Rejection")
 
     am_trivial = cat.so2_action_morphism(trivial=True)
-    result2, dt = _timed(lambda: action_connection(am_trivial, zero_hor0,
-                                                   _scale(40, scale), seed, cfg))
+    result2 = action_connection(am_trivial, zero_hor0, _scale(40, scale), seed, cfg)
     if isinstance(result2, Rejection):
-        out.append(_check("trivial_action_variant", "Rejection", MULTIPLICATIVE))
+        yield _check("trivial_action_variant", "Rejection", MULTIPLICATIVE)
     else:
         rep = multiplicativity_check_pointwise(result2, _scale(60, scale), seed, cfg)
-        out.append(_check("trivial_action_variant", rep.verdict, MULTIPLICATIVE,
-                          rep.max_residual, None, rep.n_samples,
-                          {"clauses": rep.residuals}))
-    out[-1].wall_time = dt
+        yield _pointwise("trivial_action_variant", rep, MULTIPLICATIVE)
 
     am_finite = cat.reflection_action_morphism()
-    result3, dt = _timed(lambda: action_connection(am_finite, zero_hor0,
-                                                   _scale(30, scale), seed, cfg))
-    out.append(_check("finite_action_variant",
-                      "Connection" if isinstance(result3, Connection) else "Rejection",
-                      "Connection"))
-    out[-1].wall_time = dt
-    return out
+    result3 = action_connection(am_finite, zero_hor0, _scale(30, scale), seed, cfg)
+    yield _check("finite_action_variant",
+                 "Connection" if isinstance(result3, Connection) else "Rejection",
+                 "Connection")
 
 
-def _run_punctured_bundle(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
-    c, extras = punctured_bundle_setup(cfg=cfg)
-    out = []
-    rep, dt = _timed(lambda: multiplicativity_check_pointwise(c, _scale(80, scale), seed, cfg))
-    out.append(_check("multiplicativity_pointwise", rep.verdict, MULTIPLICATIVE,
-                      rep.max_residual, None, rep.n_samples, {"clauses": rep.residuals}))
-    out[-1].wall_time = dt
+def _run_punctured_bundle(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
+    c, _ = punctured_bundle_setup(cfg=cfg)
+    rep = multiplicativity_check_pointwise(c, _scale(80, scale), seed, cfg)
+    yield _pointwise("multiplicativity_pointwise", rep, MULTIPLICATIVE)
 
-    v, dt = _timed(lambda: completeness_probe(
-        c, c.morphism.transport.path_with_start, _scale(500, scale), seed, cfg))
+    v = completeness_probe(c, c.morphism.transport.path_with_start, _scale(500, scale),
+                           seed, cfg)
     escape_ok = v.found_witness and v.witness["escape_time"] < 1.0
-    out.append(_check("completeness_probe_total", v.kind, "IncompleteWitness",
-                      None, v.witness, v.budget,
-                      {"escape_before_horizon": escape_ok}))
-    out[-1].wall_time = dt
+    yield _probe("completeness_probe_total", v, "IncompleteWitness",
+                 {"escape_before_horizon": escape_ok})
 
-    base_conn = Connection(
-        morphism=cat.base_submersion_morphism(c.morphism), hor=c.hor0, hor0=c.hor0,
-        metadata={"provenance": "base"},
-    )
-    v2, dt = _timed(lambda: completeness_probe(
-        base_conn, base_conn.morphism.transport.path_with_start,
-        _scale(500, scale), seed, cfg))
-    out.append(_check("completeness_probe_base", v2.kind, "NoCounterexampleFound",
-                      None, v2.witness, v2.budget))
-    out[-1].wall_time = dt
+    base_conn = base_connection(c)
+    v = completeness_probe(base_conn, base_conn.morphism.transport.path_with_start,
+                           _scale(500, scale), seed, cfg)
+    yield _probe("completeness_probe_base", v, "NoCounterexampleFound")
 
-    cross, dt = _timed(lambda: theorem_crosscheck_kernel(c, _scale(120, scale), seed, cfg))
-    out.append(_check("kernel_theorem_crosscheck",
-                      "consistent" if cross.consistent else "violated", "consistent",
-                      details={"triple": [cross.total_verdict.kind,
-                                          cross.kernel_verdict.kind,
-                                          cross.base_verdict.kind],
-                               "fibration": cross.fibration_note,
-                               "kernel_source_connected": cross.kernel_source_connected,
-                               "implications": [
-                                   {"name": s.name, "status": s.status}
-                                   for s in cross.implications
-                               ]}))
-    out[-1].wall_time = dt
-    return out
+    cross = theorem_crosscheck_kernel(c, _scale(120, scale), seed, cfg)
+    yield _crosscheck("kernel_theorem_crosscheck", cross,
+                      fibration=cross.fibration_note,
+                      kernel_source_connected=cross.kernel_source_connected,
+                      implications=[{"name": s.name, "status": s.status}
+                                    for s in cross.implications])
 
 
-def _run_cover(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
+def _run_cover(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
     c, _ = cover_setup(cfg=cfg)
-    out = []
-    rep, dt = _timed(lambda: multiplicativity_check_pointwise(c, _scale(80, scale), seed, cfg))
-    out.append(_check("multiplicativity_pointwise", rep.verdict, MULTIPLICATIVE,
-                      rep.max_residual, None, rep.n_samples, {"clauses": rep.residuals}))
-    out[-1].wall_time = dt
+    rep = multiplicativity_check_pointwise(c, _scale(80, scale), seed, cfg)
+    yield _pointwise("multiplicativity_pointwise", rep, MULTIPLICATIVE)
 
     kc = kernel_connection(c, cfg)
     kf = c.morphism.kernel.family
-    v_k, dt = _timed(lambda: completeness_probe(
-        kc, kf.transport.path_with_start, _scale(500, scale), seed, cfg))
-    out.append(_check("completeness_probe_kernel", v_k.kind, "NoCounterexampleFound",
-                      None, v_k.witness, v_k.budget))
-    out[-1].wall_time = dt
+    v = completeness_probe(kc, kf.transport.path_with_start, _scale(500, scale), seed, cfg)
+    yield _probe("completeness_probe_kernel", v, "NoCounterexampleFound")
 
-    v_t, dt = _timed(lambda: completeness_probe(
-        c, c.morphism.transport.path_with_start, _scale(500, scale), seed, cfg))
-    out.append(_check("completeness_probe_total", v_t.kind, "IncompleteWitness",
-                      None, v_t.witness, v_t.budget))
-    out[-1].wall_time = dt
+    v = completeness_probe(c, c.morphism.transport.path_with_start, _scale(500, scale),
+                           seed, cfg)
+    yield _probe("completeness_probe_total", v, "IncompleteWitness")
 
-    fv, dt = _timed(lambda: fibration_probe(c.morphism, _scale(40, scale), seed, cfg))
-    out.append(_check("star_surjectivity", str(fv.star_surjective_heuristic), "False",
-                      None, {"worst_uncovered": fv.worst_uncovered_distance},
-                      fv.n_samples,
-                      {"submersion_ok": fv.submersion_ok, "note": fv.note}))
-    out[-1].wall_time = dt
+    fv = fibration_probe(c.morphism, _scale(40, scale), seed, cfg)
+    yield _check("star_surjectivity", str(fv.star_surjective_heuristic), "False",
+                 None, {"worst_uncovered": fv.worst_uncovered_distance},
+                 fv.n_samples,
+                 {"submersion_ok": fv.submersion_ok, "note": fv.note})
 
-    cross, dt = _timed(lambda: theorem_crosscheck_kernel(c, _scale(120, scale), seed, cfg))
-    out.append(_check("kernel_theorem_crosscheck",
-                      "consistent" if cross.consistent else "violated", "consistent",
-                      details={"triple": [cross.total_verdict.kind,
-                                          cross.kernel_verdict.kind,
-                                          cross.base_verdict.kind],
-                               "fibration": cross.fibration_note}))
-    out[-1].wall_time = dt
-    return out
+    cross = theorem_crosscheck_kernel(c, _scale(120, scale), seed, cfg)
+    yield _crosscheck("kernel_theorem_crosscheck", cross, fibration=cross.fibration_note)
 
 
-def _run_morita(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
+def _run_morita(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
     c, extras = morita_setup(cfg)
     kappa = extras["kappa"]
-    out = []
-    rep, dt = _timed(lambda: multiplicativity_check_pointwise(c, _scale(80, scale), seed, cfg))
-    out.append(_check("multiplicativity_pointwise", rep.verdict, MULTIPLICATIVE,
-                      rep.max_residual, None, rep.n_samples, {"clauses": rep.residuals}))
-    out[-1].wall_time = dt
+    rep = multiplicativity_check_pointwise(c, _scale(80, scale), seed, cfg)
+    yield _pointwise("multiplicativity_pointwise", rep, MULTIPLICATIVE)
 
-    def closed_form_run():
-        worst = 0.0
-        n = _scale(50, scale)
-        for i in range(n):
-            rng = rng_for(seed, 113, i)
-            gamma, g = c.morphism.transport.path_with_start(rng)
-            got = parallel_transport(c, gamma, g, 1.0, cfg,
-                                     h=cfg.transport_probe_h_ode)
-            want = morita_closed_form_end(c, gamma, g, kappa)
-            if got.completed:
-                worst = max(worst, distance(got.end, want))
-            else:
-                worst = math.inf
-        return worst, n
-
-    (worst, n), dt = _timed(closed_form_run)
-    out.append(_check("transport_closed_form",
-                      "match" if worst < 1e-6 else f"deviation={worst:.3e}",
-                      "match", worst, None, n))
-    out[-1].wall_time = dt
+    worst = 0.0
+    n = _scale(50, scale)
+    for i in range(n):
+        gamma, g = c.morphism.transport.path_with_start(rng_for(seed, 113, i))
+        got = parallel_transport(c, gamma, g, 1.0, cfg, h=cfg.transport_probe_h_ode)
+        want = morita_closed_form_end(c, gamma, g, kappa)
+        worst = max(worst, distance(got.end, want)) if got.completed else math.inf
+    yield _check("transport_closed_form",
+                 "match" if worst < 1e-6 else f"deviation={worst:.3e}",
+                 "match", worst, None, n)
 
     # uniqueness: a vertically skewed lift deviates and is flagged
     def skewed(g: Point, a: Tangent) -> Tangent:
@@ -736,221 +687,157 @@ def _run_morita(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
 
     c_skew = Connection(c.morphism, skewed, c.hor0, {"provenance": "skewed"})
     dev = morita_compare(c, c_skew, _scale(40, scale), seed, cfg)
-    rep2, dt = _timed(lambda: multiplicativity_check_pointwise(
-        c_skew, _scale(60, scale), seed, cfg))
-    out.append(_check("uniqueness_perturbed_lift", rep2.verdict, NOT_MULTIPLICATIVE,
-                      rep2.max_residual, None, rep2.n_samples,
-                      {"deviation_from_formula": dev}))
-    out[-1].wall_time = dt
+    rep = multiplicativity_check_pointwise(c_skew, _scale(60, scale), seed, cfg)
+    yield _check("uniqueness_perturbed_lift", rep.verdict, NOT_MULTIPLICATIVE,
+                 rep.max_residual, None, rep.n_samples,
+                 {"deviation_from_formula": dev})
 
-    v, dt = _timed(lambda: completeness_probe(
-        c, c.morphism.transport.path_with_start, _scale(200, scale), seed, cfg))
-    out.append(_check("completeness_probe_total", v.kind, "NoCounterexampleFound",
-                      None, v.witness, v.budget))
-    out[-1].wall_time = dt
+    v = completeness_probe(c, c.morphism.transport.path_with_start, _scale(200, scale),
+                           seed, cfg)
+    yield _probe("completeness_probe_total", v, "NoCounterexampleFound")
 
-    cp, extras_p = morita_punctured_setup(cfg)
-    vp, dt = _timed(lambda: completeness_probe(
-        cp, cp.morphism.transport.path_with_start, _scale(200, scale), seed, cfg))
-    out.append(_check("completeness_transfer_punctured_base", vp.kind,
-                      "IncompleteWitness", None, vp.witness, vp.budget))
-    out[-1].wall_time = dt
-    return out
+    cp, _ = morita_punctured_setup(cfg)
+    v = completeness_probe(cp, cp.morphism.transport.path_with_start, _scale(200, scale),
+                           seed, cfg)
+    yield _probe("completeness_transfer_punctured_base", v, "IncompleteWitness")
 
 
-def _run_pair_fibration(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
-    out = []
+def _run_pair_fibration(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
     c, _ = pair_fibration_setup(punctured=False, cfg=cfg)
-    rep, dt = _timed(lambda: multiplicativity_check_pointwise(c, _scale(80, scale), seed, cfg))
-    out.append(_check("multiplicativity_pointwise", rep.verdict, MULTIPLICATIVE,
-                      rep.max_residual, None, rep.n_samples, {"clauses": rep.residuals}))
-    out[-1].wall_time = dt
+    rep = multiplicativity_check_pointwise(c, _scale(80, scale), seed, cfg)
+    yield _pointwise("multiplicativity_pointwise", rep, MULTIPLICATIVE)
 
-    cross, dt = _timed(lambda: theorem_crosscheck_kernel(c, _scale(150, scale), seed, cfg))
-    out.append(_check("crosscheck_complete_variant",
-                      "consistent" if cross.consistent else "violated", "consistent",
-                      details={"triple": [cross.total_verdict.kind,
-                                          cross.kernel_verdict.kind,
-                                          cross.base_verdict.kind]}))
-    out[-1].wall_time = dt
+    cross = theorem_crosscheck_kernel(c, _scale(150, scale), seed, cfg)
+    yield _crosscheck("crosscheck_complete_variant", cross)
     clean = all(not v.found_witness for v in
                 (cross.total_verdict, cross.kernel_verdict, cross.base_verdict))
-    out.append(_check("complete_variant_probes_clean", str(clean), "True"))
+    yield _check("complete_variant_probes_clean", str(clean), "True")
 
     cp, _ = pair_fibration_setup(punctured=True, cfg=cfg)
-    cross_p, dt = _timed(lambda: theorem_crosscheck_kernel(cp, _scale(150, scale), seed, cfg))
-    out.append(_check("crosscheck_punctured_variant",
-                      "consistent" if cross_p.consistent else "violated", "consistent",
-                      details={"triple": [cross_p.total_verdict.kind,
-                                          cross_p.kernel_verdict.kind,
-                                          cross_p.base_verdict.kind]}))
-    out[-1].wall_time = dt
-    witnesses = all(v.found_witness for v in
-                    (cross_p.total_verdict, cross_p.kernel_verdict))
-    out.append(_check("punctured_variant_witnesses", str(witnesses), "True",
-                      details={"total": cross_p.total_verdict.witness,
-                               "kernel": cross_p.kernel_verdict.witness}))
-    return out
+    cross = theorem_crosscheck_kernel(cp, _scale(150, scale), seed, cfg)
+    yield _crosscheck("crosscheck_punctured_variant", cross)
+    witnesses = cross.total_verdict.found_witness and cross.kernel_verdict.found_witness
+    yield _check("punctured_variant_witnesses", str(witnesses), "True",
+                 details={"total": cross.total_verdict.witness,
+                          "kernel": cross.kernel_verdict.witness})
 
 
-def _run_proper_average(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
-    out = []
+def _field_gap(G, X1, X2, n: int, seed: int, salt: int) -> float:
+    """Largest coefficient gap between two fields at n sampled arrows."""
+    worst = 0.0
+    for i in range(n):
+        g = G.arrow_sampler(rng_for(seed, salt, i))
+        worst = max(worst, float(np.linalg.norm(
+            np.asarray(X1(g).coeffs) - np.asarray(X2(g).coeffs))))
+    return worst
+
+
+def _run_proper_average(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
     fam, quad = so2_family_setup(cfg)
     G = fam.total
-
-    qrep, dt = _timed(lambda: quad.validate(G, _scale(20, scale), seed, cfg))
-    out.append(_check("quadrature", "pass" if qrep.passed else "fail", "pass",
-                      qrep.max_residual, qrep.witness, qrep.n_samples))
-    out[-1].wall_time = dt
+    qrep = quad.validate(G, _scale(20, scale), seed, cfg)
+    yield _check("quadrature", "pass" if qrep.passed else "fail", "pass",
+                 qrep.max_residual, qrep.witness, qrep.n_samples)
 
     # fixed point: the flat lift is already multiplicative
     def X_flat(g: Point) -> Tangent:
         return Tangent(g, (1.0,) + (0.0,) * (g.patch.dim - 1))
 
-    def fixed_point_run():
-        X_hat, _ = haar_average(G, quad, X_flat, 8, seed, cfg, check=False)
-        worst = 0.0
-        for i in range(_scale(100, scale)):
-            rng = rng_for(seed, 127, i)
-            g = G.arrow_sampler(rng)
-            worst = max(worst, float(np.linalg.norm(
-                np.asarray(X_hat(g).coeffs) - np.asarray(X_flat(g).coeffs))))
-        return worst
-
-    worst, dt = _timed(fixed_point_run)
-    out.append(_check("averaging_fixed_point",
-                      "fixed" if worst < 1e-9 else f"moved={worst:.3e}", "fixed",
-                      worst, None, _scale(100, scale)))
-    out[-1].wall_time = dt
+    X_flat_hat, _ = haar_average(G, quad, X_flat, 8, seed, cfg, check=False)
+    worst = _field_gap(G, X_flat_hat, X_flat, _scale(100, scale), seed, 127)
+    yield _check("averaging_fixed_point",
+                 "fixed" if worst < 1e-9 else f"moved={worst:.3e}", "fixed",
+                 worst, None, _scale(100, scale))
 
     X = skewed_family_field(fam)
-    (X_hat, rep), dt = _timed(lambda: haar_average(G, quad, X, _scale(40, scale), seed, cfg))
-    out.append(_check("averaged_field_multiplicative",
-                      "pass" if rep.passed else "fail", "pass",
-                      rep.max_residual, rep.witness, rep.n_samples,
-                      {"clauses": rep.clauses, "nodes": quad.node_count}))
-    out[-1].wall_time = dt
+    X_hat, rep = haar_average(G, quad, X, _scale(40, scale), seed, cfg)
+    yield _check("averaged_field_multiplicative",
+                 "pass" if rep.passed else "fail", "pass",
+                 rep.max_residual, rep.witness, rep.n_samples,
+                 {"clauses": rep.clauses, "nodes": quad.node_count})
 
     # quadrature refinement: 4x nodes agree
-    fam4, quad4 = so2_family_setup(cfg, nodes=quad.node_count * 4)
-
-    def refinement_run():
-        X_hat4, _ = haar_average(G, quad4, X, 8, seed, cfg, check=False)
-        worst = 0.0
-        for i in range(_scale(25, scale)):
-            rng = rng_for(seed, 131, i)
-            g = G.arrow_sampler(rng)
-            worst = max(worst, float(np.linalg.norm(
-                np.asarray(X_hat(g).coeffs) - np.asarray(X_hat4(g).coeffs))))
-        return worst
-
-    worst4, dt = _timed(refinement_run)
-    out.append(_check("quadrature_refinement",
-                      "converged" if worst4 < 1e-8 else f"gap={worst4:.3e}",
-                      "converged", worst4, None, _scale(25, scale)))
-    out[-1].wall_time = dt
+    _, quad4 = so2_family_setup(cfg, nodes=quad.node_count * 4)
+    X_hat4, _ = haar_average(G, quad4, X, 8, seed, cfg, check=False)
+    worst = _field_gap(G, X_hat, X_hat4, _scale(25, scale), seed, 131)
+    yield _check("quadrature_refinement",
+                 "converged" if worst < 1e-8 else f"gap={worst:.3e}",
+                 "converged", worst, None, _scale(25, scale))
 
     # full proper-family connection from a skewed source lift
-    conn, dt = _timed(lambda: proper_family_connection(
-        fam, _rotating_base_lift, _skewed_source_lift, quad, _scale(30, scale), seed, cfg))
-    rep2 = multiplicativity_check_pointwise(conn, _scale(50, scale), seed, cfg)
-    out.append(_check("proper_family_connection", rep2.verdict, MULTIPLICATIVE,
-                      rep2.max_residual, None, rep2.n_samples,
-                      {"clauses": rep2.residuals}))
-    out[-1].wall_time = dt
-    return out
+    conn = proper_family_connection(fam, _rotating_base_lift, _skewed_source_lift, quad,
+                                    _scale(30, scale), seed, cfg)
+    rep = multiplicativity_check_pointwise(conn, _scale(50, scale), seed, cfg)
+    yield _pointwise("proper_family_connection", rep, MULTIPLICATIVE)
 
 
-def _run_sproper(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
-    out = []
+def _run_sproper(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
     fam, atlas, profile, schedule = sproper_setup(cfg)
-
-    arep, dt = _timed(lambda: atlas.validate(_scale(20, scale), seed, cfg))
-    out.append(_check("atlas", "pass" if arep.passed else "fail", "pass",
-                      arep.max_residual, arep.witness, arep.n_samples))
-    out[-1].wall_time = dt
+    arep = atlas.validate(_scale(20, scale), seed, cfg)
+    yield _check("atlas", "pass" if arep.passed else "fail", "pass",
+                 arep.max_residual, arep.witness, arep.n_samples)
 
     _, exh_rep = invariant_exhaustion(atlas.fiber, _scale(40, scale), seed, cfg)
-    out.append(_check("invariant_exhaustion", "pass" if exh_rep.passed else "fail",
-                      "pass", exh_rep.max_residual, None, exh_rep.n_samples))
+    yield _check("invariant_exhaustion", "pass" if exh_rep.passed else "fail",
+                 "pass", exh_rep.max_residual, None, exh_rep.n_samples)
 
-    out.append(_check("level_schedule_disjoint", str(schedule.disjoint_verified),
-                      "True", details={"levels": schedule.per_window}))
+    yield _check("level_schedule_disjoint", str(schedule.disjoint_verified),
+                 "True", details={"levels": schedule.per_window})
 
-    def build():
-        return complete_connection_builder(fam, atlas, schedule, profile, cfg,
-                                           n_cert_samples=_scale(24, scale), seed=seed)
+    conn, cert = complete_connection_builder(fam, atlas, schedule, profile, cfg,
+                                             n_cert_samples=_scale(24, scale), seed=seed)
+    yield _check("certificate", cert.verdict, "CertifiedComplete",
+                 cert.partition_sum_residual, None, 0,
+                 {"slab_gap": cert.slab_gap,
+                  "windows": [
+                      {"window": w.window, "levels": w.levels,
+                       "flatness_residual": w.flatness_residual,
+                       "precompact_bound": w.precompact_bound}
+                      for w in cert.windows
+                  ]})
 
-    (conn, cert), dt = _timed(build)
-    out.append(_check("certificate", cert.verdict, "CertifiedComplete",
-                      cert.partition_sum_residual, None, 0,
-                      {"slab_gap": cert.slab_gap,
-                       "windows": [
-                           {"window": w.window, "levels": w.levels,
-                            "flatness_residual": w.flatness_residual,
-                            "precompact_bound": w.precompact_bound}
-                           for w in cert.windows
-                       ]}))
-    out[-1].wall_time = dt
+    fv = flatness_certificate_check(conn, atlas, schedule.per_window, profile,
+                                    _scale(12, scale), seed, cfg)
+    yield _check("certificate_recheck", fv.verdict, "CertifiedComplete",
+                 max(fv.worst_fiber_residual, fv.worst_base_residual),
+                 None, fv.n_samples, {"bounds": fv.precompact_bounds})
 
-    fv, dt = _timed(lambda: flatness_certificate_check(
-        conn, atlas, schedule.per_window, profile, _scale(12, scale), seed, cfg))
-    out.append(_check("certificate_recheck", fv.verdict, "CertifiedComplete",
-                      max(fv.worst_fiber_residual, fv.worst_base_residual),
-                      None, fv.n_samples, {"bounds": fv.precompact_bounds}))
-    out[-1].wall_time = dt
+    rep = multiplicativity_check_pointwise(conn, _scale(60, scale), seed, cfg)
+    yield _check("multiplicativity_pointwise", rep.verdict, MULTIPLICATIVE,
+                 rep.max_residual, None, rep.n_samples)
 
-    rep, dt = _timed(lambda: multiplicativity_check_pointwise(conn, _scale(60, scale),
-                                                              seed, cfg))
-    out.append(_check("multiplicativity_pointwise", rep.verdict, MULTIPLICATIVE,
-                      rep.max_residual, None, rep.n_samples))
-    out[-1].wall_time = dt
+    v = completeness_probe(conn, sproper_paths(fam, cfg), _scale(500, scale), seed, cfg)
+    yield _probe("completeness_probe", v, "NoCounterexampleFound")
 
-    v, dt = _timed(lambda: completeness_probe(
-        conn, sproper_paths(fam, cfg), _scale(500, scale), seed, cfg))
-    out.append(_check("completeness_probe", v.kind, "NoCounterexampleFound",
-                      None, v.witness, v.budget))
-    out[-1].wall_time = dt
-
-    def injected():
-        bad = level_schedule(atlas, profile, schedule.truncation_depth, cfg)
-        bad.levels[(1, 1)] = bad.levels[(1, 0)]
-        try:
-            complete_connection_builder(fam, atlas, bad, profile, cfg, 4, seed)
-            return "not_caught"
-        except CertificateFailure as exc:
-            return f"CertificateFailure[{str(exc).split(':')[0]}]"
-
-    verdict, dt = _timed(injected)
-    out.append(_check("injected_overlap", verdict, "CertificateFailure[slab_disjointness]"))
-    out[-1].wall_time = dt
-    return out
+    bad = level_schedule(atlas, profile, schedule.truncation_depth, cfg)
+    bad.levels[(1, 1)] = bad.levels[(1, 0)]
+    try:
+        complete_connection_builder(fam, atlas, bad, profile, cfg, 4, seed)
+        verdict = "not_caught"
+    except CertificateFailure as exc:
+        verdict = f"CertificateFailure[{str(exc).split(':')[0]}]"
+    yield _check("injected_overlap", verdict, "CertificateFailure[slab_disjointness]")
 
 
-def _run_product_not_uniform(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
-    out = []
+def _run_product_not_uniform(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
     c, _ = product_not_uniform_setup(cfg)
-    fv, dt = _timed(lambda: fibration_probe(c.morphism, _scale(40, scale), seed, cfg))
+    fv = fibration_probe(c.morphism, _scale(40, scale), seed, cfg)
     fib_flags = fv.submersion_ok and fv.shriek_submersion_ok and fv.star_surjective_heuristic
-    out.append(_check("fibration_flags", str(fib_flags), "True",
-                      None, None, fv.n_samples,
-                      {"min_singular_value": fv.min_singular_value,
-                       "shriek_min_singular_value": fv.shriek_min_singular_value,
-                       "worst_uncovered": fv.worst_uncovered_distance,
-                       "note": fv.note}))
-    out[-1].wall_time = dt
-    out.append(_check("uniform_ok", str(fv.uniform_ok), "False",
-                      details={"rank": fv.uniform_rank,
-                               "required": fv.uniform_rank_required}))
-    rep, dt = _timed(lambda: multiplicativity_check_pointwise(c, _scale(60, scale), seed, cfg))
-    out.append(_check("multiplicativity_pointwise", rep.verdict, MULTIPLICATIVE,
-                      rep.max_residual, None, rep.n_samples))
-    out[-1].wall_time = dt
-    return out
+    yield _check("fibration_flags", str(fib_flags), "True",
+                 None, None, fv.n_samples,
+                 {"min_singular_value": fv.min_singular_value,
+                  "shriek_min_singular_value": fv.shriek_min_singular_value,
+                  "worst_uncovered": fv.worst_uncovered_distance,
+                  "note": fv.note})
+    yield _check("uniform_ok", str(fv.uniform_ok), "False",
+                 details={"rank": fv.uniform_rank,
+                          "required": fv.uniform_rank_required})
+    rep = multiplicativity_check_pointwise(c, _scale(60, scale), seed, cfg)
+    yield _check("multiplicativity_pointwise", rep.verdict, MULTIPLICATIVE,
+                 rep.max_residual, None, rep.n_samples)
 
 
-def _run_splitting(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
-    out = []
+def _run_splitting(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
     worst = {"h": 0.0, "p": 0.0, "C": 0.0, "involution": 0.0}
     n = _scale(50, scale)
     for i in range(n):
@@ -977,10 +864,9 @@ def _run_splitting(seed: int, cfg: Config, scale: float) -> list[CheckResult]:
             float(np.max(np.abs(from_c.h - h))),
         )
     overall = max(worst.values())
-    out.append(_check("splitting_identities",
-                      "exact" if overall < 1e-12 else f"residual={overall:.3e}",
-                      "exact", overall, None, n, {"clauses": worst}))
-    return out
+    yield _check("splitting_identities",
+                 "exact" if overall < 1e-12 else f"residual={overall:.3e}",
+                 "exact", overall, None, n, {"clauses": worst})
 
 # ---------------------------------------------------------------------------
 # registry
@@ -1107,11 +993,20 @@ def run_scenario(
     budget_scale: float = 1.0,
     cfg: Config = DEFAULT,
 ) -> ReportDocument:
-    """Execute a scenario's checks in order and compare against expectations."""
+    """Execute a scenario's checks in order and compare against expectations.
+
+    A check's wall time runs from the previous check (the first from the start
+    of the run), so the times add up to the whole run.
+    """
     scenario = REGISTRY.get(name)
     if scenario is None:
         raise UnknownScenario(name)
-    checks = scenario.run(seed, cfg, budget_scale)
+    checks = []
+    start = time.perf_counter()
+    for check in scenario.run(seed, cfg, budget_scale):
+        now = time.perf_counter()
+        check.wall_time, start = now - start, now
+        checks.append(check)
     return ReportDocument(
         scenario=name,
         description=scenario.description,

@@ -1,8 +1,8 @@
 """Parallel transport along base paths, holonomy, and completeness probes.
 
-Transport integrates d tau/dt = hor(tau, gamma'(t)) with the arrow-space
-domain guard; a completed lift reports its projection drift, an escaped one
-its escape time and reason. Completeness is only ever falsified here; the
+Transport integrates d tau/dt = hor(tau, gamma'(t)) with the integrator's
+escape detection; a completed lift reports its projection drift, an escaped
+one its escape time and reason. Completeness is only ever falsified here; the
 probes never claim it.
 """
 from __future__ import annotations
@@ -48,8 +48,7 @@ class TransportOutcome:
         return self.trajectory.state_at(t)
 
 
-def pushed_path(map_: SmoothMap, path: BasePath, cfg: Config = DEFAULT,
-                label: str = "") -> BasePath:
+def pushed_path(map_: SmoothMap, path: BasePath, cfg: Config = DEFAULT) -> BasePath:
     """Image of a path under a smooth map, with pushforward velocities."""
 
     def point(t: float) -> Point:
@@ -61,7 +60,7 @@ def pushed_path(map_: SmoothMap, path: BasePath, cfg: Config = DEFAULT,
         return Tangent(point(t), tuple(J @ np.asarray(path.velocity(t).coeffs)))
 
     return BasePath(map_.codomain, point, velocity,
-                    is_loop=path.is_loop, label=label or f"{map_.name}∘{path.label}")
+                    is_loop=path.is_loop, label=f"{map_.name}∘{path.label}")
 
 
 def product_path(G, gamma: BasePath, eta: BasePath, cfg: Config = DEFAULT) -> BasePath:
@@ -78,6 +77,12 @@ def product_path(G, gamma: BasePath, eta: BasePath, cfg: Config = DEFAULT) -> Ba
     return BasePath(G.arrows, point, velocity,
                     is_loop=gamma.is_loop and eta.is_loop,
                     label=f"m({gamma.label},{eta.label})")
+
+
+def base_connection(c: Connection) -> Connection:
+    """The connection ``c.hor0`` on the base submersion of ``c``'s morphism."""
+    return Connection(base_submersion_morphism(c.morphism), c.hor0, c.hor0,
+                      {"provenance": "base"})
 
 
 def parallel_transport(
@@ -205,19 +210,20 @@ def completeness_probe(
 # ---------------------------------------------------------------------------
 # path-based multiplicativity
 
+_CHECK_TIMES = (1.0 / 3.0, 2.0 / 3.0, 1.0)
+
 
 def transport_multiplicativity_check(
     c: Connection,
     n_pairs: int,
     seed: int,
     cfg: Config = DEFAULT,
-    times: tuple[float, ...] = (1.0 / 3.0, 2.0 / 3.0, 1.0),
 ) -> MultiplicativityReport:
     """Compatibility of parallel transport with the groupoid operations.
 
     For sampled composable path pairs and starts, compares source, target,
     inverse, and product of transported arrows against transports along the
-    correspondingly transformed base paths, at the requested times. Escaped
+    correspondingly transformed base paths, at the times 1/3, 2/3 and 1. Escaped
     legs mark the sample Inconclusive rather than failed.
     """
     pi = c.morphism
@@ -229,10 +235,7 @@ def transport_multiplicativity_check(
     conclusive = 0
     h_step = cfg.transport_probe_h_ode
 
-    base_conn = Connection(
-        morphism=base_submersion_morphism(pi), hor=c.hor0, hor0=c.hor0,
-        metadata={"provenance": "base_of_check"},
-    )
+    base_conn = base_connection(c)
 
     def base_transport(path: BasePath, x: Point):
         return parallel_transport(base_conn, path, x, 1.0, cfg, h=h_step)
@@ -260,7 +263,7 @@ def transport_multiplicativity_check(
             continue
         conclusive += 1
         w = {"sample": i, "g": _coords(g), "k": _coords(k)}
-        for t in times:
+        for t in _CHECK_TIMES:
             tau_t = legs["tau_g"].state_at(t)
             worst.record("source", distance(G.src(tau_t), legs["sigma_s"].state_at(t)), w)
             worst.record("target", distance(G.tgt(tau_t), legs["sigma_t"].state_at(t)), w)
@@ -281,7 +284,7 @@ def transport_multiplicativity_check(
                 c, pushed_path(H.unit, delta, cfg), G.unit(x), 1.0, cfg, h=h_step
             )
             if xi.completed and zeta.completed:
-                for t in times:
+                for t in _CHECK_TIMES:
                     worst.record(
                         "unit",
                         distance(G.unit(xi.state_at(t)), zeta.state_at(t)),
@@ -429,10 +432,7 @@ def theorem_crosscheck_kernel(
 
     kernel_v = completeness_probe(kc, kernel_paths, budget, seed, cfg)
 
-    base_conn = Connection(
-        morphism=base_submersion_morphism(pi), hor=c.hor0, hor0=c.hor0,
-        metadata={"provenance": "base"},
-    )
+    base_conn = base_connection(c)
 
     def base_paths(rng):
         return pi.transport.object_path_with_start(rng)

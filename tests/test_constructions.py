@@ -200,6 +200,25 @@ def test_average_fixed_point_and_idempotence():
     assert worst < 1e-9
 
 
+def test_averaged_field_recomputes_at_each_call():
+    fam, quad = so2_family_setup(nodes=8)
+    G = fam.total
+    X = skewed_family_field(fam)
+    calls = [0]
+
+    def counted(g):
+        calls[0] += 1
+        return X(g)
+
+    X_hat, _ = haar_average(G, quad, counted, check=False)
+    g = G.arrow_sampler(rng_for(71, 0))
+    first = X_hat(g)
+    once = calls[0]
+    assert once > 0
+    assert X_hat(g).coeffs == first.coeffs
+    assert calls[0] == 2 * once
+
+
 def test_average_projects_to_base_field():
     fam, quad = so2_family_setup(nodes=32)
     G = fam.total

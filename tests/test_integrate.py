@@ -66,6 +66,19 @@ def test_completed_reaches_horizon():
     assert abs(out.samples[-1][0] - 0.7) < 1e-9
 
 
+def test_unsubdivided_step_evaluates_the_field_eleven_times():
+    # the full step and the first half step share their first stage
+    calls = []
+
+    def field(t, p):
+        calls.append(t)
+        return Tangent(p, (p.coords[0],))
+
+    out = integrate(field, Point.make(R, 0, (1.0,)), 1.0, h=0.1, ode_tol=math.inf)
+    assert out.completed and len(out.samples) == 11
+    assert len(calls) == 110
+
+
 def test_excluded_ball_on_angle_patch_caught_after_winding():
     # the ball at theta = 1 is next met at theta = 1 + 2 pi, from theta = 2
     circle = Space((Patch(0, 1, "", (((1.0,), 0.1),)),))

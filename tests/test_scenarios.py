@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -168,3 +169,12 @@ def test_all_shipped_scenarios_pass_at_reduced_budget():
         doc = run_scenario(name, seed=7, budget_scale=0.2)
         failures = [c.name for c in doc.checks if not c.matched]
         assert doc.overall_pass, (name, failures)
+
+
+def test_check_times_are_positive_and_add_up_to_the_run():
+    start = time.perf_counter()
+    doc = run_scenario("splitting_fixture")
+    elapsed = time.perf_counter() - start
+    times = [c.wall_time for c in doc.checks]
+    assert times and all(t > 0 for t in times)
+    assert sum(times) <= elapsed
