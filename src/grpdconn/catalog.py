@@ -26,7 +26,14 @@ from .geometry import (
     line,
     point_space,
 )
-from .groupoid import Groupoid, GroupoidMorphism, KernelData, TransportSamplers
+from .groupoid import (
+    ArrayKernels,
+    Groupoid,
+    GroupoidMorphism,
+    KernelData,
+    TransportSamplers,
+    points,
+)
 from .paths import BasePath, coordinate_path
 from .smoothmap import PairMap, SmoothMap, identity_map, jacobian
 
@@ -207,6 +214,11 @@ def pair_groupoid(M: Space, name: str = "") -> Groupoid:
 # unit groupoid
 
 
+def _constant_jacobians(J, C):
+    """One constant Jacobian J for every row of C, as a (k, m, n) array."""
+    return np.repeat(J[None], len(C), axis=0)
+
+
 def unit_groupoid(M: Space, name: str = "") -> Groupoid:
     dim = M.dim
 
@@ -238,9 +250,13 @@ def unit_groupoid(M: Space, name: str = "") -> Groupoid:
         tfiber_sampler=lambda x, rng: x,
         sfiber_grid=lambda x, n: [x],
         metadata={"is_unit_groupoid": True,
-                  "tfiber_nodes": lambda x, n: ([x], [1.0]),
                   "compact_tfibers": True,
                   "source_connected": True},
+        kernels=ArrayKernels(
+            nodes=lambda x, n: [(x.patch_index, np.array([x.coords], dtype=float), np.ones(1))],
+            mul=lambda p, G, q, H: (q, H),
+            inv=lambda p, C: (p, C, _constant_jacobians(cached_eye(dim), C)),
+            src=lambda p, C: (p, C)),
     )
 
 
@@ -265,14 +281,57 @@ def product_map(f1: SmoothMap, f2: SmoothMap, domain: ProductSpace,
     return SmoothMap(domain.space, codomain.space, ev, jac, name)
 
 
+def product_kernels(K1: ArrayKernels, K2: ArrayKernels, arr: ProductSpace,
+                    obj: ProductSpace) -> ArrayKernels:
+    """Kernels of G1 x G2 from those of its factors, by column placement.
+
+    Target-fibre nodes run over G1's nodes, then G2's, as the product's
+    points do; consecutive nodes on one packed patch share a block.
+    """
+
+    def mul(p, G, q, H):
+        (i1, i2), (j1, j2) = arr.unpack_index(p), arr.unpack_index(q)
+        (g1, g2), (h1, h2) = arr.split_rows(p, G), arr.split_rows(q, H)
+        (r1, R1), (r2, R2) = K1.mul(i1, g1, j1, h1), K2.mul(i2, g2, j2, h2)
+        out = arr.pack_index(r1, r2)
+        return out, arr.join_rows(out, R1, R2)
+
+    def inv(p, C):
+        (i1, i2), (c1, c2) = arr.unpack_index(p), arr.split_rows(p, C)
+        (r1, R1, J1), (r2, R2, J2) = K1.inv(i1, c1), K2.inv(i2, c2)
+        out = arr.pack_index(r1, r2)
+        return out, arr.join_rows(out, R1, R2), arr.factorwise_jacobian(out, J1, J2, arr, p)
+
+    def src(p, C):
+        (i1, i2), (c1, c2) = arr.unpack_index(p), arr.split_rows(p, C)
+        (r1, R1), (r2, R2) = K1.src(i1, c1), K2.src(i2, c2)
+        out = obj.pack_index(r1, r2)
+        return out, obj.join_rows(out, R1, R2)
+
+    def nodes(x, n):
+        x1, x2 = obj.split(x)
+        second = K2.nodes(x2, n)
+        pieces = [(arr.pack_index(p1, p2), C1[i:i + 1], C2, w1[i] * w2)
+                  for p1, C1, w1 in K1.nodes(x1, n) for i in range(len(C1))
+                  for p2, C2, w2 in second]
+        blocks = []
+        for p, run in itertools.groupby(pieces, key=lambda piece: piece[0]):
+            run = list(run)
+            blocks.append((p, np.concatenate([arr.join_rows(p, a, b) for _, a, b, _ in run]),
+                           np.concatenate([w for *_, w in run])))
+        return blocks
+
+    return ArrayKernels(nodes=nodes, mul=mul, inv=inv, src=src)
+
+
 def product_groupoid(G1: Groupoid, G2: Groupoid, name: str = "") -> Groupoid:
     """Product groupoid G1 x G2 over G1.objects x G2.objects.
 
     Structure maps act on each factor separately, so Jacobians and ``mul``
     partials are block-diagonal. Every sampler draws from G1 first, then from
-    G2. Fibre grids, target-fibre quadratures and probe objects exist when the
-    factors supply them (a factor without probe objects contributes its
-    origin).
+    G2. Fibre grids, array kernels (with the target-fibre quadrature) and
+    probe objects exist when the factors supply them (a factor without probe
+    objects contributes its origin).
     """
     arr = ProductSpace(G1.arrows, G2.arrows)
     obj = ProductSpace(G1.objects, G2.objects)
@@ -303,15 +362,6 @@ def product_groupoid(G1: Groupoid, G2: Groupoid, name: str = "") -> Groupoid:
         x1, x2 = obj.split(x)
         return [arr.join(a, b) for a in G1.sfiber_grid(x1, n) for b in G2.sfiber_grid(x2, n)]
 
-    nodes1, nodes2 = G1.metadata.get("tfiber_nodes"), G2.metadata.get("tfiber_nodes")
-
-    def tfiber_nodes(x, n):
-        x1, x2 = obj.split(x)
-        pts1, w1 = nodes1(x1, n)
-        pts2, w2 = nodes2(x2, n)
-        return ([arr.join(a, b) for a in pts1 for b in pts2],
-                [u * v for u in w1 for v in w2])
-
     def origin(space):
         return Point.raw(space, 0, (0.0,) * space.dim)
 
@@ -341,21 +391,28 @@ def product_groupoid(G1: Groupoid, G2: Groupoid, name: str = "") -> Groupoid:
             "arr_product": arr,
             "obj_product": obj,
             "factors": (G1, G2),
-            "tfiber_nodes": tfiber_nodes if nodes1 and nodes2 else None,
             "compact_tfibers": both("compact_tfibers"),
             "source_connected": both("source_connected"),
         },
+        kernels=(product_kernels(G1.kernels, G2.kernels, arr, obj)
+                 if G1.kernels and G2.kernels else None),
     )
 
 
-def product_projection(G: Groupoid, name: str, **fields) -> GroupoidMorphism:
+def product_projection(G: Groupoid, name: str, metadata: Optional[dict] = None,
+                       **fields) -> GroupoidMorphism:
     """The projection pr1: G1 x G2 -> G1 of a product groupoid.
 
-    Fibres are sampled with G2's samplers; ``fields`` (kernel, transport,
-    metadata) are passed on to the morphism.
+    Fibres are sampled with G2's samplers; ``fields`` (kernel, transport) are
+    passed on to the morphism, and ``metadata`` gains ``arrow_rows``, the
+    arrow map on a block of coordinate rows (a column selection).
     """
     G1, G2 = G.metadata["factors"]
     arr, obj = G.metadata["arr_product"], G.metadata["obj_product"]
+
+    def arrow_rows(p, C):
+        return arr.unpack_index(p)[0], arr.split_rows(p, C)[0]
+
     return GroupoidMorphism(
         name=name,
         total=G,
@@ -366,6 +423,7 @@ def product_projection(G: Groupoid, name: str, **fields) -> GroupoidMorphism:
                              lambda x: obj.selectors(x.patch_index)[0], "pr1_0"),
         fiber_sampler=lambda h, rng: arr.join(h, G2.arrow_sampler(rng)),
         object_fiber_sampler=lambda y, rng: obj.join(y, G2.object_sampler(rng)),
+        metadata={**(metadata or {}), "arrow_rows": arrow_rows},
         **fields,
     )
 
@@ -378,9 +436,10 @@ def abelian_group(A: Space, name: str) -> Groupoid:
     """The abelian group Z_n x R^a x T^b on A as a groupoid over a point.
 
     Each of the n patches of A is one copy of R^a x T^b; patch indices add
-    mod n and coordinates add. Compact groups (a = 0) carry uniform
-    target-fibre nodes and source-fibre grids: m equally spaced angles on
-    each circle, so m^b points per patch for node count m.
+    mod n and coordinates add. Compact groups (a = 0) carry array kernels
+    with uniform target-fibre nodes, and source-fibre grids made of the same
+    points: m equally spaced angles on each circle, so m^b points per patch
+    for node count m.
     """
     shape = (A.patches[0].lin_count, A.patches[0].circ_count)
     if any((p.lin_count, p.circ_count) != shape or p.excluded_points for p in A.patches):
@@ -396,10 +455,11 @@ def abelian_group(A: Space, name: str) -> Groupoid:
     def inv_eval(p):
         return Point.raw(A, (-p.patch_index) % order, tuple(-c for c in p.coords))
 
-    def tfiber_nodes(x, n):
-        angles = list(itertools.product([TWO_PI * j / n for j in range(n)], repeat=dim))
-        pts = [Point.raw(A, k, c) for k in range(order) for c in angles]
-        return pts, [1.0 / len(pts)] * len(pts)
+    def nodes(x, n):
+        angles = np.array(list(itertools.product([TWO_PI * j / n for j in range(n)],
+                                                 repeat=dim))).reshape(n ** dim, dim)
+        weights = np.full(len(angles), 1.0 / (order * len(angles)))
+        return [(k, angles, weights) for k in range(order)]
 
     compact = shape[0] == 0
     return Groupoid(
@@ -417,10 +477,14 @@ def abelian_group(A: Space, name: str) -> Groupoid:
         object_sampler=lambda rng: origin,
         sfiber_sampler=lambda x, rng: sample_point(A, rng),
         tfiber_sampler=lambda x, rng: sample_point(A, rng),
-        sfiber_grid=(lambda x, n: tfiber_nodes(x, n)[0]) if compact else None,
-        metadata={"source_connected": order == 1,
-                  "compact_tfibers": compact,
-                  "tfiber_nodes": tfiber_nodes if compact else None},
+        sfiber_grid=(lambda x, n: [p for k, C, _ in nodes(x, n) for p in points(A, k, C)])
+        if compact else None,
+        metadata={"source_connected": order == 1, "compact_tfibers": compact},
+        kernels=ArrayKernels(
+            nodes=nodes,
+            mul=lambda p, G, q, H: ((p + q) % order, G + H),
+            inv=lambda p, C: ((-p) % order, -C, _constant_jacobians(-np.eye(dim), C)),
+            src=lambda p, C: (0, np.zeros((len(C), 0)))) if compact else None,
     )
 
 
@@ -502,9 +566,10 @@ def group_bundle(
     def sfiber_grid(x, n):
         return [Point.raw(A, k, x.coords) for k in elements_over(x)]
 
-    def tfiber_nodes(x, n):
-        pts = sfiber_grid(x, n)
-        return pts, [1.0 / len(pts)] * len(pts)
+    def nodes(x, n):
+        ks = elements_over(x)
+        row = np.array([x.coords], dtype=float)
+        return [(k, row, np.full(1, 1.0 / len(ks))) for k in ks]
 
     return Groupoid(
         name=name or f"bundle({M.name},Z{order}*)",
@@ -522,11 +587,15 @@ def group_bundle(
         sfiber_grid=sfiber_grid,
         probe_objects=(Point.raw(M, 0, punctured_at),),
         metadata={
-            "tfiber_nodes": tfiber_nodes,
             "compact_tfibers": True,
             "group_order": order,
             "source_connected": order == 1,
         },
+        kernels=ArrayKernels(
+            nodes=nodes,
+            mul=lambda p, G, q, H: ((p + q) % order, H),
+            inv=lambda p, C: ((-p) % order, C, _constant_jacobians(cached_eye(dim), C)),
+            src=lambda p, C: (0, C)),
     )
 
 
@@ -534,68 +603,73 @@ def group_bundle(
 # the rotation action of SO(2) on the plane and its action groupoid
 
 
-def _rot(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
+def _rot(phi) -> np.ndarray:
+    """Rotation matrices R(phi) for an array of angles, shape (k, 2, 2).
+
+    The result is C-contiguous, so each product with it takes the same BLAS
+    path as a single 2 x 2 matrix does.
+    """
+    c, s = np.cos(phi), np.sin(phi)
+    R = np.empty((len(phi), 2, 2))
+    R[:, 0, 0], R[:, 0, 1], R[:, 1, 0], R[:, 1, 1] = c, -s, s, c
+    return R
+
+
+def _apply(R, V) -> np.ndarray:
+    """Row-wise matrix action: R[i] @ V[i] for R (k, m, n) and V (k, n)."""
+    return np.matmul(R, V[..., None])[..., 0]
 
 
 def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
-    """Action groupoid SO(2) x R^2 over R^2 (rotation or trivial action)."""
+    """Action groupoid SO(2) x R^2 over R^2 (rotation or trivial action).
+
+    The structure maps are written once, as array kernels on rows
+    (v1, v2, phi); src, tgt, inv and mul on Points are one-row calls of them.
+    """
     M = line(2, name="R2")
     prod = ProductSpace(M, circle())
     A = prod.space  # coords (v1, v2, phi)
     circ = circle()
 
-    def split(p):
-        v, th = prod.split(p)
-        return np.asarray(v.coords), th.coords[0]
+    def acting(phi):
+        return np.zeros_like(phi) if trivial else phi
 
-    def act(phi, v):
-        return _rot(0.0 if trivial else phi) @ v
+    def fibre_rows(v, phi):
+        """The arrows (R(-phi) v, phi) with target v, one row per angle."""
+        rows = np.empty((len(phi), 3))
+        rows[:, :2] = np.matmul(_rot(acting(-phi)), v)
+        rows[:, 2] = phi
+        return rows
 
-    def src_eval(p):
-        v, _ = split(p)
-        return Point.raw(M, 0, tuple(v))
+    def nodes(x, n):
+        return [(0, fibre_rows(np.asarray(x.coords), TWO_PI * np.arange(n) / n),
+                 np.full(n, 1.0 / n))]
 
-    def tgt_eval(p):
-        v, phi = split(p)
-        return Point.raw(M, 0, tuple(act(phi, v)))
+    def mul(p, G, q, H):  # (v, phi)(w, psi) = (w, phi + psi)
+        out = H.copy()
+        out[:, 2] = G[:, 2] + H[:, 2]
+        return 0, out
 
-    def unit_eval(x):
-        return prod.join(x, Point.raw(circ, 0, (0.0,)))
+    def inv(p, C):  # (v, phi)^-1 = (R(phi) v, -phi)
+        V, phi = C[:, :2], C[:, 2]
+        R = _rot(acting(phi))
+        out, J = np.empty((len(C), 3)), np.zeros((len(C), 3, 3))
+        out[:, :2], out[:, 2] = _apply(R, V), -phi
+        J[:, :2, :2], J[:, 2, 2] = R, -1.0
+        if not trivial:
+            J[:, :2, 2] = _apply(_rot(phi + math.pi / 2.0), V)
+        return 0, out, J
 
-    def inv_eval(p):
-        v, phi = split(p)
-        return prod.join(Point.raw(M, 0, tuple(act(phi, v))), Point.raw(circ, 0, (-phi,)))
+    def src(p, C):
+        return 0, C[:, :2]
 
-    def mul_eval(g, h):
-        _, phi = split(g)
-        w, psi = split(h)
-        return prod.join(Point.raw(M, 0, tuple(w)), Point.raw(circ, 0, (phi + psi,)))
+    def row(p):
+        return np.array([p.coords])
+
+    def point(space, patch, rows):
+        return Point(space, patch, tuple(rows[0].tolist()))
 
     S_v, S_phi = prod.selectors(0)
-
-    def src_jac(p):
-        return S_v
-
-    def _dact(phi, v):
-        if trivial:
-            return np.zeros((2, 1))
-        return (_rot(phi + math.pi / 2.0) @ v).reshape(2, 1)
-
-    def tgt_jac(p):
-        v, phi = split(p)
-        R = _rot(0.0 if trivial else phi)
-        return np.hstack([R, _dact(phi, v)])
-
-    def unit_jac(x):
-        return S_v.T
-
-    def inv_jac(p):
-        v, phi = split(p)
-        J_v = np.hstack([_rot(0.0 if trivial else phi), _dact(phi, v)])
-        J_phi = np.array([[0.0, 0.0, -1.0]])
-        return S_v.T @ J_v + S_phi.T @ J_phi
 
     def mul_jac(g, h):
         A_part = S_phi.T @ S_phi
@@ -604,34 +678,22 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
 
     def tfiber(x, rng):
         phi = float(rng.uniform(0, TWO_PI))
-        v = np.asarray(x.coords)
-        return prod.join(
-            Point.raw(M, 0, tuple(_rot(0.0 if trivial else -phi) @ v)),
-            Point.raw(circ, 0, (phi,)),
-        )
-
-    def tfiber_nodes(x, n):
-        pts = []
-        v = np.asarray(x.coords)
-        for j in range(n):
-            phi = TWO_PI * j / n
-            pts.append(
-                prod.join(
-                    Point.raw(M, 0, tuple(_rot(0.0 if trivial else -phi) @ v)),
-                    Point.raw(circ, 0, (phi,)),
-                )
-            )
-        return pts, [1.0 / n] * n
+        return point(A, 0, fibre_rows(np.asarray(x.coords), np.array([phi])))
 
     return Groupoid(
         name=name or ("SO(2)⋉R2(trivial)" if trivial else "SO(2)⋉R2"),
         objects=M,
         arrows=A,
-        src=SmoothMap(A, M, src_eval, src_jac, "src"),
-        tgt=SmoothMap(A, M, tgt_eval, tgt_jac, "tgt"),
-        unit=SmoothMap(M, A, unit_eval, unit_jac, "unit"),
-        inv=SmoothMap(A, A, inv_eval, inv_jac, "inv"),
-        mul=PairMap(A, A, A, mul_eval, mul_jac, "mul", constant_partials=True),
+        src=SmoothMap(A, M, lambda p: point(M, *src(0, row(p))), lambda p: S_v, "src"),
+        # t = s o inv, and Tt is the top of inv's Jacobian
+        tgt=SmoothMap(A, M, lambda p: point(M, *src(*inv(0, row(p))[:2])),
+                      lambda p: inv(0, row(p))[2][0, :2], "tgt"),
+        unit=SmoothMap(M, A, lambda x: prod.join(x, Point.raw(circ, 0, (0.0,))),
+                       lambda x: S_v.T, "unit"),
+        inv=SmoothMap(A, A, lambda p: point(A, *inv(0, row(p))[:2]),
+                      lambda p: inv(0, row(p))[2][0], "inv"),
+        mul=PairMap(A, A, A, lambda g, h: point(A, *mul(0, row(g), 0, row(h))), mul_jac,
+                    "mul", constant_partials=True),
         arrow_sampler=lambda rng: sample_point(A, rng),
         object_sampler=lambda rng: sample_point(M, rng),
         sfiber_sampler=lambda x, rng: prod.join(
@@ -643,12 +705,12 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
         ],
         probe_objects=(Point.raw(M, 0, (1.0, 0.0)),),
         metadata={
-            "tfiber_nodes": tfiber_nodes,
             "compact_tfibers": True,
             "trivial_action": trivial,
             "source_connected": True,
             "product_space": prod,
         },
+        kernels=ArrayKernels(nodes=nodes, mul=mul, inv=inv, src=src),
     )
 
 

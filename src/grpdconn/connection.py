@@ -24,15 +24,12 @@ from .errors import (
 from .geometry import Point, Tangent
 from .groupoid import CheckReport, Groupoid, GroupoidMorphism, _Worst, _coords, rng_for
 from .linalg import (
-    column_space,
-    frame_matrix,
     intersect_columns,
     min_principal_angle,
     nullspace,
     rank,
     solve_least_squares,
     subspace_residual,
-    tangent_frame,
 )
 from .smoothmap import jacobian
 from .tangent import SubbundleFrame, tm_apply

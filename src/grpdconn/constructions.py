@@ -29,12 +29,19 @@ from .errors import (
     QuadratureMissing,
     SupremumUnbounded,
 )
-from .geometry import Point, Tangent, distance
-from .groupoid import CheckReport, Groupoid, GroupoidMorphism, _Worst, _coords, rng_for
+from .geometry import Point, Tangent
+from .groupoid import (
+    CheckReport,
+    Groupoid,
+    GroupoidMorphism,
+    _Worst,
+    _coords,
+    points,
+    rng_for,
+)
 from .connection import Connection, multiplicative_field_report
 from .intervals import Interval, fmt_bound
 from .smoothmap import jacobian
-from .tangent import tm_apply
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +306,23 @@ def glue_local_trivial(
 
 @dataclass
 class HaarFiberQuadrature:
-    """Normalized nodes/weights on target fibres, from catalog closed forms."""
+    """Normalized nodes/weights on target fibres, from catalog closed forms.
+
+    ``nodes_at(x)`` returns the nodes at the object x as blocks of the
+    groupoid's array kernels, ``(patch, (k, dim) rows, (k,) weights)`` in node
+    order; Points are built only where a caller needs them.
+    """
 
     node_count: int
-    nodes_at: Callable[[Point], tuple[list[Point], list[float]]]
+    nodes_at: Callable[[Point], list[tuple[int, np.ndarray, np.ndarray]]]
 
     @classmethod
     def from_groupoid(cls, G: Groupoid, node_count: int) -> "HaarFiberQuadrature":
-        maker = G.metadata.get("tfiber_nodes")
-        if maker is None:
+        if G.kernels is None:
             raise QuadratureMissing(f"{G.name} supplies no target-fibre nodes")
         if not G.metadata.get("compact_tfibers"):
             raise QuadratureMissing(f"{G.name} has non-compact target fibres")
-        return cls(node_count, lambda x: maker(x, node_count))
+        return cls(node_count, lambda x: G.kernels.nodes(x, node_count))
 
     def validate(self, G: Groupoid, n_samples: int, seed: int,
                  cfg: Config = DEFAULT) -> CheckReport:
@@ -332,14 +343,23 @@ class HaarFiberQuadrature:
         for i in range(n_samples):
             rng = rng_for(seed, 83, i)
             g = G.arrow_sampler(rng)
-            nodes_s, w_s = self.nodes_at(G.src(g))
-            nodes_t, w_t = self.nodes_at(G.tgt(g))
+            g_row = np.array([g.coords])
+            blocks_s = self.nodes_at(G.src(g))
+            composed, w_s = _node_points(G.arrows, [
+                (*G.kernels.mul(g.patch_index, g_row, q, H), w) for q, H, w in blocks_s])
+            nodes_t, w_t = _node_points(G.arrows, self.nodes_at(G.tgt(g)))
             worst.record("normalization", abs(sum(w_s) - 1.0), {"g": _coords(g)})
             for fi, f in enumerate(test_functions):
-                left = sum(w * f(G.compose(g, h)) for h, w in zip(nodes_s, w_s))
+                left = sum(w * f(gh) for gh, w in zip(composed, w_s))
                 right = sum(w * f(h) for h, w in zip(nodes_t, w_t))
                 worst.record(f"left_invariance[{fi}]", abs(left - right), {"g": _coords(g)})
         return worst.report("haar_quadrature", cfg.constr_quad_tol * 10, n_samples, seed)
+
+
+def _node_points(space, blocks) -> tuple[list[Point], list[float]]:
+    """Points and weights of ``(patch, rows, weights)`` blocks, in node order."""
+    return ([p for q, rows, _ in blocks for p in points(space, q, rows)],
+            [w for *_, weights in blocks for w in weights.tolist()])
 
 
 def s_projectability_residual(G: Groupoid, X, n_samples: int, seed: int,
@@ -356,6 +376,20 @@ def s_projectability_residual(G: Groupoid, X, n_samples: int, seed: int,
     return worst
 
 
+@dataclass(frozen=True)
+class RowField:
+    """A field on arrows given on blocks of coordinate rows.
+
+    ``rows(patch, C)`` returns the coefficients at every row of a ``(k, dim)``
+    block as a ``(k, dim)`` array; at a Point the field is a one-row call.
+    """
+
+    rows: Callable[[int, np.ndarray], np.ndarray]
+
+    def __call__(self, g: Point) -> Tangent:
+        return Tangent(g, tuple(self.rows(g.patch_index, np.array([g.coords]))[0].tolist()))
+
+
 def haar_average(
     G: Groupoid,
     quad: HaarFiberQuadrature,
@@ -368,25 +402,43 @@ def haar_average(
     """Average an s-projectable field into a multiplicative one.
 
     X_hat(g) = sum_j w_j Tm(X_{g h_j}, Ti(X_{h_j})) over nodes h_j in the
-    target fibre of s(g). Returns (X_hat, report); the report runs the
-    multiplicative-field identities at samples.
+    target fibre of s(g). One pass over each block of nodes composes, inverts
+    and differentiates with G's array kernels and applies G's constant ``mul``
+    partials; X is evaluated once per row (through ``X.rows`` when X is a
+    :class:`RowField`), and the weighted terms are summed in node order.
+    Returns (X_hat, report); the report runs the multiplicative-field
+    identities at samples.
     """
+    if G.kernels is None:
+        raise QuadratureMissing(f"{G.name} has no array kernels to average with")
     if check:
         resid = s_projectability_residual(G, X, max(8, n_samples // 4), seed, cfg)
         if resid > cfg.groupoid_tol_alg * 100:
             raise NonProjectableInput(
                 f"input field is not source-projectable (residual {resid:.3e})"
             )
+    K, arrows = G.kernels, G.arrows
+    if isinstance(X, RowField):
+        X_rows = X.rows
+    else:
+        def X_rows(p: int, C: np.ndarray) -> np.ndarray:
+            return np.array([X(h).coeffs for h in points(arrows, p, C)],
+                            dtype=float).reshape(C.shape)
 
     def X_hat(g: Point) -> Tangent:
-        nodes, weights = quad.nodes_at(G.src(g))
-        acc = np.zeros(g.patch.dim)
-        for h, w in zip(nodes, weights):
-            gh = G.compose(g, h)
-            Ti = jacobian(G.inv, h, cfg)
-            v = tm_apply(G, gh, G.inv(h), X(gh), Ti @ np.asarray(X(h).coeffs), cfg)
-            acc += w * v
-        return Tangent(g, tuple(acc))
+        g_row = np.array([g.coords])
+        terms = []
+        for q, H, w in quad.nodes_at(G.src(g)):
+            r, GH = K.mul(g.patch_index, g_row, q, H)
+            q_inv, H_inv, Ti = K.inv(q, H)
+            A, B = G.mul.partials(Point(arrows, r, tuple(GH[0].tolist())),
+                                  Point(arrows, q_inv, tuple(H_inv[0].tolist())), cfg)
+            moved = np.matmul(Ti, X_rows(q, H)[..., None])
+            lifted = np.matmul(A, X_rows(r, GH)[..., None]) + np.matmul(B, moved)
+            terms.append(w[:, None] * lifted[..., 0])
+        # running sum in node order, as a loop would add; + 0.0 as from a zero start
+        acc = np.cumsum(np.concatenate(terms), axis=0)[-1] + 0.0
+        return Tangent(g, tuple(acc.tolist()))
 
     def V(x: Point) -> Tangent:
         ux = G.unit(x)
@@ -415,39 +467,57 @@ def proper_family_connection(
     Each base coordinate field is lifted through hor_s∘hor0 (giving an
     s-projectable field) and averaged; the connection assembles the averaged
     basis fields by linearity, and its base lift reads off the averaged
-    fields along the unit section.
+    fields along the unit section. On a block of node rows the composite
+    field takes sources and base arrows from the rows (G's ``src`` kernel and
+    the family's ``arrow_rows`` when it declares them) and calls only
+    ``hor0`` and ``hor_s`` per row. The averaged basis vectors at the last
+    arrow asked for are kept, so ``hor`` and ``hor0`` at one arrow average
+    once.
     """
     G = family.total
     N = family.base_grpd.objects
+    base_arrows = family.base_grpd.arrows
+    arrow_rows = family.metadata.get("arrow_rows")
     dim_N = N.dim
     averaged = []
     for j in range(dim_N):
         e = [0.0] * dim_N
         e[j] = 1.0
 
-        def X_tilde(g: Point, e=tuple(e)) -> Tangent:
-            y = family.arrow_map(g)
-            x = G.src(g)
-            w = hor0(x, Tangent(y, e))
-            return hor_s(g, w)
+        def X_tilde(p: int, C: np.ndarray, e=tuple(e)) -> np.ndarray:
+            gs = points(G.arrows, p, C)
+            xs = points(G.objects, *G.kernels.src(p, C))
+            ys = (points(base_arrows, *arrow_rows(p, C)) if arrow_rows
+                  else [family.arrow_map(g) for g in gs])
+            return np.array([hor_s(g, hor0(x, Tangent(y, e))).coeffs
+                             for g, x, y in zip(gs, xs, ys)], dtype=float).reshape(C.shape)
 
-        X_hat, _ = haar_average(G, quad, X_tilde, n_samples, seed, cfg, check=(j == 0))
+        X_hat, _ = haar_average(G, quad, RowField(X_tilde), n_samples, seed, cfg,
+                                check=(j == 0))
         averaged.append(X_hat)
+
+    last = [None, None]   # the last arrow asked for, and its averaged basis vectors
+
+    def basis_at(g: Point) -> list[np.ndarray]:
+        key = (g.space, g.patch_index, g.coords)
+        if last[0] != key:
+            last[:] = key, [np.asarray(X_hat(g).coeffs) for X_hat in averaged]
+        return last[1]
 
     def hor(g: Point, a: Tangent) -> Tangent:
         acc = np.zeros(g.patch.dim)
-        for j, X_hat in enumerate(averaged):
+        for j, v in enumerate(basis_at(g)):
             if a.coeffs[j]:
-                acc += a.coeffs[j] * np.asarray(X_hat(g).coeffs)
+                acc += a.coeffs[j] * v
         return Tangent(g, tuple(acc))
 
     def hor0_out(x: Point, w: Tangent) -> Tangent:
         ux = G.unit(x)
         Ts = jacobian(G.src, ux, cfg)
         acc = np.zeros(x.patch.dim)
-        for j, X_hat in enumerate(averaged):
+        for j, v in enumerate(basis_at(ux)):
             if w.coeffs[j]:
-                acc += w.coeffs[j] * (Ts @ np.asarray(X_hat(ux).coeffs))
+                acc += w.coeffs[j] * (Ts @ v)
         return Tangent(x, tuple(acc))
 
     return Connection(

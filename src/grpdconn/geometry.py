@@ -220,9 +220,11 @@ class ProductSpace:
     construction raises ``ValueError`` instead.
 
     This class owns the packing: ``split``/``join`` move points and tangent
-    coefficients between the product and its factors, ``selectors`` pick each
-    factor's coordinates out of a packed patch, and ``factorwise_jacobian``
-    places the Jacobians of a factor-by-factor map into packed coordinates.
+    coefficients between the product and its factors, ``split_rows``/
+    ``join_rows`` do the same for blocks of coordinate rows, ``selectors``
+    pick each factor's coordinates out of a packed patch, and
+    ``factorwise_jacobian`` places the Jacobians of a factor-by-factor map
+    into packed coordinates.
     """
 
     left: Space
@@ -285,13 +287,28 @@ class ProductSpace:
                             domain: "ProductSpace", domain_index: int):
         """Jacobian into patch ``packed_index`` of a map acting on each factor
         separately, J_left on the left factors and J_right on the right ones,
-        from patch ``domain_index`` of the product ``domain``."""
+        from patch ``domain_index`` of the product ``domain``. Leading axes of
+        the factor Jacobians, the same for both, are batch axes."""
         rows_left, rows_right = self._patch_layout(packed_index)[:2]
         cols_left, cols_right = domain._patch_layout(domain_index)[:2]
-        J = _np.zeros((len(rows_left) + len(rows_right), len(cols_left) + len(cols_right)))
-        J[rows_left[:, None], cols_left] = J_left
-        J[rows_right[:, None], cols_right] = J_right
+        J = _np.zeros(_np.shape(J_left)[:-2] + (len(rows_left) + len(rows_right),
+                               len(cols_left) + len(cols_right)))
+        J[..., rows_left[:, None], cols_left] = J_left
+        J[..., rows_right[:, None], cols_right] = J_right
         return J
+
+    def split_rows(self, packed_index: int, rows):
+        """Each factor's columns of a (k, dim) block on a packed patch."""
+        left, right = self._patch_layout(packed_index)[:2]
+        return rows[:, left], rows[:, right]
+
+    def join_rows(self, packed_index: int, rows_left, rows_right):
+        """The packed block of two factor blocks; a one-row block broadcasts."""
+        left, right = self._patch_layout(packed_index)[:2]
+        out = _np.empty((max(len(rows_left), len(rows_right)), len(left) + len(right)))
+        out[:, left] = rows_left
+        out[:, right] = rows_right
+        return out
 
     def join(self, a: Point, b: Point) -> Point:
         pa, pb = a.patch, b.patch

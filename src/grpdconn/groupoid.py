@@ -26,6 +26,31 @@ def rng_for(seed: int, *salts: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0x7FFFFFFF, *(int(s) & 0x7FFFFFFF for s in salts)])
 
 
+@dataclass(frozen=True)
+class ArrayKernels:
+    """Broadcasting structure maps on blocks of coordinate rows.
+
+    A block is a patch index with a ``(k, dim)`` array of coordinates on that
+    patch. ``nodes(x, n)`` is the target-fibre quadrature at the object x for
+    node count n, as ``(patch, rows, weights)`` blocks in node order.
+    ``mul(p, G, q, H)`` composes the one arrow of the one-row block G with
+    every row of H; ``src(p, C)`` returns a block; ``inv(p, C)`` returns a
+    block and inv's Jacobians as a ``(k, dim, dim)`` array. Groupoids declare
+    kernels only when their ``mul`` partials are constant per patch pair.
+    Treat returned arrays as read-only.
+    """
+
+    nodes: Callable[[Point, int], list[tuple[int, np.ndarray, np.ndarray]]]
+    mul: Callable[[int, np.ndarray, int, np.ndarray], tuple[int, np.ndarray]]
+    inv: Callable[[int, np.ndarray], tuple[int, np.ndarray, np.ndarray]]
+    src: Callable[[int, np.ndarray], tuple[int, np.ndarray]]
+
+
+def points(space: Space, patch_index: int, rows: np.ndarray) -> list[Point]:
+    """The rows of a coordinate block as Points of ``space``."""
+    return [Point(space, patch_index, tuple(r)) for r in rows.tolist()]
+
+
 @dataclass
 class Groupoid:
     name: str
@@ -43,6 +68,7 @@ class Groupoid:
     sfiber_grid: Optional[Callable[[Point, int], list[Point]]] = None
     probe_objects: tuple[Point, ...] = ()
     metadata: dict = field(default_factory=dict)
+    kernels: Optional[ArrayKernels] = None
 
     def pair_sample(self, rng: np.random.Generator) -> tuple[Point, Point]:
         """Composable pair (g, h) with src(g) = tgt(h), exact by construction."""

@@ -21,9 +21,7 @@ from .integrate import TrajectoryOutcome, integrate
 from .connection import (
     Connection,
     INCONCLUSIVE,
-    MULTIPLICATIVE,
     MultiplicativityReport,
-    NOT_MULTIPLICATIVE,
     _banded_verdict,
     kernel_connection,
 )

@@ -47,6 +47,7 @@ from grpdconn.scenarios import (
 )
 from grpdconn.tangent import VBFiberData, splitting_correspondence
 from grpdconn.transport import (
+    base_connection,
     completeness_probe,
     parallel_transport,
     theorem_crosscheck_kernel,
@@ -172,7 +173,7 @@ def test_criterion_07_completeness_counterexamples():
     c, _ = punctured_bundle_setup()
     rep = multiplicativity_check_pointwise(c, 100, SEED)
     total = completeness_probe(c, c.morphism.transport.path_with_start, 500, SEED)
-    base_conn = Connection(cat.base_submersion_morphism(c.morphism), c.hor0, c.hor0, {})
+    base_conn = base_connection(c)
     base = completeness_probe(base_conn, base_conn.morphism.transport.path_with_start,
                               500, SEED)
     punctured_ok = (rep.verdict == MULTIPLICATIVE and total.found_witness

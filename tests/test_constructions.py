@@ -5,9 +5,11 @@ import pytest
 
 import grpdconn.catalog as cat
 from grpdconn.config import DEFAULT
+import grpdconn.constructions as constructions
 from grpdconn.connection import (
     Connection,
     MULTIPLICATIVE,
+    complement_check,
     multiplicativity_check_pointwise,
 )
 from grpdconn.constructions import (
@@ -40,6 +42,7 @@ from grpdconn.groupoid import rng_for
 from grpdconn.scenarios import (
     morita_punctured_setup,
     morita_setup,
+    proper_average_connection,
     skewed_family_field,
     so2_family_setup,
     sproper_setup,
@@ -253,6 +256,36 @@ def test_non_projectable_input_rejected():
 
     with pytest.raises(NonProjectableInput):
         haar_average(fam.total, quad, bad, 20, seed=2)
+
+
+def test_averaged_connection_averages_once_per_arrow(monkeypatch):
+    asked = []
+    average = constructions.haar_average
+
+    def counting_average(*args, **kwargs):
+        X_hat, report = average(*args, **kwargs)
+
+        def counted(g):
+            asked.append((g.patch_index, g.coords))
+            return X_hat(g)
+
+        return counted, report
+
+    monkeypatch.setattr(constructions, "haar_average", counting_average)
+    conn = proper_average_connection(DEFAULT)
+    asked.clear()
+    # four lifts at the sampled arrow, one base lift at a unit arrow
+    assert complement_check(conn, 1, seed=7).passed
+    assert len(asked) == len(set(asked)) == 2
+
+    g = conn.total.arrow_sampler(rng_for(73, 0))
+    a = Tangent(conn.morphism.arrow_map(g), (1.0,))
+    first = conn.hor(g, a)
+    assert len(asked) == 3
+    assert conn.hor(g, a).coeffs == first.coeffs and len(asked) == 3
+    conn.hor(conn.total.arrow_sampler(rng_for(73, 1)), a)
+    conn.hor(g, a)   # one slot: the first arrow was displaced
+    assert len(asked) == 5
 
 
 def test_proper_family_connection_fixes_flat_input():
