@@ -286,7 +286,7 @@ def product_kernels(K1: ArrayKernels, K2: ArrayKernels, arr: ProductSpace,
     """Kernels of G1 x G2 from those of its factors, by column placement.
 
     Target-fibre nodes run over G1's nodes, then G2's, as the product's
-    points do; consecutive nodes on one packed patch share a block.
+    points do; each G1 node with each block of G2 nodes makes one block.
     """
 
     def mul(p, G, q, H):
@@ -311,14 +311,12 @@ def product_kernels(K1: ArrayKernels, K2: ArrayKernels, arr: ProductSpace,
     def nodes(x, n):
         x1, x2 = obj.split(x)
         second = K2.nodes(x2, n)
-        pieces = [(arr.pack_index(p1, p2), C1[i:i + 1], C2, w1[i] * w2)
-                  for p1, C1, w1 in K1.nodes(x1, n) for i in range(len(C1))
-                  for p2, C2, w2 in second]
         blocks = []
-        for p, run in itertools.groupby(pieces, key=lambda piece: piece[0]):
-            run = list(run)
-            blocks.append((p, np.concatenate([arr.join_rows(p, a, b) for _, a, b, _ in run]),
-                           np.concatenate([w for *_, w in run])))
+        for p1, C1, w1 in K1.nodes(x1, n):
+            for i in range(len(C1)):
+                for p2, C2, w2 in second:
+                    p = arr.pack_index(p1, p2)
+                    blocks.append((p, arr.join_rows(p, C1[i:i + 1], C2), w1[i] * w2))
         return blocks
 
     return ArrayKernels(nodes=nodes, mul=mul, inv=inv, src=src)

@@ -467,17 +467,18 @@ def proper_family_connection(
     Each base coordinate field is lifted through hor_s∘hor0 (giving an
     s-projectable field) and averaged; the connection assembles the averaged
     basis fields by linearity, and its base lift reads off the averaged
-    fields along the unit section. On a block of node rows the composite
-    field takes sources and base arrows from the rows (G's ``src`` kernel and
-    the family's ``arrow_rows`` when it declares them) and calls only
-    ``hor0`` and ``hor_s`` per row. The averaged basis vectors at the last
-    arrow asked for are kept, so ``hor`` and ``hor0`` at one arrow average
-    once.
+    fields along the unit section. The family must be a product projection
+    (``catalog.product_projection``, as ``trivial_family`` builds): on a
+    block of node rows the composite field takes sources and base arrows
+    from the rows (G's ``src`` kernel and the family's ``arrow_rows`` column
+    selection) and calls only ``hor0`` and ``hor_s`` per row. The averaged
+    basis vectors at the last arrow asked for are kept, so ``hor`` and
+    ``hor0`` at one arrow average once.
     """
     G = family.total
     N = family.base_grpd.objects
     base_arrows = family.base_grpd.arrows
-    arrow_rows = family.metadata.get("arrow_rows")
+    arrow_rows = family.metadata["arrow_rows"]
     dim_N = N.dim
     averaged = []
     for j in range(dim_N):
@@ -487,8 +488,7 @@ def proper_family_connection(
         def X_tilde(p: int, C: np.ndarray, e=tuple(e)) -> np.ndarray:
             gs = points(G.arrows, p, C)
             xs = points(G.objects, *G.kernels.src(p, C))
-            ys = (points(base_arrows, *arrow_rows(p, C)) if arrow_rows
-                  else [family.arrow_map(g) for g in gs])
+            ys = points(base_arrows, *arrow_rows(p, C))
             return np.array([hor_s(g, hor0(x, Tangent(y, e))).coeffs
                              for g, x, y in zip(gs, xs, ys)], dtype=float).reshape(C.shape)
 
