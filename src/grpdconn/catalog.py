@@ -16,7 +16,6 @@ import numpy as np
 from .config import DEFAULT
 from .errors import InvalidParams, UnknownName
 from .geometry import (
-    cached_eye,
     Patch,
     Point,
     ProductSpace,
@@ -35,7 +34,7 @@ from .groupoid import (
     points,
 )
 from .paths import BasePath, coordinate_path
-from .smoothmap import PairMap, SmoothMap, identity_map, jacobian
+from .smoothmap import PairMap, PatchJacobian, SmoothMap, identity_map, jacobian
 
 BOX = DEFAULT.groupoid_sample_box
 TWO_PI = 2.0 * math.pi
@@ -197,11 +196,11 @@ def pair_groupoid(M: Space, name: str = "") -> Groupoid:
         name=name or f"pair({M.name})",
         objects=M,
         arrows=A,
-        src=SmoothMap(A, M, src_eval, src_jac, "src"),
-        tgt=SmoothMap(A, M, tgt_eval, tgt_jac, "tgt"),
-        unit=SmoothMap(M, A, unit_eval, unit_jac, "unit"),
-        inv=SmoothMap(A, A, inv_eval, inv_jac, "inv"),
-        mul=PairMap(A, A, A, mul_eval, mul_jac, "mul", constant_partials=True),
+        src=SmoothMap(A, M, src_eval, PatchJacobian(src_jac), "src"),
+        tgt=SmoothMap(A, M, tgt_eval, PatchJacobian(tgt_jac), "tgt"),
+        unit=SmoothMap(M, A, unit_eval, PatchJacobian(unit_jac), "unit"),
+        inv=SmoothMap(A, A, inv_eval, PatchJacobian(inv_jac), "inv"),
+        mul=PairMap(A, A, A, mul_eval, PatchJacobian(mul_jac), "mul"),
         arrow_sampler=arrow_sampler,
         object_sampler=lambda rng: sample_point(M, rng),
         sfiber_sampler=sfiber,
@@ -221,19 +220,13 @@ def _constant_jacobians(J, C):
 
 def unit_groupoid(M: Space, name: str = "") -> Groupoid:
     dim = M.dim
-
-    def ident_jac(p):
-        return cached_eye(dim)
-
-    ident = SmoothMap(M, M, lambda p: p, ident_jac, "id")
+    ident = identity_map(M)
 
     def mul_eval(g, h):
         return h
 
-    _mul_A = np.zeros((dim, dim))
-
     def mul_jac(g, h):
-        return _mul_A, cached_eye(dim)
+        return np.zeros((dim, dim)), np.eye(dim)
 
     return Groupoid(
         name=name or f"unit({M.name})",
@@ -243,7 +236,7 @@ def unit_groupoid(M: Space, name: str = "") -> Groupoid:
         tgt=ident,
         unit=ident,
         inv=ident,
-        mul=PairMap(M, M, M, mul_eval, mul_jac, "mul", constant_partials=True),
+        mul=PairMap(M, M, M, mul_eval, PatchJacobian(mul_jac), "mul"),
         arrow_sampler=lambda rng: sample_point(M, rng),
         object_sampler=lambda rng: sample_point(M, rng),
         sfiber_sampler=lambda x, rng: x,
@@ -255,7 +248,7 @@ def unit_groupoid(M: Space, name: str = "") -> Groupoid:
         kernels=ArrayKernels(
             nodes=lambda x, n: [(x.patch_index, np.array([x.coords], dtype=float), np.ones(1))],
             mul=lambda p, G, q, H: (q, H),
-            inv=lambda p, C: (p, C, _constant_jacobians(cached_eye(dim), C)),
+            inv=lambda p, C: (p, C, _constant_jacobians(np.eye(dim), C)),
             src=lambda p, C: (p, C)),
     )
 
@@ -266,7 +259,8 @@ def unit_groupoid(M: Space, name: str = "") -> Groupoid:
 
 def product_map(f1: SmoothMap, f2: SmoothMap, domain: ProductSpace,
                 codomain: ProductSpace, name: str) -> SmoothMap:
-    """f1 x f2 in packed coordinates; its Jacobian is block-diagonal."""
+    """f1 x f2 in packed coordinates; its Jacobian is block-diagonal, and
+    patch-constant when both factors' Jacobians are."""
 
     def ev(p):
         a, b = domain.split(p)
@@ -278,6 +272,8 @@ def product_map(f1: SmoothMap, f2: SmoothMap, domain: ProductSpace,
         return codomain.factorwise_jacobian(out, jacobian(f1, a), jacobian(f2, b),
                                             domain, p.patch_index)
 
+    if isinstance(f1.jac, PatchJacobian) and isinstance(f2.jac, PatchJacobian):
+        jac = PatchJacobian(jac)
     return SmoothMap(domain.space, codomain.space, ev, jac, name)
 
 
@@ -349,6 +345,9 @@ def product_groupoid(G1: Groupoid, G2: Groupoid, name: str = "") -> Groupoid:
         return (arr.factorwise_jacobian(out, A1, A2, arr, g.patch_index),
                 arr.factorwise_jacobian(out, B1, B2, arr, h.patch_index))
 
+    if isinstance(G1.mul.jac2, PatchJacobian) and isinstance(G2.mul.jac2, PatchJacobian):
+        mul_jac = PatchJacobian(mul_jac)
+
     def fiber_sampler(sample1, sample2):
         def sample(x, rng):
             x1, x2 = obj.split(x)
@@ -374,8 +373,7 @@ def product_groupoid(G1: Groupoid, G2: Groupoid, name: str = "") -> Groupoid:
         tgt=product_map(G1.tgt, G2.tgt, arr, obj, "tgt"),
         unit=product_map(G1.unit, G2.unit, obj, arr, "unit"),
         inv=product_map(G1.inv, G2.inv, arr, arr, "inv"),
-        mul=PairMap(A, A, A, mul_eval, mul_jac, "mul",
-                    constant_partials=G1.mul.constant_partials and G2.mul.constant_partials),
+        mul=PairMap(A, A, A, mul_eval, mul_jac, "mul"),
         arrow_sampler=lambda rng: arr.join(G1.arrow_sampler(rng), G2.arrow_sampler(rng)),
         object_sampler=lambda rng: obj.join(G1.object_sampler(rng), G2.object_sampler(rng)),
         sfiber_sampler=fiber_sampler(G1.sfiber_sampler, G2.sfiber_sampler),
@@ -460,17 +458,18 @@ def abelian_group(A: Space, name: str) -> Groupoid:
         return [(k, angles, weights) for k in range(order)]
 
     compact = shape[0] == 0
+    to_point = PatchJacobian(lambda p: np.zeros((0, dim)))   # src and tgt: the same on every patch
     return Groupoid(
         name=name,
         objects=pt,
         arrows=A,
-        src=SmoothMap(A, pt, lambda p: origin, lambda p: np.zeros((0, dim)), "src"),
-        tgt=SmoothMap(A, pt, lambda p: origin, lambda p: np.zeros((0, dim)), "tgt"),
+        src=SmoothMap(A, pt, lambda p: origin, to_point, "src"),
+        tgt=SmoothMap(A, pt, lambda p: origin, to_point, "tgt"),
         unit=SmoothMap(pt, A, lambda x: Point.raw(A, 0, (0.0,) * dim),
-                       lambda x: np.zeros((dim, 0)), "unit"),
-        inv=SmoothMap(A, A, inv_eval, lambda p: -np.eye(dim), "inv"),
-        mul=PairMap(A, A, A, mul_eval, lambda g, h: (np.eye(dim), np.eye(dim)), "mul",
-                    constant_partials=True),
+                       PatchJacobian(lambda x: np.zeros((dim, 0))), "unit"),
+        inv=SmoothMap(A, A, inv_eval, PatchJacobian(lambda p: -np.eye(dim)), "inv"),
+        mul=PairMap(A, A, A, mul_eval,
+                    PatchJacobian(lambda g, h: (np.eye(dim), np.eye(dim))), "mul"),
         arrow_sampler=lambda rng: sample_point(A, rng),
         object_sampler=lambda rng: origin,
         sfiber_sampler=lambda x, rng: sample_point(A, rng),
@@ -530,7 +529,8 @@ def group_bundle(
     A = Space(tuple(Patch(base.lin_count, base.circ_count, str(k), ball if k else ())
                     for k in range(order)), name=f"{M.name}xZ{order}*")
     dim = M.dim
-    eye = lambda p: cached_eye(dim)
+    # one memo for the four maps: each returns the identity whatever the patch
+    eye = PatchJacobian(lambda p: np.eye(dim))
 
     def src_eval(p):
         return Point.raw(M, 0, p.coords)
@@ -577,7 +577,7 @@ def group_bundle(
         tgt=SmoothMap(A, M, src_eval, eye, "tgt"),
         unit=SmoothMap(M, A, lambda x: Point.raw(A, 0, x.coords), eye, "unit"),
         inv=SmoothMap(A, A, inv_eval, eye, "inv"),
-        mul=PairMap(A, A, A, mul_eval, mul_jac, "mul", constant_partials=True),
+        mul=PairMap(A, A, A, mul_eval, PatchJacobian(mul_jac), "mul"),
         arrow_sampler=arrow_sampler,
         object_sampler=lambda rng: sample_point(M, rng),
         sfiber_sampler=sfiber,
@@ -592,7 +592,7 @@ def group_bundle(
         kernels=ArrayKernels(
             nodes=nodes,
             mul=lambda p, G, q, H: ((p + q) % order, H),
-            inv=lambda p, C: ((-p) % order, C, _constant_jacobians(cached_eye(dim), C)),
+            inv=lambda p, C: ((-p) % order, C, _constant_jacobians(np.eye(dim), C)),
             src=lambda p, C: (0, C)),
     )
 
@@ -682,16 +682,17 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
         name=name or ("SO(2)⋉R2(trivial)" if trivial else "SO(2)⋉R2"),
         objects=M,
         arrows=A,
-        src=SmoothMap(A, M, lambda p: point(M, *src(0, row(p))), lambda p: S_v, "src"),
+        src=SmoothMap(A, M, lambda p: point(M, *src(0, row(p))), PatchJacobian(lambda p: S_v),
+                      "src"),
         # t = s o inv, and Tt is the top of inv's Jacobian
         tgt=SmoothMap(A, M, lambda p: point(M, *src(*inv(0, row(p))[:2])),
                       lambda p: inv(0, row(p))[2][0, :2], "tgt"),
         unit=SmoothMap(M, A, lambda x: prod.join(x, Point.raw(circ, 0, (0.0,))),
-                       lambda x: S_v.T, "unit"),
+                       PatchJacobian(lambda x: S_v.T), "unit"),
         inv=SmoothMap(A, A, lambda p: point(A, *inv(0, row(p))[:2]),
                       lambda p: inv(0, row(p))[2][0], "inv"),
-        mul=PairMap(A, A, A, lambda g, h: point(A, *mul(0, row(g), 0, row(h))), mul_jac,
-                    "mul", constant_partials=True),
+        mul=PairMap(A, A, A, lambda g, h: point(A, *mul(0, row(g), 0, row(h))),
+                    PatchJacobian(mul_jac), "mul"),
         arrow_sampler=lambda rng: sample_point(A, rng),
         object_sampler=lambda rng: sample_point(M, rng),
         sfiber_sampler=lambda x, rng: prod.join(
@@ -941,6 +942,9 @@ def disjoint_union(parts: list[Groupoid], name: str = "") -> Groupoid:
         _, qh = ua.split(h)
         return parts[i].mul.partials(qg, qh)
 
+    if all(isinstance(g.mul.jac2, PatchJacobian) for g in parts):
+        mul_jac = PatchJacobian(mul_jac)
+
     def arrow_sampler(rng):
         i = int(rng.integers(len(parts)))
         return ua.embed(i, parts[i].arrow_sampler(rng))
@@ -975,7 +979,7 @@ def disjoint_union(parts: list[Groupoid], name: str = "") -> Groupoid:
         tgt=route(lambda g: g.tgt, ua, uo, "tgt"),
         unit=route(lambda g: g.unit, uo, ua, "unit"),
         inv=route(lambda g: g.inv, ua, ua, "inv"),
-        mul=PairMap(ua.space, ua.space, ua.space, mul_eval, mul_jac, "mul", constant_partials=True),
+        mul=PairMap(ua.space, ua.space, ua.space, mul_eval, mul_jac, "mul"),
         arrow_sampler=arrow_sampler,
         object_sampler=object_sampler,
         sfiber_sampler=sfiber,
@@ -1011,8 +1015,8 @@ def covering_union_morphism(
         # H's objects are M x pt, H*'s are M: the same coordinates
         return Point.raw(H.objects, 0, uo.split(x)[1].coords)
 
-    def pi_jac(p):
-        return np.eye(1)
+    # one memo for every map here: each returns the identity whatever the patch
+    eye = PatchJacobian(lambda p: np.eye(1))
 
     def fiber_sampler(h, rng):
         i = int(rng.integers(2))
@@ -1079,8 +1083,8 @@ def covering_union_morphism(
         name="cover_kernel",
         total=K,
         base_grpd=NU,
-        arrow_map=SmoothMap(K.arrows, base, k_pi, lambda p: cached_eye(1), "pi_K"),
-        object_map=SmoothMap(K.objects, base, k_pi, lambda p: cached_eye(1), "pi0"),
+        arrow_map=SmoothMap(K.arrows, base, k_pi, eye, "pi_K"),
+        object_map=SmoothMap(K.objects, base, k_pi, eye, "pi0"),
         fiber_sampler=lambda y, rng: kua.embed(
             int(rng.integers(2)), Point.raw(K.metadata["parts"][0].arrows, 0, y.coords)
         ),
@@ -1106,12 +1110,12 @@ def covering_union_morphism(
         name=name,
         total=G,
         base_grpd=H,
-        arrow_map=SmoothMap(G.arrows, H.arrows, pi_eval, pi_jac, "pi"),
-        object_map=SmoothMap(G.objects, H.objects, pi0_eval, lambda p: cached_eye(1), "pi0"),
+        arrow_map=SmoothMap(G.arrows, H.arrows, pi_eval, eye, "pi"),
+        object_map=SmoothMap(G.objects, H.objects, pi0_eval, eye, "pi0"),
         fiber_sampler=fiber_sampler,
         object_fiber_sampler=lambda y, rng: uo.embed(int(rng.integers(2)), y),
         kernel=KernelData(
-            K, SmoothMap(K.arrows, G.arrows, embed_eval_fixed, lambda p: cached_eye(1), "ker_incl"),
+            K, SmoothMap(K.arrows, G.arrows, embed_eval_fixed, eye, "ker_incl"),
             kernel_family,
         ),
         transport=TransportSamplers(path_with_start, composable, object_path_with_start),
@@ -1242,11 +1246,11 @@ def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
         name="ker[pair_fibration]",
         objects=M,
         arrows=KA,
-        src=SmoothMap(KA, M, k_src, lambda p: k_src_J, "src"),
-        tgt=SmoothMap(KA, M, k_tgt, lambda p: k_tgt_J, "tgt"),
-        unit=SmoothMap(M, KA, k_unit, lambda p: k_unit_J, "unit"),
-        inv=SmoothMap(KA, KA, k_inv, lambda p: k_inv_J, "inv"),
-        mul=PairMap(KA, KA, KA, k_mul, lambda g, h: (k_mul_A, k_mul_B), "mul", constant_partials=True),
+        src=SmoothMap(KA, M, k_src, PatchJacobian(lambda p: k_src_J), "src"),
+        tgt=SmoothMap(KA, M, k_tgt, PatchJacobian(lambda p: k_tgt_J), "tgt"),
+        unit=SmoothMap(M, KA, k_unit, PatchJacobian(lambda p: k_unit_J), "unit"),
+        inv=SmoothMap(KA, KA, k_inv, PatchJacobian(lambda p: k_inv_J), "inv"),
+        mul=PairMap(KA, KA, KA, k_mul, PatchJacobian(lambda g, h: (k_mul_A, k_mul_B)), "mul"),
         arrow_sampler=k_arrow_sampler,
         object_sampler=lambda rng: sample_M_over(float(rng.uniform(0, TWO_PI)), rng),
         sfiber_sampler=lambda x, rng: Point.raw(
@@ -1335,8 +1339,8 @@ def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
         object_map=SmoothMap(M, Ncirc, pi0_eval, pi0_jac, "pi0"),
         fiber_sampler=fiber_sampler,
         object_fiber_sampler=lambda y, rng: sample_M_over(y.coords[0], rng),
-        kernel=KernelData(K, SmoothMap(KA, G.arrows, embed_eval, lambda p: embed_J, "ker_incl"),
-                          kernel_family),
+        kernel=KernelData(K, SmoothMap(KA, G.arrows, embed_eval, PatchJacobian(lambda p: embed_J),
+                                       "ker_incl"), kernel_family),
         transport=TransportSamplers(path_with_start, composable, object_path_with_start),
         metadata={
             "declared_fibration": True,
@@ -1392,7 +1396,7 @@ def bundle_family_morphism(bundle: Groupoid, name: str = "") -> GroupoidMorphism
         base_grpd=NU,
         arrow_map=SmoothMap(bundle.arrows, M, pi_eval,
                             lambda p: jacobian(bundle.src, p), "pi"),
-        object_map=SmoothMap(M, M, lambda x: x, lambda x: cached_eye(dim), "id"),
+        object_map=identity_map(M),
         fiber_sampler=lambda x, rng: bundle.sfiber_sampler(x, rng),
         object_fiber_sampler=lambda x, rng: x,
         transport=TransportSamplers(path_with_start, composable, object_path_with_start),
@@ -1404,10 +1408,7 @@ def bundle_family_morphism(bundle: Groupoid, name: str = "") -> GroupoidMorphism
             "local_diffeo": True,
         },
     )
-    morphism.kernel = KernelData(
-        bundle, SmoothMap(bundle.arrows, bundle.arrows, lambda p: p,
-                          lambda p: cached_eye(bundle.arrows.dim), "id"), morphism
-    )
+    morphism.kernel = KernelData(bundle, identity_map(bundle.arrows), morphism)
     return morphism
 
 
@@ -1455,16 +1456,18 @@ def reflection_action_morphism() -> GroupoidMorphism:
     def mul_eval(g, h):
         return Point.raw(A, (g.patch_index + h.patch_index) % 2, h.coords)
 
+    eye = PatchJacobian(lambda p: np.eye(1))   # src and unit: the same on every patch
     G = Groupoid(
         name="Z2⋉R",
         objects=M,
         arrows=A,
-        src=SmoothMap(A, M, lambda p: Point.raw(M, 0, p.coords), lambda p: cached_eye(1), "src"),
+        src=SmoothMap(A, M, lambda p: Point.raw(M, 0, p.coords), eye, "src"),
         tgt=SmoothMap(A, M, tgt_eval, lambda p: np.array([[sign(p)]]), "tgt"),
-        unit=SmoothMap(M, A, lambda x: Point.raw(A, 0, x.coords), lambda x: cached_eye(1), "unit"),
+        unit=SmoothMap(M, A, lambda x: Point.raw(A, 0, x.coords), eye, "unit"),
         inv=SmoothMap(A, A, lambda p: Point.raw(A, p.patch_index, (sign(p) * p.coords[0],)),
                       lambda p: np.array([[sign(p)]]), "inv"),
-        mul=PairMap(A, A, A, mul_eval, lambda g, h: (np.zeros((1, 1)), np.eye(1)), "mul", constant_partials=True),
+        mul=PairMap(A, A, A, mul_eval, PatchJacobian(lambda g, h: (np.zeros((1, 1)), np.eye(1))),
+                    "mul"),
         arrow_sampler=lambda rng: Point.raw(A, int(rng.integers(2)),
                                             (float(rng.uniform(-BOX, BOX)),)),
         object_sampler=lambda rng: sample_point(M, rng),

@@ -16,6 +16,7 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import (
     IncompatibleMorphisms,
+    KernelEmbeddingNotPatchConstant,
     KernelNotExposed,
     NotAFamily,
     NotAnActionMorphism,
@@ -31,7 +32,7 @@ from .linalg import (
     solve_least_squares,
     subspace_residual,
 )
-from .smoothmap import jacobian
+from .smoothmap import PatchJacobian, jacobian
 from .tangent import SubbundleFrame, tm_apply
 
 MULTIPLICATIVE = "Multiplicative"
@@ -320,8 +321,10 @@ def multiplicativity_check_pointwise(
 def kernel_connection(c: Connection, cfg: Config = DEFAULT) -> Connection:
     """Restrict the lift to the kernel family: hor_K(k, w) = hor(k, Tu_H(w)).
 
-    The kernel presentation must be exposed by the catalog; lifts are pulled
-    back through the kernel embedding, and the tangency residual of that
+    The kernel presentation must be exposed by the catalog, and its embedding
+    must declare a patch-constant Jacobian (a :class:`PatchJacobian`, as every
+    catalog embedding does). Lifts are pulled back through the pseudo-inverse
+    of that Jacobian, computed once per patch; the tangency residual of the
     pullback is recorded in the returned connection's metadata.
     """
     pi = c.morphism
@@ -330,26 +333,16 @@ def kernel_connection(c: Connection, cfg: Config = DEFAULT) -> Connection:
     K = pi.kernel.groupoid
     embed = pi.kernel.embed
     family = pi.kernel.family
+    if not isinstance(embed.jac, PatchJacobian):
+        raise KernelEmbeddingNotPatchConstant(
+            f"{pi.name}: the kernel embedding {embed.name} does not declare a PatchJacobian")
     H = pi.base_grpd
     worst_tangency = [0.0]
-    # catalog embeddings have patch-constant Jacobians; cache their inverses
-    # and fall back to a fresh solve whenever the cached one stops fitting
-    pinv_cache: dict[int, np.ndarray | str] = {}
+    pull = PatchJacobian(lambda k: np.linalg.pinv(jacobian(embed, k, cfg)))
 
     def _pull(k: Point, lifted: np.ndarray) -> np.ndarray:
-        cached = pinv_cache.get(k.patch_index)
-        if isinstance(cached, str):
-            return lifted
-        J = jacobian(embed, k, cfg)
-        if cached is None:
-            if J.shape[0] == J.shape[1] and np.array_equal(J, np.eye(J.shape[0])):
-                pinv_cache[k.patch_index] = "identity"
-                return lifted
-            cached = pinv_cache[k.patch_index] = np.linalg.pinv(J)
-        coeffs = cached @ lifted
-        resid = float(np.linalg.norm(J @ coeffs - lifted))
-        if resid > 1e-9:
-            coeffs, resid = solve_least_squares(J, lifted)
+        coeffs = pull(k) @ lifted
+        resid = float(np.linalg.norm(jacobian(embed, k, cfg) @ coeffs - lifted))
         worst_tangency[0] = max(worst_tangency[0], resid)
         return coeffs
 

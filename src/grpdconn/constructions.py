@@ -41,7 +41,7 @@ from .groupoid import (
 )
 from .connection import Connection, multiplicative_field_report
 from .intervals import Interval, fmt_bound
-from .smoothmap import jacobian
+from .smoothmap import PatchJacobian, jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +127,6 @@ class AtlasWindow:
 
     def margin(self) -> float:
         return min(self.inner[0] - self.outer[0], self.outer[1] - self.inner[1])
-
-    def inner_interval(self) -> Interval:
-        return Interval.of(self.inner[0], self.inner[1])
 
 
 @dataclass
@@ -318,8 +315,7 @@ class HaarFiberQuadrature:
 
     @classmethod
     def from_groupoid(cls, G: Groupoid, node_count: int) -> "HaarFiberQuadrature":
-        if G.kernels is None:
-            raise QuadratureMissing(f"{G.name} supplies no target-fibre nodes")
+        _require_kernels(G)
         if not G.metadata.get("compact_tfibers"):
             raise QuadratureMissing(f"{G.name} has non-compact target fibres")
         return cls(node_count, lambda x: G.kernels.nodes(x, node_count))
@@ -354,6 +350,16 @@ class HaarFiberQuadrature:
                 right = sum(w * f(h) for h, w in zip(nodes_t, w_t))
                 worst.record(f"left_invariance[{fi}]", abs(left - right), {"g": _coords(g)})
         return worst.report("haar_quadrature", cfg.constr_quad_tol * 10, n_samples, seed)
+
+
+def _require_kernels(G: Groupoid) -> None:
+    """Refuse a groupoid whose array kernels the average cannot use: it needs
+    them, and ``mul`` partials declared patch-constant, to apply the partials
+    at a block's first row to every row."""
+    if G.kernels is None:
+        raise QuadratureMissing(f"{G.name} supplies no array kernels with target-fibre nodes")
+    if not isinstance(G.mul.jac2, PatchJacobian):
+        raise QuadratureMissing(f"{G.name}: mul partials are not declared a PatchJacobian")
 
 
 def _node_points(space, blocks) -> tuple[list[Point], list[float]]:
@@ -403,14 +409,14 @@ def haar_average(
 
     X_hat(g) = sum_j w_j Tm(X_{g h_j}, Ti(X_{h_j})) over nodes h_j in the
     target fibre of s(g). One pass over each block of nodes composes, inverts
-    and differentiates with G's array kernels and applies G's constant ``mul``
-    partials; X is evaluated once per row (through ``X.rows`` when X is a
+    and differentiates with G's array kernels and applies G's ``mul``
+    partials, declared patch-constant, at the block's first row to every row;
+    X is evaluated once per row (through ``X.rows`` when X is a
     :class:`RowField`), and the weighted terms are summed in node order.
     Returns (X_hat, report); the report runs the multiplicative-field
     identities at samples.
     """
-    if G.kernels is None:
-        raise QuadratureMissing(f"{G.name} has no array kernels to average with")
+    _require_kernels(G)
     if check:
         resid = s_projectability_residual(G, X, max(8, n_samples // 4), seed, cfg)
         if resid > cfg.groupoid_tol_alg * 100:

@@ -45,6 +45,10 @@ class KernelNotExposed(GrpdConnError):
     pass
 
 
+class KernelEmbeddingNotPatchConstant(GrpdConnError):
+    """A kernel embedding's Jacobian is not declared a ``PatchJacobian``."""
+
+
 class IncompatibleMorphisms(GrpdConnError):
     pass
 

@@ -18,18 +18,6 @@ import numpy as _np
 
 from .errors import EvaluationOutsideDomain
 
-_EYE_CACHE: dict[int, "_np.ndarray"] = {}
-
-
-def cached_eye(n: int):
-    """Shared identity matrix; treat as read-only."""
-    m = _EYE_CACHE.get(n)
-    if m is None:
-        m = _np.eye(n)
-        m.setflags(write=False)
-        _EYE_CACHE[n] = m
-    return m
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -125,12 +113,6 @@ class Space:
 
     def point(self, patch_index: int, coords: tuple[float, ...]) -> "Point":
         return Point.make(self, patch_index, coords)
-
-    def label_index(self, label: str) -> int:
-        for i, p in enumerate(self.patches):
-            if p.component_label == label:
-                return i
-        raise KeyError(label)
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,11 +212,11 @@ class ProductSpace:
     left: Space
     right: Space
     space: Space = field(init=False)
-    # packed patch -> (left indices, right indices, left selector, right selector)
-    _layout: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # per packed patch: (left indices, right indices, left selector, right selector)
+    _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        patches = []
+        patches, layout = [], []
         for pa in self.left.patches:
             for pb in self.right.patches:
                 if (pa.excluded_points and pb.dim) or (pb.excluded_points and pa.dim):
@@ -251,11 +233,19 @@ class ProductSpace:
                         excl,
                     )
                 )
+                la, lb, ca, dim = pa.lin_count, pb.lin_count, pa.circ_count, pa.dim + pb.dim
+                left = _np.array([*range(la), *range(la + lb, la + lb + ca)], dtype=_np.intp)
+                right = _np.array([*range(la, la + lb), *range(la + lb + ca, dim)], dtype=_np.intp)
+                sel_left, sel_right = _np.eye(dim)[left], _np.eye(dim)[right]
+                sel_left.setflags(write=False)
+                sel_right.setflags(write=False)
+                layout.append((left, right, sel_left, sel_right))
         object.__setattr__(
             self,
             "space",
             Space(tuple(patches), name=f"{self.left.name}x{self.right.name}"),
         )
+        object.__setattr__(self, "_layout", tuple(layout))
 
     def unpack_index(self, packed_index: int) -> tuple[int, int]:
         nb = len(self.right.patches)
@@ -264,24 +254,9 @@ class ProductSpace:
     def pack_index(self, ia: int, ib: int) -> int:
         return ia * len(self.right.patches) + ib
 
-    def _patch_layout(self, packed_index: int):
-        hit = self._layout.get(packed_index)
-        if hit is None:
-            ia, ib = self.unpack_index(packed_index)
-            pa, pb = self.left.patches[ia], self.right.patches[ib]
-            la, lb, ca = pa.lin_count, pb.lin_count, pa.circ_count
-            dim = pa.dim + pb.dim
-            left = _np.array([*range(la), *range(la + lb, la + lb + ca)], dtype=_np.intp)
-            right = _np.array([*range(la, la + lb), *range(la + lb + ca, dim)], dtype=_np.intp)
-            sel_left, sel_right = cached_eye(dim)[left], cached_eye(dim)[right]
-            sel_left.setflags(write=False)
-            sel_right.setflags(write=False)
-            hit = self._layout[packed_index] = (left, right, sel_left, sel_right)
-        return hit
-
     def selectors(self, packed_index: int):
         """Read-only 0/1 matrices taking packed coefficients to each factor's."""
-        return self._patch_layout(packed_index)[2:]
+        return self._layout[packed_index][2:]
 
     def factorwise_jacobian(self, packed_index: int, J_left, J_right,
                             domain: "ProductSpace", domain_index: int):
@@ -289,8 +264,8 @@ class ProductSpace:
         separately, J_left on the left factors and J_right on the right ones,
         from patch ``domain_index`` of the product ``domain``. Leading axes of
         the factor Jacobians, the same for both, are batch axes."""
-        rows_left, rows_right = self._patch_layout(packed_index)[:2]
-        cols_left, cols_right = domain._patch_layout(domain_index)[:2]
+        rows_left, rows_right = self._layout[packed_index][:2]
+        cols_left, cols_right = domain._layout[domain_index][:2]
         J = _np.zeros(_np.shape(J_left)[:-2] + (len(rows_left) + len(rows_right),
                                len(cols_left) + len(cols_right)))
         J[..., rows_left[:, None], cols_left] = J_left
@@ -299,12 +274,12 @@ class ProductSpace:
 
     def split_rows(self, packed_index: int, rows):
         """Each factor's columns of a (k, dim) block on a packed patch."""
-        left, right = self._patch_layout(packed_index)[:2]
+        left, right = self._layout[packed_index][:2]
         return rows[:, left], rows[:, right]
 
     def join_rows(self, packed_index: int, rows_left, rows_right):
         """The packed block of two factor blocks; a one-row block broadcasts."""
-        left, right = self._patch_layout(packed_index)[:2]
+        left, right = self._layout[packed_index][:2]
         out = _np.empty((max(len(rows_left), len(rows_right)), len(left) + len(right)))
         out[:, left] = rows_left
         out[:, right] = rows_right

@@ -35,9 +35,11 @@ class ArrayKernels:
     node count n, as ``(patch, rows, weights)`` blocks in node order.
     ``mul(p, G, q, H)`` composes the one arrow of the one-row block G with
     every row of H; ``src(p, C)`` returns a block; ``inv(p, C)`` returns a
-    block and inv's Jacobians as a ``(k, dim, dim)`` array. Groupoids declare
-    kernels only when their ``mul`` partials are constant per patch pair.
-    Treat returned arrays as read-only.
+    block and inv's Jacobians as a ``(k, dim, dim)`` array. The averaging
+    applies the ``mul`` partials at a block's first row to every row, so
+    ``haar_average`` and ``HaarFiberQuadrature.from_groupoid`` refuse a
+    groupoid whose ``mul.jac2`` is not a ``PatchJacobian``. Treat returned
+    arrays as read-only.
     """
 
     nodes: Callable[[Point, int], list[tuple[int, np.ndarray, np.ndarray]]]
@@ -146,10 +148,6 @@ class CheckReport:
     witness: Optional[dict]
     n_samples: int
     seed: int
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"{self.name}: {status} (worst residual {self.max_residual:.3e})"
 
 
 class _Worst:

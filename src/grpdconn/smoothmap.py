@@ -2,18 +2,51 @@
 
 A :class:`SmoothMap` evaluates pointwise and optionally carries an analytic
 Jacobian. :func:`jacobian` falls back to central finite differences with
-wraparound handling on angle coordinates in both domain and codomain.
+wraparound handling on angle coordinates in both domain and codomain. A
+Jacobian wrapped in :class:`PatchJacobian` is declared to depend only on the
+patches of its arguments and is computed once per patch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import EvaluationOutsideDomain
-from .geometry import Point, Space, Tangent, wrap_difference
+from .geometry import Point, Space, wrap_difference
+
+
+class PatchJacobian:
+    """A Jacobian, or a pair of ``mul`` partials, declared to depend only on
+    the patches of its arguments; so does the image patch of the map.
+
+    ``fn`` is called once per tuple of argument patch indices; later calls
+    return the same read-only arrays. The declaration is the type: code that
+    relies on it checks ``isinstance(map.jac, PatchJacobian)``.
+    """
+
+    __slots__ = ("fn", "_memo")
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self._memo: dict = {}
+
+    def __call__(self, *args: Point):
+        key = tuple([p.patch_index for p in args])
+        hit = self._memo.get(key)
+        if hit is None:
+            out = self.fn(*args)
+            hit = tuple(map(_frozen, out)) if isinstance(out, tuple) else _frozen(out)
+            self._memo[key] = hit
+        return hit
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -27,21 +60,10 @@ class SmoothMap:
     def __call__(self, p: Point) -> Point:
         return self.eval(p)
 
-    def push(self, v: Tangent, image: Point | None = None,
-             cfg: Config = DEFAULT) -> Tangent:
-        """Pushforward of a tangent vector through the map."""
-        J = jacobian(self, v.base, cfg)
-        q = image if image is not None else self.eval(v.base)
-        return Tangent(q, tuple(J @ np.asarray(v.coeffs)))
-
 
 def identity_map(space: Space, name: str = "id") -> SmoothMap:
-    dim = space.dim
-
-    def jac(p: Point) -> np.ndarray:
-        return np.eye(dim)
-
-    return SmoothMap(space, space, lambda p: p, jac, name)
+    return SmoothMap(space, space, lambda p: p,
+                     PatchJacobian(lambda p: np.eye(space.dim)), name)
 
 
 def compose(outer: SmoothMap, inner: SmoothMap, name: str = "") -> SmoothMap:
@@ -109,11 +131,11 @@ class PairMap:
     """A map of two arguments (used for groupoid multiplication).
 
     ``eval2(g, h)`` returns the image point; ``jac2(g, h)`` returns the pair
-    of partial Jacobians (d/dg, d/dh). When ``jac2`` is missing, partials are
-    taken by holding the other slot fixed; the evaluation itself is expected
-    to snap near-composable inputs, so off-diagonal probes remain valid.
-    ``constant_partials`` declares that the partials depend only on the patch
-    pair (true for every catalog multiplication); they are then cached.
+    of partial Jacobians (d/dg, d/dh). Every catalog multiplication passes a
+    :class:`PatchJacobian`, so its partials are computed once per patch pair.
+    When ``jac2`` is missing, partials are taken by holding the other slot
+    fixed; the evaluation itself is expected to snap near-composable inputs,
+    so off-diagonal probes remain valid.
     """
 
     left: Space
@@ -122,24 +144,12 @@ class PairMap:
     eval2: Callable[[Point, Point], Point]
     jac2: Optional[Callable[[Point, Point], tuple[np.ndarray, np.ndarray]]] = None
     name: str = ""
-    constant_partials: bool = False
-    # (patch of g, patch of h) -> partials, filled when constant_partials holds
-    _partials_cache: dict = field(default_factory=dict, init=False, repr=False,
-                                  compare=False)
 
     def __call__(self, g: Point, h: Point) -> Point:
         return self.eval2(g, h)
 
     def partials(self, g: Point, h: Point, cfg: Config = DEFAULT):
         if self.jac2 is not None:
-            if self.constant_partials:
-                key = (g.patch_index, h.patch_index)
-                hit = self._partials_cache.get(key)
-                if hit is None:
-                    A, B = self.jac2(g, h)
-                    hit = (np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-                    self._partials_cache[key] = hit
-                return hit
             A, B = self.jac2(g, h)
             return np.asarray(A, dtype=float), np.asarray(B, dtype=float)
         left_frozen = SmoothMap(self.left, self.codomain, lambda q: self.eval2(q, h))

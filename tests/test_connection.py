@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,12 @@ from grpdconn.connection import (
     multiplicative_vf_lift,
     product_clause_residual,
 )
-from grpdconn.errors import KernelNotExposed, NotAFamily, NotAnActionMorphism
+from grpdconn.errors import (
+    KernelEmbeddingNotPatchConstant,
+    KernelNotExposed,
+    NotAFamily,
+    NotAnActionMorphism,
+)
 from grpdconn.geometry import Point, Tangent, line
 from grpdconn.groupoid import rng_for
 from grpdconn.scenarios import (
@@ -117,6 +123,16 @@ def test_kernel_connection_requires_kernel_data():
     c, _ = luca_setup()
     with pytest.raises(KernelNotExposed):
         kernel_connection(c)
+
+
+def test_kernel_connection_refuses_undeclared_embedding():
+    # the same embedding with its Jacobian as a plain function
+    c, _ = pair_fibration_setup()
+    kernel = c.morphism.kernel
+    embed = dataclasses.replace(kernel.embed, jac=lambda k: jacobian(kernel.embed, k))
+    pi = dataclasses.replace(c.morphism, kernel=dataclasses.replace(kernel, embed=embed))
+    with pytest.raises(KernelEmbeddingNotPatchConstant):
+        kernel_connection(Connection(pi, c.hor, c.hor0, c.metadata))
 
 
 def test_kernel_connection_pair_fibration_tangency():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -185,6 +186,19 @@ def test_quadrature_missing():
     G = cat.pair_groupoid(line(1))
     with pytest.raises(QuadratureMissing):
         HaarFiberQuadrature.from_groupoid(G, 16)
+
+
+def test_average_refuses_undeclared_mul_partials():
+    # the same partials as a plain function: the average applies a block's
+    # first-row partials to every row, which only a declaration allows
+    fam, quad = so2_family_setup(nodes=8)
+    G = fam.total
+    mul = dataclasses.replace(G.mul, jac2=lambda g, h: G.mul.partials(g, h))
+    undeclared = dataclasses.replace(G, mul=mul)
+    with pytest.raises(QuadratureMissing):
+        HaarFiberQuadrature.from_groupoid(undeclared, 8)
+    with pytest.raises(QuadratureMissing):
+        haar_average(undeclared, quad, skewed_family_field(fam), check=False)
 
 
 def test_average_fixed_point_and_idempotence():

@@ -14,7 +14,7 @@ from grpdconn.catalog import (
 )
 from grpdconn.geometry import Patch, Point, Space, circle, line
 from grpdconn.groupoid import rng_for
-from grpdconn.smoothmap import SmoothMap, fd_jacobian, jacobian
+from grpdconn.smoothmap import PairMap, PatchJacobian, SmoothMap, fd_jacobian, jacobian
 
 
 def test_linear_map_exact():
@@ -51,19 +51,51 @@ EXTRA_INSTANCES = [
 
 @pytest.mark.parametrize("name,G", default_instances() + EXTRA_INSTANCES)
 def test_analytic_jacobians_match_finite_differences(name, G):
+    # read through jacobian(), which goes through a PatchJacobian's memo: a
+    # point-dependent Jacobian declared patch-constant fails on its second
+    # sample in a patch
+    fd_mul = PairMap(G.mul.left, G.mul.right, G.mul.codomain, G.mul.eval2)
     for i in range(100):
         rng = rng_for(101, i)
         g = G.arrow_sampler(rng)
         for m in (G.src, G.tgt, G.inv):
             if m.jac is None or g.patch.dim == 0:
                 continue
-            analytic = np.asarray(m.jac(g), dtype=float)
+            analytic = jacobian(m, g)
             if analytic.size == 0:
                 continue
             fd = fd_jacobian(m, g, DEFAULT.numeric_fd_step)
             assert np.max(np.abs(analytic - fd)) < DEFAULT.numeric_tol_fd, (name, m.name)
         x = G.object_sampler(rng)
         if G.unit.jac is not None and x.patch.dim > 0:
-            analytic = np.asarray(G.unit.jac(x), dtype=float)
+            analytic = jacobian(G.unit, x)
             fd = fd_jacobian(G.unit, x, DEFAULT.numeric_fd_step)
             assert np.max(np.abs(analytic - fd)) < DEFAULT.numeric_tol_fd, (name, "unit")
+        g, h = G.pair_sample(rng_for(103, i))
+        for analytic, fd in zip(G.mul.partials(g, h), fd_mul.partials(g, h)):
+            if analytic.size:
+                assert np.max(np.abs(analytic - fd)) < DEFAULT.numeric_tol_fd, (name, "mul")
+
+
+def test_patch_jacobian_memo_is_per_patch_and_read_only():
+    S = Space((Patch(1, 0, "a"), Patch(1, 0, "b")), name="two")
+    a, a_far, b = Point.raw(S, 0, (0.1,)), Point.raw(S, 0, (2.0,)), Point.raw(S, 1, (0.1,))
+    calls = []
+
+    def count(*args):
+        calls.append(tuple(p.patch_index for p in args))
+        return np.full((1, 1), float(len(calls)))
+
+    J = PatchJacobian(count)
+    assert J(a) is J(a_far) and J(b) is not J(a)
+    assert (J(a)[0, 0], J(b)[0, 0]) == (1.0, 2.0) and calls == [(0,), (1,)]
+    with pytest.raises(ValueError):
+        J(a)[0, 0] = 5.0
+
+    shared = np.eye(1)
+    partials = PatchJacobian(lambda g, h: (shared, count(g, h)))
+    A, B = partials(a, b)
+    assert partials(a_far, b)[1] is B and partials(b, a)[1] is not B
+    assert calls == [(0,), (1,), (0, 1), (1, 0)]
+    assert not A.flags.writeable and not B.flags.writeable
+    assert shared.flags.writeable   # the memo freezes its own copy
