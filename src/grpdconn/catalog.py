@@ -24,6 +24,7 @@ from .geometry import (
     finite,
     line,
     point_space,
+    wrap_difference,
 )
 from .groupoid import (
     ArrayKernels,
@@ -44,17 +45,20 @@ TWO_PI = 2.0 * math.pi
 # generic sampling helpers
 
 
-def sample_coords(patch: Patch, rng: np.random.Generator, box: float = BOX):
+def sample_coords(patch: Patch, rng: np.random.Generator):
     coords = []
     for i in range(patch.dim):
         if patch.is_circ(i):
             coords.append(float(rng.uniform(0.0, TWO_PI)))
         else:
-            coords.append(float(rng.uniform(-box, box)))
+            coords.append(float(rng.uniform(-BOX, BOX)))
     coords = tuple(coords)
-    # Closed-form shift away from excluded balls (no rejection loops).
+    # Closed-form shift away from excluded balls (no rejection loops); angle
+    # offsets are taken the short way round.
     for center, radius in patch.excluded_points:
         delta = [a - b for a, b in zip(coords, center)]
+        for i in range(patch.lin_count, patch.dim):
+            delta[i] = wrap_difference(coords[i], center[i])
         norm = math.sqrt(sum(d * d for d in delta))
         if norm < 2.0 * radius:
             if norm == 0.0:
@@ -62,52 +66,79 @@ def sample_coords(patch: Patch, rng: np.random.Generator, box: float = BOX):
             else:
                 scale = (2.0 * radius + norm) / norm
                 delta = [d * scale for d in delta]
-            coords = tuple(c + d for c, d in zip(center, delta))
+            coords = patch._normalize(tuple(c + d for c, d in zip(center, delta)))
     return coords
 
 
-def sample_point(space: Space, rng: np.random.Generator, box: float = BOX) -> Point:
+def sample_point(space: Space, rng: np.random.Generator) -> Point:
     idx = int(rng.integers(len(space.patches)))
-    return Point.raw(space, idx, sample_coords(space.patches[idx], rng, box))
+    return Point.raw(space, idx, sample_coords(space.patches[idx], rng))
 
 
-def random_smooth_path(
-    space: Space,
-    patch_index: int,
-    rng: np.random.Generator,
-    box: float = BOX,
-    loop: bool = False,
-    windings=(-1, 0, 1),
-    span: float = 1.0,
-) -> BasePath:
-    """Random closed-form path: affine + one sine mode per coordinate."""
+# ---------------------------------------------------------------------------
+# closed-form path samplers
+
+
+def uniform(lo: float, hi: float):
+    """The draw float(U(lo, hi)), as a start or slope sampler for sine_curve."""
+    return lambda rng: float(rng.uniform(lo, hi))
+
+
+ANY_ANGLE = uniform(0.0, TWO_PI)
+
+
+def winding(rng) -> float:
+    """Slope of an angle curve that winds -1, 0 or 1 times over [0, 1]."""
+    return TWO_PI * float(rng.choice((-1, 0, 1)))
+
+
+def sine_curve(rng: np.random.Generator, start, slope, amp: float):
+    """One coordinate curve a + b t + A (sin(2 pi t + ph) - sin ph) and its
+    derivative, as (f, df).
+
+    Draws a = start(rng), b = slope(rng), then A ~ U(0, amp) and
+    ph ~ U(0, 2 pi), in that order; with amp = 0 it draws neither A nor ph
+    and the curve is a + b t.
+    """
+    a = start(rng)
+    b = slope(rng)
+    if amp == 0.0:
+        return (lambda t: a + b * t), (lambda t: b)
+    A = float(rng.uniform(0.0, amp))
+    ph = float(rng.uniform(0.0, TWO_PI))
+    return (lambda t: a + b * t + A * (math.sin(TWO_PI * t + ph) - math.sin(ph)),
+            lambda t: b + A * TWO_PI * math.cos(TWO_PI * t + ph))
+
+
+def curve_path(space: Space, patch_index: int, *curves) -> BasePath:
+    """The path on one patch whose coordinates are the (f, df) curves, in order."""
+    fs, dfs = [f for f, _ in curves], [df for _, df in curves]
+    return coordinate_path(space, patch_index, lambda t: [f(t) for f in fs],
+                           lambda t: [df(t) for df in dfs])
+
+
+def composable_pair_paths(arrows: Space, curve, rng: np.random.Generator):
+    """Pointwise-composable paths (a, b) and (b, c) in the arrows of a pair
+    groupoid over a one-coordinate space, for curves a, b, c drawn in that
+    order by ``curve(rng)``."""
+    a, b, c = curve(rng), curve(rng), curve(rng)
+    return curve_path(arrows, 0, a, b), curve_path(arrows, 0, b, c)
+
+
+def random_smooth_path(space: Space, patch_index: int, rng: np.random.Generator) -> BasePath:
+    """Random closed-form path: per coordinate an affine part and one sine
+    mode; an angle starts anywhere and winds -1, 0 or 1 times."""
     patch = space.patches[patch_index]
-    alphas, betas, amps, phases, omegas = [], [], [], [], []
-    for i in range(patch.dim):
-        if patch.is_circ(i):
-            alphas.append(float(rng.uniform(0.0, TWO_PI)))
-            omegas.append(TWO_PI * float(rng.choice(windings)))
-            betas.append(0.0)
-        else:
-            alphas.append(float(rng.uniform(-box / 2, box / 2)))
-            omegas.append(0.0)
-            betas.append(0.0 if loop else span * float(rng.uniform(-1.0, 1.0)))
-        amps.append(span * float(rng.uniform(0.0, 0.6)))
-        phases.append(float(rng.uniform(0.0, TWO_PI)))
+    return curve_path(space, patch_index, *(
+        sine_curve(rng, ANY_ANGLE, winding, 0.6) if patch.is_circ(i)
+        else sine_curve(rng, uniform(-BOX / 2, BOX / 2), uniform(-1.0, 1.0), 0.6)
+        for i in range(patch.dim)))
 
-    def coords(t: float):
-        return tuple(
-            a + b * t + w * t + A * (math.sin(TWO_PI * t + p) - math.sin(p))
-            for a, b, w, A, p in zip(alphas, betas, omegas, amps, phases)
-        )
 
-    def deriv(t: float):
-        return tuple(
-            b + w + A * TWO_PI * math.cos(TWO_PI * t + p)
-            for b, w, A, p in zip(betas, omegas, amps, phases)
-        )
-
-    return coordinate_path(space, patch_index, coords, deriv, is_loop=loop)
+def random_segment(rng: np.random.Generator, dim: int):
+    """End points a, b of a random segment in the line sample box, a drawn first."""
+    a = tuple(float(rng.uniform(-BOX, BOX)) for _ in range(dim))
+    return a, tuple(float(rng.uniform(-BOX, BOX)) for _ in range(dim))
 
 
 def segment_path(space: Space, patch_index: int, start, end, label: str = "") -> BasePath:
@@ -779,7 +810,6 @@ def plane_to_circle_morphism() -> GroupoidMorphism:
         return gamma, eta, g, k
 
     def object_path_with_start(rng):
-        x0 = Point.raw(pt, 0, ())
         return (
             coordinate_path(pt, 0, lambda t: (), lambda t: ()),
             Point.raw(pt, 0, ()),
@@ -963,8 +993,6 @@ def disjoint_union(parts: list[Groupoid], name: str = "") -> Groupoid:
 
     def sfiber_grid(x, n):
         i, q = uo.split(x)
-        if parts[i].sfiber_grid is None:
-            return None
         return [ua.embed(i, a) for a in parts[i].sfiber_grid(q, n)]
 
     probes = tuple(
@@ -990,18 +1018,20 @@ def disjoint_union(parts: list[Groupoid], name: str = "") -> Groupoid:
     )
 
 def covering_union_morphism(
-    order: int = 2, x0: float = 0.0, name: str = "disjoint_union_cover"
+    order: int = 2, x0: float = 0.0, excl_radius: float = DEFAULT.numeric_excl_radius
 ) -> GroupoidMorphism:
     """Disjoint union (H ⊔ H*) -> H for H a constant bundle of finite groups.
 
-    H is the bundle R x Z_order over R; H* removes {x0} x (Z_order \\ {e}).
+    H is the bundle R x Z_order over R; H* removes {x0} x (Z_order \\ {e}),
+    as balls of radius ``excl_radius``.
     The morphism is the identity on the first copy and the inclusion on the
     second; it is a local diffeomorphism but not a fibration (the arrow
     (x0, g), g != e, has no lift over the second copy of x0).
     """
     base = line(1, name="R")
     H = group_bundle(base, "finite", order=order, name="RxZ")
-    H_star = group_bundle(base, "finite", order=order, punctured_at=(x0,), name="RxZ*")
+    H_star = group_bundle(base, "finite", order=order, punctured_at=(x0,),
+                          excl_radius=excl_radius, name="RxZ*")
     G = disjoint_union([H, H_star], name=f"{H.name}⊔{H_star.name}")
     ua: UnionSpace = G.metadata["union_arrows"]
     uo: UnionSpace = G.metadata["union_objects"]
@@ -1030,33 +1060,25 @@ def covering_union_morphism(
 
     def path_with_start(rng):
         k = int(rng.integers(order))
-        a = float(rng.uniform(-BOX, BOX))
-        b = float(rng.uniform(-BOX, BOX))
-        gamma = segment_path(H.arrows, k, (a,), (b,), label=f"seg[{k}]")
+        gamma = segment_path(H.arrows, k, *random_segment(rng, 1), label=f"seg[{k}]")
         g = fiber_sampler(gamma.point(0.0), rng)
         return gamma, g
 
     def composable(rng):
         k1, k2 = int(rng.integers(order)), int(rng.integers(order))
-        a = float(rng.uniform(-BOX, BOX))
-        b = float(rng.uniform(-BOX, BOX))
-        gamma = segment_path(H.arrows, k1, (a,), (b,))
-        eta = segment_path(H.arrows, k2, (a,), (b,))
+        a, b = random_segment(rng, 1)
+        gamma = segment_path(H.arrows, k1, a, b)
+        eta = segment_path(H.arrows, k2, a, b)
         copy = int(rng.integers(2))
         if copy == 1:
-            ok = all(
-                H_star.arrows.patches[k].exclusion_violation((a,)) is None
-                for k in (k1, k2)
-            )
+            ok = all(H_star.arrows.patches[k].exclusion_violation(a) is None for k in (k1, k2))
             copy = 1 if ok else 0
-        g = ua.embed(copy, Point.raw(ua.parts[copy], k1, (a,)))
-        k_arr = ua.embed(copy, Point.raw(ua.parts[copy], k2, (a,)))
+        g = ua.embed(copy, Point.raw(ua.parts[copy], k1, a))
+        k_arr = ua.embed(copy, Point.raw(ua.parts[copy], k2, a))
         return gamma, eta, g, k_arr
 
     def object_path_with_start(rng):
-        a = float(rng.uniform(-BOX, BOX))
-        b = float(rng.uniform(-BOX, BOX))
-        delta = segment_path(H.objects, 0, (a,), (b,))
+        delta = segment_path(H.objects, 0, *random_segment(rng, 1))
         x = uo.embed(int(rng.integers(2)), delta.point(0.0))
         return delta, x
 
@@ -1100,14 +1122,13 @@ def covering_union_morphism(
     )
 
     def _cover_kernel_path(rng):
-        a = float(rng.uniform(-BOX, BOX))
-        b = float(rng.uniform(-BOX, BOX))
-        gamma = segment_path(base, 0, (a,), (b,))
-        g = kua.embed(int(rng.integers(2)), Point.raw(K.metadata["parts"][0].arrows, 0, (a,)))
+        a, b = random_segment(rng, 1)
+        gamma = segment_path(base, 0, a, b)
+        g = kua.embed(int(rng.integers(2)), Point.raw(K.metadata["parts"][0].arrows, 0, a))
         return gamma, g
 
     return GroupoidMorphism(
-        name=name,
+        name="disjoint_union_cover",
         total=G,
         base_grpd=H,
         arrow_map=SmoothMap(G.arrows, H.arrows, pi_eval, eye, "pi"),
@@ -1154,16 +1175,19 @@ def product_with_manifold(H: Groupoid, P: Space, name: str = "") -> GroupoidMorp
 
 
 def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
-    """Pair(M) -> Pair(S^1) over pi0 = angle projection, M = fibre x S^1.
+    """Pair(M) -> Pair(S^1) over pi0 = angle projection, M = S^1 x F.
 
-    The punctured variant uses fibre R \\ {0} in logarithmic charts
+    F is R, or for the punctured variant R \\ {0} in logarithmic charts
     (x = ±exp(u)), so escape through the deleted point is a finite-time event
-    for fibre-translating base lifts.
+    for fibre-translating base lifts. The kernel is Unit(S^1) x Pair(F) and
+    M is its object space: points (u, theta), kernel arrows (u1, u2, theta).
     """
-    # fibre charts: plain R, or log charts x = +exp(u) on "pos", -exp(u) on "neg"
-    patches = (Patch(1, 1, "pos"), Patch(1, 1, "neg")) if punctured else (Patch(1, 1, "all"),)
-    M = Space(patches, name="S1xR*" if punctured else "S1xR")
     Ncirc = circle("S1")
+    # fibre charts: plain R, or log charts x = +exp(u) on "pos", -exp(u) on "neg"
+    F = (Space((Patch(1, 0, "pos"), Patch(1, 0, "neg")), name="R*") if punctured
+         else line(1, name="R"))
+    K = product_groupoid(unit_groupoid(Ncirc), pair_groupoid(F), name="ker[pair_fibration]")
+    M, nM = K.objects, len(F.patches)
     G = pair_groupoid(M, name=f"pair({M.name})")
     H = pair_groupoid(Ncirc, name="pair(S1)")
     prodM: ProductSpace = G.metadata["product_space"]
@@ -1184,7 +1208,7 @@ def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
         return np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
     def sample_M_over(theta: float, rng) -> Point:
-        idx = int(rng.integers(len(M.patches)))
+        idx = int(rng.integers(nM))
         u = float(rng.uniform(-BOX, BOX)) if not punctured else float(rng.uniform(-1.0, 1.0))
         return Point.raw(M, idx, (u, theta))
 
@@ -1192,102 +1216,26 @@ def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
         th1, th2 = h.coords
         return prodM.join(sample_M_over(th1, rng), sample_M_over(th2, rng))
 
-    # kernel: fibre pairs over a shared angle
-    nM = len(M.patches)
-    k_patches = tuple(
-        Patch(2, 1, f"{pi.component_label},{pj.component_label}")
-        for pi in M.patches
-        for pj in M.patches
-    )
-    KA = Space(k_patches, name="ker_pairfib")
-
-    def k_idx(i, j):
-        return i * nM + j
-
-    def k_parts(p):
-        return p.patch_index // nM, p.patch_index % nM
-
-    def k_src(p):
-        _, j = k_parts(p)
-        return Point.raw(M, j, (p.coords[1], p.coords[2]))
-
-    def k_tgt(p):
-        i, _ = k_parts(p)
-        return Point.raw(M, i, (p.coords[0], p.coords[2]))
-
-    def k_unit(x):
-        return Point.raw(KA, k_idx(x.patch_index, x.patch_index),
-                         (x.coords[0], x.coords[0], x.coords[1]))
-
-    def k_inv(p):
-        i, j = k_parts(p)
-        return Point.raw(KA, k_idx(j, i), (p.coords[1], p.coords[0], p.coords[2]))
-
-    def k_mul(g, h):
-        i, _ = k_parts(g)
-        _, j2 = k_parts(h)
-        return Point.raw(KA, k_idx(i, j2), (g.coords[0], h.coords[1], h.coords[2]))
-
-    k_src_J = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    k_tgt_J = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    k_unit_J = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    k_inv_J = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    k_mul_A = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    k_mul_B = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-
-    def k_arrow_sampler(rng):
-        x = sample_point(M, rng) if not punctured else sample_M_over(
-            float(rng.uniform(0, TWO_PI)), rng)
-        j = int(rng.integers(nM))
-        u2 = x.coords[0] + float(rng.uniform(-1, 1))
-        return Point.raw(KA, k_idx(x.patch_index, j), (x.coords[0], u2, x.coords[1]))
-
-    K = Groupoid(
-        name="ker[pair_fibration]",
-        objects=M,
-        arrows=KA,
-        src=SmoothMap(KA, M, k_src, PatchJacobian(lambda p: k_src_J), "src"),
-        tgt=SmoothMap(KA, M, k_tgt, PatchJacobian(lambda p: k_tgt_J), "tgt"),
-        unit=SmoothMap(M, KA, k_unit, PatchJacobian(lambda p: k_unit_J), "unit"),
-        inv=SmoothMap(KA, KA, k_inv, PatchJacobian(lambda p: k_inv_J), "inv"),
-        mul=PairMap(KA, KA, KA, k_mul, PatchJacobian(lambda g, h: (k_mul_A, k_mul_B)), "mul"),
-        arrow_sampler=k_arrow_sampler,
-        object_sampler=lambda rng: sample_M_over(float(rng.uniform(0, TWO_PI)), rng),
-        sfiber_sampler=lambda x, rng: Point.raw(
-            KA,
-            k_idx(int(rng.integers(nM)), x.patch_index),
-            (float(rng.uniform(-1, 1)), x.coords[0], x.coords[1]),
-        ),
-        tfiber_sampler=lambda x, rng: Point.raw(
-            KA,
-            k_idx(x.patch_index, int(rng.integers(nM))),
-            (x.coords[0], float(rng.uniform(-1, 1)), x.coords[1]),
-        ),
-        metadata={"source_connected": not punctured},
-    )
-
     embed_J = np.array(
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
     )
 
     def embed_eval(p):
-        i, j = k_parts(p)
+        i, j = divmod(p.patch_index, nM)
         return prodM.join(
             Point.raw(M, i, (p.coords[0], p.coords[2])),
             Point.raw(M, j, (p.coords[1], p.coords[2])),
         )
 
-    NU = unit_groupoid(Ncirc)
-
     kernel_family = GroupoidMorphism(
         name="ker[pair_fibration]->S1",
         total=K,
-        base_grpd=NU,
-        arrow_map=SmoothMap(KA, Ncirc, lambda p: Point.raw(Ncirc, 0, (p.coords[2],)),
+        base_grpd=unit_groupoid(Ncirc),
+        arrow_map=SmoothMap(K.arrows, Ncirc, lambda p: Point.raw(Ncirc, 0, (p.coords[2],)),
                             lambda p: np.array([[0.0, 0.0, 1.0]]), "pi_K"),
         object_map=SmoothMap(M, Ncirc, pi0_eval, pi0_jac, "pi0"),
         fiber_sampler=lambda y, rng: Point.raw(
-            KA, k_idx(int(rng.integers(nM)), int(rng.integers(nM))),
+            K.arrows, nM * int(rng.integers(nM)) + int(rng.integers(nM)),
             (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), y.coords[0]),
         ),
         object_fiber_sampler=lambda y, rng: sample_M_over(y.coords[0], rng),
@@ -1295,41 +1243,23 @@ def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
         metadata={"family": True},
     )
 
-    def angle_fn(rng):
-        th0 = float(rng.uniform(0, TWO_PI))
-        w = TWO_PI * float(rng.choice((-1, 0, 1)))
-        amp = float(rng.uniform(0.0, 0.8))
-        ph = float(rng.uniform(0, TWO_PI))
-        f = lambda t: th0 + w * t + amp * (math.sin(TWO_PI * t + ph) - math.sin(ph))
-        df = lambda t: w + amp * TWO_PI * math.cos(TWO_PI * t + ph)
-        return f, df
+    def angle(rng):
+        return sine_curve(rng, ANY_ANGLE, winding, 0.8)
 
     def path_with_start(rng):
-        f1, df1 = angle_fn(rng)
-        f2, df2 = angle_fn(rng)
-        gamma = coordinate_path(
-            H.arrows, 0, lambda t: (f1(t), f2(t)), lambda t: (df1(t), df2(t))
-        )
+        gamma = curve_path(H.arrows, 0, angle(rng), angle(rng))
         g = fiber_sampler(gamma.point(0.0), rng)
         return gamma, g
 
     def composable(rng):
-        fa, dfa = angle_fn(rng)
-        fb, dfb = angle_fn(rng)
-        fc, dfc = angle_fn(rng)
-        gamma = coordinate_path(H.arrows, 0, lambda t: (fa(t), fb(t)),
-                                lambda t: (dfa(t), dfb(t)))
-        eta = coordinate_path(H.arrows, 0, lambda t: (fb(t), fc(t)),
-                              lambda t: (dfb(t), dfc(t)))
-        xa = sample_M_over(fa(0.0), rng)
-        xb = sample_M_over(fb(0.0), rng)
-        xc = sample_M_over(fc(0.0), rng)
+        gamma, eta = composable_pair_paths(H.arrows, angle, rng)
+        (ta, tb), tc = gamma.point(0.0).coords, eta.point(0.0).coords[1]
+        xa, xb, xc = (sample_M_over(t, rng) for t in (ta, tb, tc))
         return gamma, eta, prodM.join(xa, xb), prodM.join(xb, xc)
 
     def object_path_with_start(rng):
-        f, df = angle_fn(rng)
-        delta = coordinate_path(Ncirc, 0, lambda t: (f(t),), lambda t: (df(t),))
-        return delta, sample_M_over(f(0.0), rng)
+        delta = curve_path(Ncirc, 0, angle(rng))
+        return delta, sample_M_over(delta.point(0.0).coords[0], rng)
 
     return GroupoidMorphism(
         name=name or ("pair_fibration*" if punctured else "pair_fibration"),
@@ -1339,12 +1269,13 @@ def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
         object_map=SmoothMap(M, Ncirc, pi0_eval, pi0_jac, "pi0"),
         fiber_sampler=fiber_sampler,
         object_fiber_sampler=lambda y, rng: sample_M_over(y.coords[0], rng),
-        kernel=KernelData(K, SmoothMap(KA, G.arrows, embed_eval, PatchJacobian(lambda p: embed_J),
-                                       "ker_incl"), kernel_family),
+        kernel=KernelData(K, SmoothMap(K.arrows, G.arrows, embed_eval,
+                                       PatchJacobian(lambda p: embed_J), "ker_incl"),
+                          kernel_family),
         transport=TransportSamplers(path_with_start, composable, object_path_with_start),
         metadata={
             "declared_fibration": True,
-            "kernel_source_connected": not punctured,
+            "kernel_source_connected": K.metadata["source_connected"],
             "punctured": punctured,
             "product_space": prodM,
         },
@@ -1363,31 +1294,24 @@ def bundle_family_morphism(bundle: Groupoid, name: str = "") -> GroupoidMorphism
     """
     M = bundle.objects
     NU = unit_groupoid(M)
-    dim = M.dim
 
     def pi_eval(p):
         return bundle.src(p)
 
     def path_with_start(rng):
-        a = tuple(float(rng.uniform(-BOX, BOX)) for _ in range(dim))
-        b = tuple(float(rng.uniform(-BOX, BOX)) for _ in range(dim))
-        gamma = segment_path(M, 0, a, b)
+        gamma = segment_path(M, 0, *random_segment(rng, M.dim))
         g = bundle.sfiber_sampler(gamma.point(0.0), rng)
         return gamma, g
 
     def composable(rng):
-        a = tuple(float(rng.uniform(-BOX, BOX)) for _ in range(dim))
-        b = tuple(float(rng.uniform(-BOX, BOX)) for _ in range(dim))
-        gamma = segment_path(M, 0, a, b)
+        gamma = segment_path(M, 0, *random_segment(rng, M.dim))
         x0 = gamma.point(0.0)
         g = bundle.sfiber_sampler(x0, rng)
         k = bundle.sfiber_sampler(x0, rng)
         return gamma, gamma, g, k
 
     def object_path_with_start(rng):
-        a = tuple(float(rng.uniform(-BOX, BOX)) for _ in range(dim))
-        b = tuple(float(rng.uniform(-BOX, BOX)) for _ in range(dim))
-        delta = segment_path(M, 0, a, b)
+        delta = segment_path(M, 0, *random_segment(rng, M.dim))
         return delta, delta.point(0.0)
 
     morphism = GroupoidMorphism(

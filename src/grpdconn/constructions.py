@@ -212,22 +212,22 @@ class TrivializingAtlas:
         return g, h
 
 
+def window_bump(win: AtlasWindow) -> Callable[[float], float]:
+    """Smooth bump of one window: 1 on the inner window, 0 outside the outer."""
+    lo_m = win.inner[0] - win.outer[0]
+    hi_m = win.outer[1] - win.inner[1]
+
+    def b(y: float) -> float:
+        up = smoothstep((y - win.outer[0]) / lo_m) if lo_m > 0 else 1.0
+        down = smoothstep((win.outer[1] - y) / hi_m) if hi_m > 0 else 1.0
+        return up * down
+
+    return b
+
+
 def bump_partition(windows: list[AtlasWindow]):
-    """Normalized smooth bumps: 1 on each inner window, 0 outside the outer."""
-
-    def raw(alpha: int):
-        win = windows[alpha]
-
-        def b(y: float) -> float:
-            lo_m = win.inner[0] - win.outer[0]
-            hi_m = win.outer[1] - win.inner[1]
-            up = smoothstep((y - win.outer[0]) / lo_m) if lo_m > 0 else 1.0
-            down = smoothstep((win.outer[1] - y) / hi_m) if hi_m > 0 else 1.0
-            return up * down
-
-        return b
-
-    raws = [raw(a) for a in range(len(windows))]
+    """Normalized window bumps: a partition of unity on the inner windows."""
+    raws = [window_bump(win) for win in windows]
 
     def chi(alpha: int):
         def f(y: float) -> float:
@@ -761,6 +761,19 @@ def verify_slab_disjointness(
     return disjoint, (0.0 if math.isinf(gap) else gap), notes
 
 
+def _level_radius(profile: ExhaustionProfile, levels: list[int]) -> Interval:
+    """Enclosure of the largest |preimage| over a window's levels: the radius
+    its slabs reach in the fibre (the first enclosure with the largest lower
+    end wins)."""
+    radius = Interval.point(0.0)
+    for n in levels:
+        for enc in profile.preimage_enclosures(n):
+            r = enc.abs()
+            if r.lo > radius.lo:
+                radius = r
+    return radius
+
+
 def _interval_separation(a: Interval, b: Interval) -> float:
     if a.intersects(b):
         return 0.0
@@ -840,17 +853,7 @@ def complete_connection_builder(
                     return 0.0
         return prod
 
-    raw_bumps = []
-    for win in windows:
-        lo_m = win.inner[0] - win.outer[0]
-        hi_m = win.outer[1] - win.inner[1]
-
-        def b(y: float, win=win, lo_m=lo_m, hi_m=hi_m) -> float:
-            up = smoothstep((y - win.outer[0]) / lo_m) if lo_m > 0 else 1.0
-            down = smoothstep((win.outer[1] - y) / hi_m) if hi_m > 0 else 1.0
-            return up * down
-
-        raw_bumps.append(b)
+    raw_bumps = [window_bump(win) for win in windows]
 
     def weights_at(y: float, x: float) -> list[float]:
         rho = [raw_bumps[a](y) * hole_factor(a, y, x) for a in range(len(windows))]
@@ -908,12 +911,7 @@ def complete_connection_builder(
             raise CertificateFailure(
                 f"flatness: window {alpha} deviates {flat_worst:.3e} on its slabs"
             )
-        max_radius = Interval.point(0.0)
-        for n in schedule.window_levels(alpha):
-            for enc in profile.preimage_enclosures(n):
-                r = enc.abs()
-                if r.lo > max_radius.lo:
-                    max_radius = r
+        max_radius = _level_radius(profile, schedule.window_levels(alpha))
         verified = profile.compact_fiber or max_radius.lo > box
         if not verified:
             raise CertificateFailure(
@@ -1025,12 +1023,7 @@ def flatness_certificate_check(
                         pushed = atlas.push_through_chart(alpha, g, c.hor(g, w))
                         worst_base = max(worst_base, abs(pushed[0] - 1.0))
                         worst_fiber = max(worst_fiber, float(np.max(np.abs(pushed[1:]))))
-        max_radius = Interval.point(0.0)
-        for n in level_values[alpha]:
-            for enc in profile.preimage_enclosures(n):
-                r = enc.abs()
-                if r.lo > max_radius.lo:
-                    max_radius = r
+        max_radius = _level_radius(profile, level_values[alpha])
         bounds.append(fmt_bound(max_radius))
         if not (profile.compact_fiber or max_radius.lo > box):
             failed.append(f"precompactness[window {alpha}]")

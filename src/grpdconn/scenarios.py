@@ -43,8 +43,8 @@ from .constructions import (
 )
 from .errors import CertificateFailure, UnknownScenario
 from .geometry import Point, ProductSpace, Space, Tangent, distance, line
-from .groupoid import GroupoidMorphism, fibration_probe, rng_for
-from .paths import BasePath, coordinate_path
+from .groupoid import GroupoidMorphism, TransportSamplers, fibration_probe, rng_for
+from .paths import BasePath
 from .tangent import VBFiberData, splitting_correspondence
 from .transport import (
     base_connection,
@@ -225,10 +225,10 @@ def luca_setup(cfg: Config = DEFAULT):
     return c, {}
 
 
-def punctured_bundle_setup(order: int = 2, cfg: Config = DEFAULT):
+def punctured_bundle_setup(cfg: Config = DEFAULT):
     """Punctured finite-group bundle as a family over its base line."""
-    bundle = cat.group_bundle(line(1, name="R"), "finite", order=order,
-                              punctured_at=(0.0,))
+    bundle = cat.group_bundle(line(1, name="R"), "finite", order=2, punctured_at=(0.0,),
+                              excl_radius=cfg.numeric_excl_radius)
     pi = cat.bundle_family_morphism(bundle)
 
     def hor(g: Point, w: Tangent) -> Tangent:
@@ -243,9 +243,9 @@ def punctured_bundle_setup(order: int = 2, cfg: Config = DEFAULT):
     return c, {"bundle": bundle}
 
 
-def cover_setup(order: int = 2, cfg: Config = DEFAULT):
+def cover_setup(cfg: Config = DEFAULT):
     """Disjoint-union covering morphism with its unique (identity) lift."""
-    pi = cat.covering_union_morphism(order=order)
+    pi = cat.covering_union_morphism(excl_radius=cfg.numeric_excl_radius)
 
     def hor(g: Point, w: Tangent) -> Tangent:
         return Tangent(g, tuple(w.coeffs))
@@ -309,50 +309,30 @@ def _attach_morita_transport(pi: GroupoidMorphism, punctured: bool):
     _, join3 = pi.metadata["triple"]
     F = base_prod.right
 
-    def scalar_curve(rng):
-        a = float(rng.uniform(-1.5, 1.5))
-        b = float(rng.uniform(-1.0, 1.0))
-        A = float(rng.uniform(0.0, 0.5))
-        ph = float(rng.uniform(0.0, 2 * math.pi))
-        f = lambda t: a + b * t + A * (math.sin(2 * math.pi * t + ph) - math.sin(ph))
-        df = lambda t: b + A * 2 * math.pi * math.cos(2 * math.pi * t + ph)
-        return f, df
+    def curve(rng):
+        return cat.sine_curve(rng, cat.uniform(-1.5, 1.5), cat.uniform(-1.0, 1.0), 0.5)
 
     def fiber_point(rng):
         idx = int(rng.integers(len(F.patches)))
         span = (-1.0, 1.0) if punctured else (-2.0, 2.0)
         return Point.raw(F, idx, (float(rng.uniform(*span)),))
 
-    def h_path(fa, dfa, fb, dfb):
-        return coordinate_path(
-            H.arrows, 0, lambda t: (fa(t), fb(t)), lambda t: (dfa(t), dfb(t))
-        )
-
     def path_with_start(rng):
-        fa, dfa = scalar_curve(rng)
-        fb, dfb = scalar_curve(rng)
-        gamma = h_path(fa, dfa, fb, dfb)
+        gamma = cat.curve_path(H.arrows, 0, curve(rng), curve(rng))
         g = join3(gamma.point(0.0), fiber_point(rng), fiber_point(rng))
         return gamma, g
 
     def composable(rng):
-        fa, dfa = scalar_curve(rng)
-        fb, dfb = scalar_curve(rng)
-        fc, dfc = scalar_curve(rng)
-        gamma = h_path(fa, dfa, fb, dfb)
-        eta = h_path(fb, dfb, fc, dfc)
+        gamma, eta = cat.composable_pair_paths(H.arrows, curve, rng)
         shared = fiber_point(rng)
         g = join3(gamma.point(0.0), fiber_point(rng), shared)
         k = join3(eta.point(0.0), shared, fiber_point(rng))
         return gamma, eta, g, k
 
     def object_path_with_start(rng):
-        f, df = scalar_curve(rng)
-        delta = coordinate_path(H.objects, 0, lambda t: (f(t),), lambda t: (df(t),))
+        delta = cat.curve_path(H.objects, 0, curve(rng))
         x = base_prod.join(delta.point(0.0), fiber_point(rng))
         return delta, x
-
-    from .groupoid import TransportSamplers
 
     pi.transport = TransportSamplers(path_with_start, composable, object_path_with_start)
 
@@ -441,7 +421,7 @@ def skewed_family_field(fam: GroupoidMorphism):
     return X
 
 
-def sproper_setup(cfg: Config = DEFAULT, depth: int = 3):
+def sproper_setup(cfg: Config = DEFAULT):
     """Two-window shifted atlas on the Z2-bundle family over a line."""
     fiber = cat.group_bundle(line(1, name="F"), "finite", order=2)
     fam = cat.trivial_family(line(1, name="N"), fiber)
@@ -461,7 +441,7 @@ def sproper_setup(cfg: Config = DEFAULT, depth: int = 3):
         fiber,
     )
     profile, _ = invariant_exhaustion(fiber, 16, 0, cfg)
-    schedule = level_schedule(atlas, profile, truncation_depth=depth, cfg=cfg)
+    schedule = level_schedule(atlas, profile, cfg=cfg)
     return fam, atlas, profile, schedule
 
 
@@ -486,7 +466,7 @@ def sproper_paths(fam: GroupoidMorphism, cfg: Config):
                 + 2 * math.pi * math.sin(math.pi * t) * math.cos(2 * math.pi * t + ph)
             )
 
-        gamma = coordinate_path(N, 0, lambda t: (f(t),), lambda t: (df(t),))
+        gamma = cat.curve_path(N, 0, (f, df))
         g = fam.fiber_sampler(gamma.point(0.0), rng)
         return gamma, g
 
@@ -505,34 +485,21 @@ def product_not_uniform_setup(cfg: Config = DEFAULT):
     def hor0(x: Point, w: Tangent) -> Tangent:
         return Tangent(x, obj_prod.join_coeffs(x, tuple(w.coeffs), (0.0,)))
 
-    # composable paths: shared middle coordinate curves in the pair base
-    prodH: ProductSpace = H.metadata["product_space"]
-
-    def scalar_curve(rng):
-        a = float(rng.uniform(-1.5, 1.5))
-        b = float(rng.uniform(-1.0, 1.0))
-        return (lambda t: a + b * t), (lambda t: b)
+    # composable paths: affine coordinate curves sharing the middle one
+    def curve(rng):
+        return cat.sine_curve(rng, cat.uniform(-1.5, 1.5), cat.uniform(-1.0, 1.0), 0.0)
 
     def composable(rng):
-        fa, dfa = scalar_curve(rng)
-        fb, dfb = scalar_curve(rng)
-        fc, dfc = scalar_curve(rng)
-        gamma = coordinate_path(H.arrows, 0, lambda t: (fa(t), fb(t)),
-                                lambda t: (dfa(t), dfb(t)))
-        eta = coordinate_path(H.arrows, 0, lambda t: (fb(t), fc(t)),
-                              lambda t: (dfb(t), dfc(t)))
+        gamma, eta = cat.composable_pair_paths(H.arrows, curve, rng)
         p = cat.sample_point(line(1, name="P"), rng)
         g = arr_prod.join(gamma.point(0.0), p)
         k = arr_prod.join(eta.point(0.0), p)
         return gamma, eta, g, k
 
     def object_path_with_start(rng):
-        f, df = scalar_curve(rng)
-        delta = coordinate_path(H.objects, 0, lambda t: (f(t),), lambda t: (df(t),))
+        delta = cat.curve_path(H.objects, 0, curve(rng))
         x = pi.object_fiber_sampler(delta.point(0.0), rng)
         return delta, x
-
-    from .groupoid import TransportSamplers
 
     pi.transport = TransportSamplers(pi.transport.path_with_start, composable,
                                      object_path_with_start)

@@ -134,3 +134,20 @@ def test_catalog_dispatcher():
     assert cat.catalog("disjoint_union").metadata["local_diffeo"]
     with pytest.raises(UnknownName):
         cat.catalog("nope")
+
+
+@pytest.mark.parametrize("punctured", [False, True])
+def test_pair_fibration_kernel_is_unit_circle_times_pair_of_fibres(punctured):
+    pi = cat.pair_fibration(punctured=punctured)
+    K = pi.kernel.groupoid
+    U, P = K.metadata["factors"]
+    assert U.metadata["is_unit_groupoid"] and U.objects.name == "S1"
+    assert P.objects.dim == 1 and len(P.objects.patches) == (2 if punctured else 1)
+    assert K.objects is pi.total.objects
+    assert K.metadata["source_connected"] is (not punctured)
+    # kernel arrows (u1, u2, theta) embed as the pair ((u1, theta), (u2, theta))
+    for i in range(20):
+        k = K.arrow_sampler(rng_for(5, i))
+        a, b = pi.total.metadata["product_space"].split(pi.kernel.embed(k))
+        assert a == K.tgt(k) and b == K.src(k)
+        assert a.coords == (k.coords[0], k.coords[2]) and b.coords == (k.coords[1], k.coords[2])
