@@ -6,6 +6,7 @@ scenarios need them, closed-form path samplers and kernel presentations.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .groupoid import (
 from .paths import BasePath, coordinate_path
 from .smoothmap import PairMap, PatchJacobian, SmoothMap, identity_map, jacobian
 
-BOX = DEFAULT.groupoid_sample_box
+BOX = 2.0   # half-width of the line-coordinate sample box
 TWO_PI = 2.0 * math.pi
 
 
@@ -164,6 +165,40 @@ def segment_path(space: Space, patch_index: int, start, end, label: str = "") ->
 
 
 # ---------------------------------------------------------------------------
+# factor projections and transport starts
+
+
+def factor_projection(prod: ProductSpace, side: int, name: str) -> SmoothMap:
+    """The projection of ``prod`` onto its left (side 0) or right (side 1)
+    factor; its Jacobian is that factor's selector, one per packed patch."""
+    return SmoothMap(prod.space, (prod.left, prod.right)[side],
+                     lambda p: prod.split(p)[side],
+                     PatchJacobian(lambda p: prod.selectors(p.patch_index)[side]), name)
+
+
+def fibre_starts(pi: GroupoidMorphism, path, composable=None,
+                 object_path=None) -> TransportSamplers:
+    """Transport samplers that draw each start after its path, by pi's own
+    fibre samplers at the path's start.
+
+    ``path(rng)`` draws a path in H's arrows (its start by
+    ``pi.fiber_sampler``), ``object_path(rng)`` one in N (its start by
+    ``pi.object_fiber_sampler``); ``composable`` is passed on as it is.
+    """
+
+    def with_start(draw, sampler):
+        def sample(rng):
+            gamma = draw(rng)
+            return gamma, sampler(gamma.point(0.0), rng)
+
+        return sample
+
+    return TransportSamplers(
+        with_start(path, pi.fiber_sampler), composable,
+        with_start(object_path, pi.object_fiber_sampler) if object_path else None)
+
+
+# ---------------------------------------------------------------------------
 # pair groupoid
 
 
@@ -171,12 +206,6 @@ def pair_groupoid(M: Space, name: str = "") -> Groupoid:
     """Pair groupoid M x M over M; an arrow (a, b) runs from b to a."""
     prod = ProductSpace(M, M)
     A = prod.space
-
-    def src_eval(p):  # (a, b) -> b
-        return prod.split(p)[1]
-
-    def tgt_eval(p):
-        return prod.split(p)[0]
 
     def unit_eval(x):
         return prod.join(x, x)
@@ -189,12 +218,6 @@ def pair_groupoid(M: Space, name: str = "") -> Groupoid:
         a, _ = prod.split(g)
         _, c = prod.split(h)
         return prod.join(a, c)
-
-    def src_jac(p):
-        return prod.selectors(p.patch_index)[1]
-
-    def tgt_jac(p):
-        return prod.selectors(p.patch_index)[0]
 
     def unit_jac(x):
         S_a, S_b = prod.selectors(prod.pack_index(x.patch_index, x.patch_index))
@@ -227,8 +250,8 @@ def pair_groupoid(M: Space, name: str = "") -> Groupoid:
         name=name or f"pair({M.name})",
         objects=M,
         arrows=A,
-        src=SmoothMap(A, M, src_eval, PatchJacobian(src_jac), "src"),
-        tgt=SmoothMap(A, M, tgt_eval, PatchJacobian(tgt_jac), "tgt"),
+        src=factor_projection(prod, 1, "src"),   # (a, b) -> b
+        tgt=factor_projection(prod, 0, "tgt"),
         unit=SmoothMap(M, A, unit_eval, PatchJacobian(unit_jac), "unit"),
         inv=SmoothMap(A, A, inv_eval, PatchJacobian(inv_jac), "inv"),
         mul=PairMap(A, A, A, mul_eval, PatchJacobian(mul_jac), "mul"),
@@ -430,8 +453,8 @@ def product_projection(G: Groupoid, name: str, metadata: Optional[dict] = None,
                        **fields) -> GroupoidMorphism:
     """The projection pr1: G1 x G2 -> G1 of a product groupoid.
 
-    Fibres are sampled with G2's samplers; ``fields`` (kernel, transport) are
-    passed on to the morphism, and ``metadata`` gains ``arrow_rows``, the
+    Fibres are sampled with G2's samplers; ``fields`` (the kernel) are passed
+    on to the morphism, and ``metadata`` gains ``arrow_rows``, the
     arrow map on a block of coordinate rows (a column selection).
     """
     G1, G2 = G.metadata["factors"]
@@ -444,10 +467,8 @@ def product_projection(G: Groupoid, name: str, metadata: Optional[dict] = None,
         name=name,
         total=G,
         base_grpd=G1,
-        arrow_map=SmoothMap(arr.space, G1.arrows, lambda p: arr.split(p)[0],
-                            lambda p: arr.selectors(p.patch_index)[0], "pr1"),
-        object_map=SmoothMap(obj.space, G1.objects, lambda x: obj.split(x)[0],
-                             lambda x: obj.selectors(x.patch_index)[0], "pr1_0"),
+        arrow_map=factor_projection(arr, 0, "pr1"),
+        object_map=factor_projection(obj, 0, "pr1_0"),
         fiber_sampler=lambda h, rng: arr.join(h, G2.arrow_sampler(rng)),
         object_fiber_sampler=lambda y, rng: obj.join(y, G2.object_sampler(rng)),
         metadata={**(metadata or {}), "arrow_rows": arrow_rows},
@@ -656,9 +677,9 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
     (v1, v2, phi); src, tgt, inv and mul on Points are one-row calls of them.
     """
     M = line(2, name="R2")
-    prod = ProductSpace(M, circle())
+    circ = circle("SO2")   # the angle factor is SO(2)'s arrows
+    prod = ProductSpace(M, circ)
     A = prod.space  # coords (v1, v2, phi)
-    circ = circle()
 
     def acting(phi):
         return np.zeros_like(phi) if trivial else phi
@@ -749,30 +770,16 @@ def so2_action_morphism(trivial: bool = False) -> GroupoidMorphism:
     G = so2_action_groupoid(trivial=trivial)
     H = so2_group()
     prod: ProductSpace = G.metadata["product_space"]
-
-    def arrow_eval(p):
-        _, th = prod.split(p)
-        return Point.raw(H.arrows, 0, th.coords)
-
-    def arrow_jac(p):
-        return prod.selectors(p.patch_index)[1]
-
-    def object_eval(x):
-        return Point.raw(H.objects, 0, ())
-
-    def fiber_sampler(h, rng):
-        v = sample_point(G.objects, rng)
-        return prod.join(v, h)
-
     return GroupoidMorphism(
         name=f"pr1[{G.name}]",
         total=G,
         base_grpd=H,
-        arrow_map=SmoothMap(G.arrows, H.arrows, arrow_eval, arrow_jac, "pr1"),
-        object_map=SmoothMap(G.objects, H.objects, object_eval, lambda p: np.zeros((0, 2)), "pt"),
-        fiber_sampler=fiber_sampler,
+        arrow_map=factor_projection(prod, 1, "pr1"),
+        object_map=SmoothMap(G.objects, H.objects, lambda x: Point.raw(H.objects, 0, ()),
+                             lambda p: np.zeros((0, 2)), "pt"),
+        fiber_sampler=lambda h, rng: prod.join(sample_point(G.objects, rng), h),
         object_fiber_sampler=lambda y, rng: sample_point(G.objects, rng),
-        metadata={"action_morphism": True, "connected_base_group": True},
+        metadata={"action_morphism": True},
     )
 
 
@@ -797,34 +804,25 @@ def plane_to_circle_morphism() -> GroupoidMorphism:
             plane, 0, (h.coords[0] + TWO_PI * k, float(rng.uniform(-BOX, BOX)))
         )
 
-    def path_with_start(rng):
-        gamma = random_smooth_path(circ_arr, 0, rng)
-        g = fiber_sampler(gamma.point(0.0), rng)
-        return gamma, g
+    def path(rng):
+        return random_smooth_path(circ_arr, 0, rng)
 
     def composable(rng):
-        gamma = random_smooth_path(circ_arr, 0, rng)
-        eta = random_smooth_path(circ_arr, 0, rng)
-        g = fiber_sampler(gamma.point(0.0), rng)
-        k = fiber_sampler(eta.point(0.0), rng)
-        return gamma, eta, g, k
+        gamma, eta = path(rng), path(rng)
+        return gamma, eta, fiber_sampler(gamma.point(0.0), rng), fiber_sampler(eta.point(0.0), rng)
 
-    def object_path_with_start(rng):
-        return (
-            coordinate_path(pt, 0, lambda t: (), lambda t: ()),
-            Point.raw(pt, 0, ()),
-        )
-
-    return GroupoidMorphism(
+    pi = GroupoidMorphism(
         name="R2->S1",
         total=G,
         base_grpd=H,
         arrow_map=SmoothMap(plane, circ_arr, pi_eval, lambda p: np.array([[1.0, 0.0]]), "pi"),
         object_map=SmoothMap(pt, pt, lambda x: Point.raw(pt, 0, ()), lambda p: np.zeros((0, 0)), "pi0"),
         fiber_sampler=fiber_sampler,
-        transport=TransportSamplers(path_with_start, composable, object_path_with_start),
-        metadata={"extension_like": True},
+        object_fiber_sampler=lambda y, rng: y,
     )
+    pi.transport = fibre_starts(pi, path, composable,
+                                lambda rng: coordinate_path(pt, 0, lambda t: (), lambda t: ()))
+    return pi
 
 # ---------------------------------------------------------------------------
 # pullback groupoid along a product projection pi0: N x F -> N
@@ -864,7 +862,6 @@ def pullback_of_projection(H: Groupoid, F: Space, name: str = "") -> GroupoidMor
         metadata={
             "morita_fibration": True,
             "declared_fibration": True,
-            "kernel_source_connected": K.metadata["source_connected"],
             "triple": (split3, join3),
             "base_product": G.metadata["obj_product"],
         },
@@ -879,34 +876,21 @@ def trivial_family(N: Space, fiber: Groupoid, name: str = "") -> GroupoidMorphis
     """Constant family Unit(N) x fiber of groupoids over N with the projection
     morphism."""
     G = product_groupoid(unit_groupoid(N), fiber, name=name or f"{N.name}x{fiber.name}")
-    arr, obj = G.metadata["arr_product"], G.metadata["obj_product"]
+    arr = G.metadata["arr_product"]
 
-    def path_with_start(rng):
-        gamma = random_smooth_path(N, 0, rng)
-        g = arr.join(gamma.point(0.0), fiber.arrow_sampler(rng))
-        return gamma, g
+    def path(rng):
+        return random_smooth_path(N, 0, rng)
 
     def composable(rng):
-        gamma = random_smooth_path(N, 0, rng)
+        gamma = path(rng)
         y0 = gamma.point(0.0)
         qg, qh = fiber.pair_sample(rng)
         return gamma, gamma, arr.join(y0, qg), arr.join(y0, qh)
 
-    def object_path_with_start(rng):
-        delta = random_smooth_path(N, 0, rng)
-        x = obj.join(delta.point(0.0), fiber.object_sampler(rng))
-        return delta, x
-
-    return product_projection(
-        G,
-        name or f"family[{G.name}]",
-        transport=TransportSamplers(path_with_start, composable, object_path_with_start),
-        metadata={
-            "family": True,
-            "declared_fibration": True,
-            "kernel_source_connected": fiber.metadata.get("source_connected", False),
-        },
-    )
+    pi = product_projection(G, name or f"family[{G.name}]",
+                            metadata={"family": True, "declared_fibration": True})
+    pi.transport = fibre_starts(pi, path, composable, path)
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -1014,7 +998,9 @@ def disjoint_union(parts: list[Groupoid], name: str = "") -> Groupoid:
         tfiber_sampler=tfiber,
         sfiber_grid=sfiber_grid if all(g.sfiber_grid for g in parts) else None,
         probe_objects=probes,
-        metadata={"union_arrows": ua, "union_objects": uo, "parts": parts},
+        metadata={"union_arrows": ua, "union_objects": uo, "parts": parts,
+                  # a source fibre lies in one part
+                  "source_connected": all(g.metadata.get("source_connected") for g in parts)},
     )
 
 def covering_union_morphism(
@@ -1058,11 +1044,9 @@ def covering_union_morphism(
             return ua.embed(0, h)
         return ua.embed(1, target)
 
-    def path_with_start(rng):
+    def path(rng):
         k = int(rng.integers(order))
-        gamma = segment_path(H.arrows, k, *random_segment(rng, 1), label=f"seg[{k}]")
-        g = fiber_sampler(gamma.point(0.0), rng)
-        return gamma, g
+        return segment_path(H.arrows, k, *random_segment(rng, 1), label=f"seg[{k}]")
 
     def composable(rng):
         k1, k2 = int(rng.integers(order)), int(rng.integers(order))
@@ -1077,57 +1061,35 @@ def covering_union_morphism(
         k_arr = ua.embed(copy, Point.raw(ua.parts[copy], k2, a))
         return gamma, eta, g, k_arr
 
-    def object_path_with_start(rng):
-        delta = segment_path(H.objects, 0, *random_segment(rng, 1))
-        x = uo.embed(int(rng.integers(2)), delta.point(0.0))
-        return delta, x
+    def segment(space):
+        return lambda rng: segment_path(space, 0, *random_segment(rng, 1))
 
-    # kernel: units of both copies, a covering of R by two sheets
-    K_part = group_bundle(base, "finite", order=1, name="R")
-    K = disjoint_union([K_part, group_bundle(base, "finite", order=1, name="R'")],
-                       name="R⊔R")
+    # kernel: the units of both copies, a covering of R by two sheets
+    NU = unit_groupoid(base)
+    K = disjoint_union([NU, NU], name="R⊔R")
     kua: UnionSpace = K.metadata["union_arrows"]
 
-    def embed_eval_fixed(p):
+    def embed_eval(p):
         i, q = kua.split(p)
-        # unit-element patch of each copy is patch 0
-        return Point.raw(
-            G.arrows, ua.offset(i) + 0, q.coords
-        )
+        # the unit-element patch of each copy is its patch 0
+        return Point.raw(G.arrows, ua.offset(i), q.coords)
 
-    NU = unit_groupoid(base)
-
-    def k_pi(p):
-        i, q = kua.split(p)
-        return Point.raw(base, 0, q.coords)
+    def sheet(y, rng):
+        return kua.embed(int(rng.integers(2)), y)
 
     kernel_family = GroupoidMorphism(
         name="cover_kernel",
         total=K,
         base_grpd=NU,
-        arrow_map=SmoothMap(K.arrows, base, k_pi, eye, "pi_K"),
-        object_map=SmoothMap(K.objects, base, k_pi, eye, "pi0"),
-        fiber_sampler=lambda y, rng: kua.embed(
-            int(rng.integers(2)), Point.raw(K.metadata["parts"][0].arrows, 0, y.coords)
-        ),
-        object_fiber_sampler=lambda y, rng: K.metadata["union_objects"].embed(
-            int(rng.integers(2)), y
-        ),
-        transport=TransportSamplers(
-            lambda rng: _cover_kernel_path(rng),
-            None,
-            None,
-        ),
+        arrow_map=SmoothMap(K.arrows, base, lambda p: kua.split(p)[1], eye, "pi_K"),
+        object_map=SmoothMap(K.objects, base, lambda p: kua.split(p)[1], eye, "pi0"),
+        fiber_sampler=sheet,
+        object_fiber_sampler=sheet,
         metadata={"family": True},
     )
+    kernel_family.transport = fibre_starts(kernel_family, segment(base))
 
-    def _cover_kernel_path(rng):
-        a, b = random_segment(rng, 1)
-        gamma = segment_path(base, 0, a, b)
-        g = kua.embed(int(rng.integers(2)), Point.raw(K.metadata["parts"][0].arrows, 0, a))
-        return gamma, g
-
-    return GroupoidMorphism(
+    pi = GroupoidMorphism(
         name="disjoint_union_cover",
         total=G,
         base_grpd=H,
@@ -1135,17 +1097,12 @@ def covering_union_morphism(
         object_map=SmoothMap(G.objects, H.objects, pi0_eval, eye, "pi0"),
         fiber_sampler=fiber_sampler,
         object_fiber_sampler=lambda y, rng: uo.embed(int(rng.integers(2)), y),
-        kernel=KernelData(
-            K, SmoothMap(K.arrows, G.arrows, embed_eval_fixed, eye, "ker_incl"),
-            kernel_family,
-        ),
-        transport=TransportSamplers(path_with_start, composable, object_path_with_start),
-        metadata={
-            "declared_fibration": False,
-            "kernel_source_connected": True,
-            "local_diffeo": True,
-        },
+        kernel=KernelData(K, SmoothMap(K.arrows, G.arrows, embed_eval, eye, "ker_incl"),
+                          kernel_family),
+        metadata={"declared_fibration": False, "local_diffeo": True},
     )
+    pi.transport = fibre_starts(pi, path, composable, segment(H.objects))
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -1155,19 +1112,10 @@ def covering_union_morphism(
 def product_with_manifold(H: Groupoid, P: Space, name: str = "") -> GroupoidMorphism:
     """H x Unit(P) with the projection onto H."""
     G = product_groupoid(H, unit_groupoid(P), name=name or f"{H.name}xP")
-    arr = G.metadata["arr_product"]
-
-    def path_with_start(rng):
-        gamma = random_smooth_path(H.arrows, int(rng.integers(len(H.arrows.patches))), rng)
-        g = arr.join(gamma.point(0.0), sample_point(P, rng))
-        return gamma, g
-
-    return product_projection(
-        G,
-        name or f"pr1[{G.name}]",
-        transport=TransportSamplers(path_with_start, None, None),
-        metadata={"declared_fibration": True, "kernel_source_connected": P.dim > 0},
-    )
+    pi = product_projection(G, name or f"pr1[{G.name}]", metadata={"declared_fibration": True})
+    pi.transport = fibre_starts(pi, lambda rng: random_smooth_path(
+        H.arrows, int(rng.integers(len(H.arrows.patches))), rng))
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -1191,21 +1139,7 @@ def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
     G = pair_groupoid(M, name=f"pair({M.name})")
     H = pair_groupoid(Ncirc, name="pair(S1)")
     prodM: ProductSpace = G.metadata["product_space"]
-    prodN: ProductSpace = H.metadata["product_space"]
-
-    def pi0_eval(x):
-        return Point.raw(Ncirc, 0, (x.coords[1],))
-
-    def pi0_jac(x):
-        return np.array([[0.0, 1.0]])
-
-    def pi_eval(p):
-        a, b = prodM.split(p)
-        return prodN.join(pi0_eval(a), pi0_eval(b))
-
-    def pi_jac(p):
-        # packed pair coords: (x1, x2, th1, th2) -> (th1, th2)
-        return np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    pi0 = factor_projection(K.metadata["obj_product"], 0, "pi0")
 
     def sample_M_over(theta: float, rng) -> Point:
         idx = int(rng.integers(nM))
@@ -1216,40 +1150,26 @@ def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
         th1, th2 = h.coords
         return prodM.join(sample_M_over(th1, rng), sample_M_over(th2, rng))
 
-    embed_J = np.array(
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
-    )
+    def embed(k):   # a kernel arrow k is the pair (tgt k, src k) of points of M
+        return prodM.join(K.tgt(k), K.src(k))
 
-    def embed_eval(p):
-        i, j = divmod(p.patch_index, nM)
-        return prodM.join(
-            Point.raw(M, i, (p.coords[0], p.coords[2])),
-            Point.raw(M, j, (p.coords[1], p.coords[2])),
-        )
+    def embed_jac(k):
+        S_t, S_s = prodM.selectors(embed(k).patch_index)
+        return S_t.T @ jacobian(K.tgt, k) + S_s.T @ jacobian(K.src, k)
 
-    kernel_family = GroupoidMorphism(
-        name="ker[pair_fibration]->S1",
-        total=K,
-        base_grpd=unit_groupoid(Ncirc),
-        arrow_map=SmoothMap(K.arrows, Ncirc, lambda p: Point.raw(Ncirc, 0, (p.coords[2],)),
-                            lambda p: np.array([[0.0, 0.0, 1.0]]), "pi_K"),
-        object_map=SmoothMap(M, Ncirc, pi0_eval, pi0_jac, "pi0"),
+    # the fibre samplers keep their own draws, on which the punctured
+    # variant's kernel witness index depends
+    kernel_family = dataclasses.replace(
+        product_projection(K, "ker[pair_fibration]->S1", metadata={"family": True}),
         fiber_sampler=lambda y, rng: Point.raw(
             K.arrows, nM * int(rng.integers(nM)) + int(rng.integers(nM)),
             (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), y.coords[0]),
         ),
         object_fiber_sampler=lambda y, rng: sample_M_over(y.coords[0], rng),
-        transport=None,
-        metadata={"family": True},
     )
 
     def angle(rng):
         return sine_curve(rng, ANY_ANGLE, winding, 0.8)
-
-    def path_with_start(rng):
-        gamma = curve_path(H.arrows, 0, angle(rng), angle(rng))
-        g = fiber_sampler(gamma.point(0.0), rng)
-        return gamma, g
 
     def composable(rng):
         gamma, eta = composable_pair_paths(H.arrows, angle, rng)
@@ -1257,29 +1177,21 @@ def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
         xa, xb, xc = (sample_M_over(t, rng) for t in (ta, tb, tc))
         return gamma, eta, prodM.join(xa, xb), prodM.join(xb, xc)
 
-    def object_path_with_start(rng):
-        delta = curve_path(Ncirc, 0, angle(rng))
-        return delta, sample_M_over(delta.point(0.0).coords[0], rng)
-
-    return GroupoidMorphism(
+    pi = GroupoidMorphism(
         name=name or ("pair_fibration*" if punctured else "pair_fibration"),
         total=G,
         base_grpd=H,
-        arrow_map=SmoothMap(G.arrows, H.arrows, pi_eval, pi_jac, "pi"),
-        object_map=SmoothMap(M, Ncirc, pi0_eval, pi0_jac, "pi0"),
+        arrow_map=product_map(pi0, pi0, prodM, H.metadata["product_space"], "pi"),
+        object_map=pi0,
         fiber_sampler=fiber_sampler,
         object_fiber_sampler=lambda y, rng: sample_M_over(y.coords[0], rng),
-        kernel=KernelData(K, SmoothMap(K.arrows, G.arrows, embed_eval,
-                                       PatchJacobian(lambda p: embed_J), "ker_incl"),
-                          kernel_family),
-        transport=TransportSamplers(path_with_start, composable, object_path_with_start),
-        metadata={
-            "declared_fibration": True,
-            "kernel_source_connected": K.metadata["source_connected"],
-            "punctured": punctured,
-            "product_space": prodM,
-        },
+        kernel=KernelData(K, SmoothMap(K.arrows, G.arrows, embed, PatchJacobian(embed_jac),
+                                       "ker_incl"), kernel_family),
+        metadata={"declared_fibration": True, "product_space": prodM},
     )
+    pi.transport = fibre_starts(pi, lambda rng: curve_path(H.arrows, 0, angle(rng), angle(rng)),
+                                composable, lambda rng: curve_path(Ncirc, 0, angle(rng)))
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -1293,71 +1205,46 @@ def bundle_family_morphism(bundle: Groupoid, name: str = "") -> GroupoidMorphism
     morphism itself.
     """
     M = bundle.objects
-    NU = unit_groupoid(M)
 
-    def pi_eval(p):
-        return bundle.src(p)
-
-    def path_with_start(rng):
-        gamma = segment_path(M, 0, *random_segment(rng, M.dim))
-        g = bundle.sfiber_sampler(gamma.point(0.0), rng)
-        return gamma, g
+    def segment(rng):
+        return segment_path(M, 0, *random_segment(rng, M.dim))
 
     def composable(rng):
-        gamma = segment_path(M, 0, *random_segment(rng, M.dim))
+        gamma = segment(rng)
         x0 = gamma.point(0.0)
-        g = bundle.sfiber_sampler(x0, rng)
-        k = bundle.sfiber_sampler(x0, rng)
-        return gamma, gamma, g, k
+        return gamma, gamma, bundle.sfiber_sampler(x0, rng), bundle.sfiber_sampler(x0, rng)
 
-    def object_path_with_start(rng):
-        delta = segment_path(M, 0, *random_segment(rng, M.dim))
-        return delta, delta.point(0.0)
-
-    morphism = GroupoidMorphism(
+    pi = GroupoidMorphism(
         name=name or f"family[{bundle.name}]",
         total=bundle,
-        base_grpd=NU,
-        arrow_map=SmoothMap(bundle.arrows, M, pi_eval,
-                            lambda p: jacobian(bundle.src, p), "pi"),
+        base_grpd=unit_groupoid(M),
+        arrow_map=bundle.src,
         object_map=identity_map(M),
-        fiber_sampler=lambda x, rng: bundle.sfiber_sampler(x, rng),
+        fiber_sampler=bundle.sfiber_sampler,
         object_fiber_sampler=lambda x, rng: x,
-        transport=TransportSamplers(path_with_start, composable, object_path_with_start),
         metadata={
             "family": True,
             "declared_fibration": bundle.metadata.get("group_order", 0) == 1
             or not bundle.probe_objects,
-            "kernel_source_connected": bundle.metadata.get("source_connected", False),
             "local_diffeo": True,
         },
     )
-    morphism.kernel = KernelData(bundle, identity_map(bundle.arrows), morphism)
-    return morphism
+    pi.transport = fibre_starts(pi, segment, composable, segment)
+    pi.kernel = KernelData(bundle, identity_map(bundle.arrows), pi)
+    return pi
 
 
 def base_submersion_morphism(pi: GroupoidMorphism) -> GroupoidMorphism:
     """The base map pi0: M -> N as a morphism of unit groupoids."""
-    M, N = pi.total.objects, pi.base_grpd.objects
-    GM, GN = unit_groupoid(M), unit_groupoid(N)
-
-    def path_with_start(rng):
-        if pi.transport is not None and pi.transport.object_path_with_start is not None:
-            return pi.transport.object_path_with_start(rng)
-        delta = random_smooth_path(N, 0, rng)
-        x = pi.object_fiber_sampler(delta.point(0.0), rng)
-        return delta, x
-
     return GroupoidMorphism(
         name=f"base[{pi.name}]",
-        total=GM,
-        base_grpd=GN,
+        total=unit_groupoid(pi.total.objects),
+        base_grpd=unit_groupoid(pi.base_grpd.objects),
         arrow_map=pi.object_map,
         object_map=pi.object_map,
         fiber_sampler=pi.object_fiber_sampler,
         object_fiber_sampler=pi.object_fiber_sampler,
-        transport=TransportSamplers(path_with_start, None, None),
-        metadata={"family": False, "base_of": pi.name},
+        transport=TransportSamplers(pi.transport.object_path_with_start),
     )
 
 
@@ -1416,7 +1303,7 @@ def reflection_action_morphism() -> GroupoidMorphism:
         fiber_sampler=lambda h, rng: Point.raw(A, h.patch_index,
                                                (float(rng.uniform(-BOX, BOX)),)),
         object_fiber_sampler=lambda y, rng: sample_point(M, rng),
-        metadata={"action_morphism": True, "connected_base_group": False},
+        metadata={"action_morphism": True},
     )
 
 

@@ -27,7 +27,6 @@ class Config:
     groupoid_tol_compose: float = 1e-7  # composability distance bound
     groupoid_cover_tol: float = 1e-2    # star-surjectivity nearest-distance bound
     groupoid_sv_tol: float = 1e-6       # min singular value for submersion checks
-    groupoid_sample_box: float = 2.0    # half-width of the line-coordinate sample box
     groupoid_fiber_grid: int = 512      # grid size for source-fibre coverage probes
 
     # connections

@@ -391,7 +391,6 @@ def compose_connections(
         arrow_map=compose_maps(pi2.arrow_map, pi1.arrow_map),
         object_map=compose_maps(pi2.object_map, pi1.object_map),
         fiber_sampler=None,
-        metadata={"composition_of": (pi1.name, pi2.name)},
     )
 
     def hor(g: Point, a: Tangent) -> Tangent:
@@ -543,8 +542,7 @@ def action_connection(
         morphism=am,
         hor=hor,
         hor0=hor0,
-        metadata={"provenance": "action_candidate", "claimed_multiplicative": True,
-                  "invariance_residual": worst},
+        metadata={"provenance": "action_candidate", "claimed_multiplicative": True},
     )
 
 

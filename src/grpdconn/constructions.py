@@ -292,8 +292,7 @@ def glue_local_trivial(
         morphism=family,
         hor=hor,
         hor0=hor0,
-        metadata={"provenance": "glued_local_trivial", "claimed_multiplicative": True,
-                  "atlas": atlas},
+        metadata={"provenance": "glued_local_trivial", "claimed_multiplicative": True},
     )
 
 
@@ -596,16 +595,10 @@ def invariant_exhaustion(
     Checks invariance s*f = t*f at samples and, on non-compact fibres, the
     desk-scale properness surrogate of monotone growth along rays.
     """
-    source_proper = fiber.metadata.get(
-        "source_proper", fiber.metadata.get("compact_tfibers", False)
-    )
-    if not source_proper:
+    if not fiber.metadata.get("compact_tfibers"):
         raise NotSourceProper(f"{fiber.name} is not flagged source-proper")
-    profile = fiber.metadata.get("exhaustion")
-    if profile is None:
-        F = fiber.objects
-        compact = F.patches[0].lin_count == 0
-        profile = constant_profile() if compact else hyperbolic_profile()
+    compact = fiber.objects.patches[0].lin_count == 0
+    profile = constant_profile() if compact else hyperbolic_profile()
 
     worst = _Worst()
     for i in range(n_samples):
@@ -880,8 +873,7 @@ def complete_connection_builder(
         morphism=family,
         hor=hor,
         hor0=hor,  # objects and arrows share the (y, x) leading coordinates
-        metadata={"provenance": "complete_builder", "claimed_multiplicative": True,
-                  "atlas": atlas, "schedule": schedule},
+        metadata={"provenance": "complete_builder", "claimed_multiplicative": True},
     )
 
     # --- certificate clauses -------------------------------------------------

@@ -225,34 +225,28 @@ def luca_setup(cfg: Config = DEFAULT):
     return c, {}
 
 
+def _identity_lift(g: Point, w: Tangent) -> Tangent:
+    """The unique lift of a local diffeomorphism: the same coefficients at g."""
+    return Tangent(g, tuple(w.coeffs))
+
+
 def punctured_bundle_setup(cfg: Config = DEFAULT):
     """Punctured finite-group bundle as a family over its base line."""
     bundle = cat.group_bundle(line(1, name="R"), "finite", order=2, punctured_at=(0.0,),
                               excl_radius=cfg.numeric_excl_radius)
     pi = cat.bundle_family_morphism(bundle)
-
-    def hor(g: Point, w: Tangent) -> Tangent:
-        return Tangent(g, tuple(w.coeffs))
-
-    def hor0(x: Point, w: Tangent) -> Tangent:
-        return Tangent(x, tuple(w.coeffs))
-
-    c = Connection(pi, hor, hor0, {"provenance": "local_diffeo_unique",
-                                   "claimed_multiplicative": True,
-                                   "incomplete": True})
+    c = Connection(pi, _identity_lift, _identity_lift,
+                   {"provenance": "local_diffeo_unique", "claimed_multiplicative": True,
+                    "incomplete": True})
     return c, {"bundle": bundle}
 
 
 def cover_setup(cfg: Config = DEFAULT):
     """Disjoint-union covering morphism with its unique (identity) lift."""
     pi = cat.covering_union_morphism(excl_radius=cfg.numeric_excl_radius)
-
-    def hor(g: Point, w: Tangent) -> Tangent:
-        return Tangent(g, tuple(w.coeffs))
-
-    c = Connection(pi, hor, hor, {"provenance": "local_diffeo_unique",
-                                  "claimed_multiplicative": True,
-                                  "incomplete": True})
+    c = Connection(pi, _identity_lift, _identity_lift,
+                   {"provenance": "local_diffeo_unique", "claimed_multiplicative": True,
+                    "incomplete": True})
     return c, {}
 
 

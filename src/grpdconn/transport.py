@@ -414,7 +414,7 @@ def theorem_crosscheck_kernel(
     pi = c.morphism
     if fibration_ok is None:
         fibration_ok = bool(pi.metadata.get("declared_fibration"))
-    kernel_sconn = bool(pi.metadata.get("kernel_source_connected"))
+    kernel_sconn = bool(pi.kernel.groupoid.metadata.get("source_connected"))
 
     total_v = completeness_probe(c, pi.transport.path_with_start, budget, seed, cfg)
 

@@ -93,8 +93,8 @@ def test_morita_uniqueness_comparison():
 def test_pullback_kernel_source_connected_follows_fibre():
     # the kernel Unit(N) x Pair(F) has source fibres F: R is connected, the
     # two-chart R \ {0} is not
-    assert morita_setup()[0].morphism.metadata["kernel_source_connected"] is True
-    assert morita_punctured_setup()[0].morphism.metadata["kernel_source_connected"] is False
+    for setup, connected in ((morita_setup, True), (morita_punctured_setup, False)):
+        assert setup()[0].morphism.kernel.groupoid.metadata["source_connected"] is connected
 
 
 def test_circle_group_pullback_loop_transport_returns():

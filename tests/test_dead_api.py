@@ -5,6 +5,12 @@ or ``perfbench/`` outside its own definition.
 References are names, attribute names and imported names read from the
 syntax tree of every Python file there. Dunder names and the console entry
 point ``cli.main`` are exempt.
+
+Metadata keys get the same lint. A key of a metadata literal in ``src/`` (a
+dict passed as ``metadata=``, or as a Connection's fourth argument) must
+appear as a string somewhere else in ``src/``, ``tests/`` or ``perfbench/``;
+and every key that ``src/`` reads from a ``metadata`` attribute (by
+subscript, ``get`` or ``in``) must be written by such a literal.
 """
 import ast
 from pathlib import Path
@@ -23,10 +29,13 @@ def _trees():
             yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
+TREES = list(_trees())
+
+
 def _references() -> dict[str, list[tuple[Path, int]]]:
     """Every name a file reads, with the file and line of each reading."""
     refs: dict[str, list[tuple[Path, int]]] = {}
-    for path, tree in _trees():
+    for path, tree in TREES:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names = [node.id]
@@ -67,3 +76,59 @@ def test_every_definition_is_referenced(path):
         if not outside:
             dead.append(f"{name} (line {node.lineno})")
     assert not dead, f"{path.name} defines but never references: {', '.join(dead)}"
+
+
+def _metadata_literals(tree: ast.Module):
+    """Dict literals passed as ``metadata=`` or as a Connection's fourth argument."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        found = [kw.value for kw in node.keywords if kw.arg == "metadata"]
+        if isinstance(node.func, ast.Name) and node.func.id == "Connection" and len(node.args) > 3:
+            found.append(node.args[3])
+        yield from (d for d in found if isinstance(d, ast.Dict))
+
+
+def _string(node) -> str | None:
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+
+def _is_metadata(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "metadata"
+
+
+def _metadata_reads(tree: ast.Module):
+    """(key, line) of every constant key read from a ``metadata`` attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_metadata(node.value):
+            key = _string(node.slice)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and _is_metadata(node.func.value) and node.args):
+            key = _string(node.args[0])
+        elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In)
+              and _is_metadata(node.comparators[0])):
+            key = _string(node.left)
+        else:
+            continue
+        if key is not None:
+            yield key, node.lineno
+
+
+SRC_TREES = [(path, tree) for path, tree in TREES if SRC in path.parents]
+WRITTEN = {id(k): (path, k) for path, tree in SRC_TREES
+           for d in _metadata_literals(tree) for k in d.keys if _string(k) is not None}
+
+
+def test_every_metadata_key_is_read():
+    elsewhere = {node.value for _, tree in TREES for node in ast.walk(tree)
+                 if _string(node) is not None and id(node) not in WRITTEN}
+    dead = sorted(f"{path.name}:{k.lineno} {k.value!r}" for path, k in WRITTEN.values()
+                  if k.value not in elsewhere)
+    assert not dead, f"metadata keys written but never read: {', '.join(dead)}"
+
+
+def test_every_metadata_key_read_is_written():
+    written = {k.value for _, k in WRITTEN.values()}
+    unwritten = sorted(f"{path.name}:{line} {key!r}" for path, tree in SRC_TREES
+                       for key, line in _metadata_reads(tree) if key not in written)
+    assert not unwritten, f"metadata keys read but never written: {', '.join(unwritten)}"

@@ -136,6 +136,13 @@ def test_catalog_dispatcher():
         cat.catalog("nope")
 
 
+def test_disjoint_union_is_source_connected_when_every_part_is():
+    # the cover's kernel Unit(R) ⊔ Unit(R) is; the cover, with its Z2 bundles, is not
+    pi = cat.covering_union_morphism()
+    assert pi.kernel.groupoid.metadata["source_connected"] is True
+    assert pi.total.metadata["source_connected"] is False
+
+
 @pytest.mark.parametrize("punctured", [False, True])
 def test_pair_fibration_kernel_is_unit_circle_times_pair_of_fibres(punctured):
     pi = cat.pair_fibration(punctured=punctured)

@@ -10,11 +10,15 @@ from grpdconn.catalog import (
     finite_group_groupoid,
     pair_groupoid,
     product_groupoid,
+    reflection_action_morphism,
     so2_action_groupoid,
+    so2_action_morphism,
 )
 from grpdconn.geometry import Patch, Point, Space, circle, line
 from grpdconn.groupoid import rng_for
 from grpdconn.smoothmap import PairMap, PatchJacobian, SmoothMap, fd_jacobian, jacobian
+
+import test_samplers
 
 
 def test_linear_map_exact():
@@ -75,6 +79,41 @@ def test_analytic_jacobians_match_finite_differences(name, G):
         for analytic, fd in zip(G.mul.partials(g, h), fd_mul.partials(g, h)):
             if analytic.size:
                 assert np.max(np.abs(analytic - fd)) < DEFAULT.numeric_tol_fd, (name, "mul")
+
+
+MORPHISMS = test_samplers.MORPHISMS + [
+    ("so2_action", so2_action_morphism()),
+    ("so2_action(trivial)", so2_action_morphism(trivial=True)),
+    ("reflection_action", reflection_action_morphism()),
+]
+
+
+def _morphism_maps():
+    """Each map of a morphism, its kernel embedding and its kernel family's
+    maps, with a sampler of the map's domain."""
+    for name, pi in MORPHISMS:
+        G = pi.total
+        yield f"{name}.arrow_map", pi.arrow_map, G.arrow_sampler
+        yield f"{name}.object_map", pi.object_map, G.object_sampler
+        if pi.kernel is not None:
+            K, family = pi.kernel.groupoid, pi.kernel.family
+            yield f"{name}.kernel.embed", pi.kernel.embed, K.arrow_sampler
+            yield f"{name}.kernel.family.arrow_map", family.arrow_map, K.arrow_sampler
+            yield f"{name}.kernel.family.object_map", family.object_map, K.object_sampler
+
+
+@pytest.mark.parametrize("name,m,sample", [pytest.param(*entry, id=entry[0])
+                                           for entry in _morphism_maps()])
+def test_morphism_jacobians_match_finite_differences(name, m, sample):
+    # read through jacobian(), as in the groupoid test above
+    for i in range(60):
+        p = sample(rng_for(107, i))
+        if p.patch.dim == 0:
+            continue
+        analytic = jacobian(m, p)
+        fd = fd_jacobian(m, p, DEFAULT.numeric_fd_step)
+        assert analytic.shape == fd.shape, (name, analytic.shape, fd.shape)
+        assert np.max(np.abs(analytic - fd), initial=0.0) < DEFAULT.numeric_tol_fd, (name, p)
 
 
 def test_patch_jacobian_memo_is_per_patch_and_read_only():

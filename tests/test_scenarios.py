@@ -103,6 +103,17 @@ constr.node_count = 64
         assert f"{path}:3: " in capsys.readouterr().err
 
 
+def test_sample_box_is_not_a_config_key(tmp_path, capsys):
+    # the line sample box is a catalog constant: an override of it used to
+    # load, show in the report's config and never reach a sampler
+    path = tmp_path / "box.cfg"
+    path.write_text("groupoid.sample_box = 7.5\n")
+    with pytest.raises(ValueError, match="unknown configuration key: groupoid.sample_box"):
+        parse_config_file(str(path))
+    assert main(["--config", str(path), "list"]) == 2
+    assert "groupoid.sample_box" not in DEFAULT.snapshot()
+
+
 def test_cli_list_and_run(tmp_path, capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
