@@ -176,6 +176,17 @@ def factor_projection(prod: ProductSpace, side: int, name: str) -> SmoothMap:
                      PatchJacobian(lambda p: prod.selectors(p.patch_index)[side]), name)
 
 
+def with_fibre_start(draw, sampler):
+    """The sampler of (path, start) that draws the path by ``draw(rng)``,
+    then its start by ``sampler(path.point(0.0), rng)``."""
+
+    def sample(rng):
+        gamma = draw(rng)
+        return gamma, sampler(gamma.point(0.0), rng)
+
+    return sample
+
+
 def fibre_starts(pi: GroupoidMorphism, path, composable=None,
                  object_path=None) -> TransportSamplers:
     """Transport samplers that draw each start after its path, by pi's own
@@ -185,17 +196,9 @@ def fibre_starts(pi: GroupoidMorphism, path, composable=None,
     ``pi.fiber_sampler``), ``object_path(rng)`` one in N (its start by
     ``pi.object_fiber_sampler``); ``composable`` is passed on as it is.
     """
-
-    def with_start(draw, sampler):
-        def sample(rng):
-            gamma = draw(rng)
-            return gamma, sampler(gamma.point(0.0), rng)
-
-        return sample
-
     return TransportSamplers(
-        with_start(path, pi.fiber_sampler), composable,
-        with_start(object_path, pi.object_fiber_sampler) if object_path else None)
+        with_fibre_start(path, pi.fiber_sampler), composable,
+        with_fibre_start(object_path, pi.object_fiber_sampler) if object_path else None)
 
 
 # ---------------------------------------------------------------------------

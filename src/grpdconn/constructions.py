@@ -65,15 +65,15 @@ def morita_connection(pi: GroupoidMorphism, hor0, cfg: Config = DEFAULT) -> Conn
     def hor(g: Point, a: Tangent) -> Tangent:
         h, f = arr.split(g)
         ft, fs = fibre_pairs.split(f)
-        Tt = jacobian(H.tgt, h, cfg)
-        Ts = jacobian(H.src, h, cfg)
-        x = base_prod.join(H.tgt(h), ft)
-        y = base_prod.join(H.src(h), fs)
-        lift_t = hor0(x, Tangent(H.tgt(h), tuple(Tt @ np.asarray(a.coeffs))))
-        lift_s = hor0(y, Tangent(H.src(h), tuple(Ts @ np.asarray(a.coeffs))))
-        _, dft = base_prod.split_coeffs(x, lift_t.coeffs)
-        _, dfs = base_prod.split_coeffs(y, lift_s.coeffs)
-        fibre = fibre_pairs.join_coeffs(f, tuple(dft), tuple(dfs))
+        ht, hs = H.tgt(h), H.src(h)
+        av = np.asarray(a.coeffs)
+        x = base_prod.join(ht, ft)
+        y = base_prod.join(hs, fs)
+        lift_t = hor0(x, Tangent(ht, tuple((jacobian(H.tgt, h, cfg) @ av).tolist())))
+        lift_s = hor0(y, Tangent(hs, tuple((jacobian(H.src, h, cfg) @ av).tolist())))
+        _, dft = base_prod.split_coeffs(x, tuple(lift_t.coeffs))
+        _, dfs = base_prod.split_coeffs(y, tuple(lift_s.coeffs))
+        fibre = fibre_pairs.join_coeffs(f, dft, dfs)
         return Tangent(g, arr.join_coeffs(g, tuple(a.coeffs), fibre))
 
     return Connection(
@@ -395,6 +395,25 @@ class RowField:
         return Tangent(g, tuple(self.rows(g.patch_index, np.array([g.coords]))[0].tolist()))
 
 
+@dataclass(frozen=True)
+class RowLift:
+    """A lift given on blocks of coordinate rows; the lift counterpart of
+    :class:`RowField`.
+
+    ``rows(patch, C, W)`` lifts, at every row of a ``(k, dim)`` block ``C``
+    of points on one patch, the tangent coefficients in the same row of the
+    ``(k, m)`` block ``W``, and returns the lifts as a ``(k, dim)`` array.
+    Called as ``lift(p, w)`` it makes the one-row call and returns a Tangent
+    at ``p``; the base point of ``w`` is not read.
+    """
+
+    rows: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, p: Point, w: Tangent) -> Tangent:
+        out = self.rows(p.patch_index, np.array([p.coords]), np.array([w.coeffs]))
+        return Tangent(p, tuple(out[0].tolist()))
+
+
 def haar_average(
     G: Groupoid,
     quad: HaarFiberQuadrature,
@@ -473,33 +492,39 @@ def proper_family_connection(
     s-projectable field) and averaged; the connection assembles the averaged
     basis fields by linearity, and its base lift reads off the averaged
     fields along the unit section. The family must be a product projection
-    (``catalog.product_projection``, as ``trivial_family`` builds): on a
-    block of node rows the composite field takes sources and base arrows
-    from the rows (G's ``src`` kernel and the family's ``arrow_rows`` column
-    selection) and calls only ``hor0`` and ``hor_s`` per row. The averaged
-    basis vectors at the last arrow asked for are kept, so ``hor`` and
-    ``hor0`` at one arrow average once.
+    (``catalog.product_projection``, as ``trivial_family`` builds). On a
+    block of node rows the composite field takes sources from the rows (G's
+    ``src`` kernel). When ``hor0`` and ``hor_s`` are both :class:`RowLift`s
+    it lifts the whole block in two row calls; otherwise it takes base arrows
+    from the rows too (the family's ``arrow_rows`` column selection) and
+    calls ``hor0`` and ``hor_s`` once per row. The averaged basis vectors at
+    the last arrow asked for are kept, so ``hor`` and ``hor0`` at one arrow
+    average once.
     """
     G = family.total
     N = family.base_grpd.objects
     base_arrows = family.base_grpd.arrows
     arrow_rows = family.metadata["arrow_rows"]
     dim_N = N.dim
-    averaged = []
-    for j in range(dim_N):
-        e = [0.0] * dim_N
-        e[j] = 1.0
 
-        def X_tilde(p: int, C: np.ndarray, e=tuple(e)) -> np.ndarray:
+    if isinstance(hor0, RowLift) and isinstance(hor_s, RowLift):
+        def composite(p: int, C: np.ndarray, e: tuple) -> np.ndarray:
+            E = np.tile(e, (len(C), 1))
+            return hor_s.rows(p, C, hor0.rows(*G.kernels.src(p, C), E))
+    else:
+        def composite(p: int, C: np.ndarray, e: tuple) -> np.ndarray:
             gs = points(G.arrows, p, C)
             xs = points(G.objects, *G.kernels.src(p, C))
             ys = points(base_arrows, *arrow_rows(p, C))
             return np.array([hor_s(g, hor0(x, Tangent(y, e))).coeffs
                              for g, x, y in zip(gs, xs, ys)], dtype=float).reshape(C.shape)
 
-        X_hat, _ = haar_average(G, quad, RowField(X_tilde), n_samples, seed, cfg,
-                                check=(j == 0))
-        averaged.append(X_hat)
+    averaged = []
+    for j in range(dim_N):
+        e = tuple(1.0 if i == j else 0.0 for i in range(dim_N))
+        X_tilde = RowField(lambda p, C, e=e: composite(p, C, e))
+        averaged.append(haar_average(G, quad, X_tilde, n_samples, seed, cfg,
+                                     check=(j == 0))[0])
 
     last = [None, None]   # the last arrow asked for, and its averaged basis vectors
 

@@ -142,7 +142,7 @@ class Point:
     @classmethod
     def raw(cls, space: Space, patch_index: int, coords) -> "Point":
         """Unchecked constructor for integrator internals (universal cover)."""
-        return cls(space, patch_index, tuple(float(c) for c in coords))
+        return cls(space, patch_index, tuple(map(float, coords)))
 
     @property
     def patch(self) -> Patch:
@@ -214,11 +214,16 @@ class ProductSpace:
     space: Space = field(init=False)
     # per packed patch: (left indices, right indices, left selector, right selector)
     _layout: tuple = field(init=False, repr=False, compare=False)
+    # per packed patch: (left patch, right patch, la, la + lb, la + lb + ca), the
+    # factor patch indices and the cuts of the packed coordinates
+    # (linA | linB | circA | circB), la, lb being the factor patches' lin_count
+    # and ca the left one's circ_count
+    _cuts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        patches, layout = [], []
-        for pa in self.left.patches:
-            for pb in self.right.patches:
+        patches, layout, cuts = [], [], []
+        for ia, pa in enumerate(self.left.patches):
+            for ib, pb in enumerate(self.right.patches):
                 if (pa.excluded_points and pb.dim) or (pb.excluded_points and pa.dim):
                     raise ValueError(
                         f"{self.left.name}x{self.right.name}: excluded balls of a factor "
@@ -240,12 +245,14 @@ class ProductSpace:
                 sel_left.setflags(write=False)
                 sel_right.setflags(write=False)
                 layout.append((left, right, sel_left, sel_right))
+                cuts.append((ia, ib, la, la + lb, la + lb + ca))
         object.__setattr__(
             self,
             "space",
             Space(tuple(patches), name=f"{self.left.name}x{self.right.name}"),
         )
         object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "_cuts", tuple(cuts))
 
     def unpack_index(self, packed_index: int) -> tuple[int, int]:
         nb = len(self.right.patches)
@@ -286,38 +293,24 @@ class ProductSpace:
         return out
 
     def join(self, a: Point, b: Point) -> Point:
-        pa, pb = a.patch, b.patch
-        coords = (
-            a.coords[: pa.lin_count]
-            + b.coords[: pb.lin_count]
-            + a.coords[pa.lin_count:]
-            + b.coords[pb.lin_count:]
-        )
+        index = self.pack_index(a.patch_index, b.patch_index)
+        _, _, i, j, _ = self._cuts[index]
+        ca, cb = a.coords, b.coords
         # a Point's coordinates are already floats: skip Point.raw's conversion
-        return Point(self.space, self.pack_index(a.patch_index, b.patch_index), coords)
+        return Point(self.space, index, ca[:i] + cb[:j - i] + ca[i:] + cb[j - i:])
 
     def split(self, p: Point) -> tuple[Point, Point]:
-        ia, ib = self.unpack_index(p.patch_index)
-        pa, pb = self.left.patches[ia], self.right.patches[ib]
-        la, lb = pa.lin_count, pb.lin_count
-        ca = pa.circ_count
-        coords = p.coords
-        a = coords[:la] + coords[la + lb: la + lb + ca]
-        b = coords[la: la + lb] + coords[la + lb + ca:]
-        return Point(self.left, ia, a), Point(self.right, ib, b)
+        ia, ib, i, j, k = self._cuts[p.patch_index]
+        c = p.coords
+        return Point(self.left, ia, c[:i] + c[j:k]), Point(self.right, ib, c[i:j] + c[k:])
 
     def join_coeffs(self, p: Point, ca: tuple[float, ...], cb: tuple[float, ...]):
-        ia, ib = self.unpack_index(p.patch_index)
-        pa, pb = self.left.patches[ia], self.right.patches[ib]
-        return ca[: pa.lin_count] + cb[: pb.lin_count] + ca[pa.lin_count:] + cb[pb.lin_count:]
+        _, _, i, j, _ = self._cuts[p.patch_index]
+        return ca[:i] + cb[:j - i] + ca[i:] + cb[j - i:]
 
     def split_coeffs(self, p: Point, coeffs: tuple[float, ...]):
-        ia, ib = self.unpack_index(p.patch_index)
-        pa, pb = self.left.patches[ia], self.right.patches[ib]
-        la, lb, ca = pa.lin_count, pb.lin_count, pa.circ_count
-        a = coeffs[:la] + coeffs[la + lb: la + lb + ca]
-        b = coeffs[la: la + lb] + coeffs[la + lb + ca:]
-        return a, b
+        _, _, i, j, k = self._cuts[p.patch_index]
+        return coeffs[:i] + coeffs[j:k], coeffs[i:j] + coeffs[k:]
 
 
 # convenience space constructors used throughout the catalog

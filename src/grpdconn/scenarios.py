@@ -7,6 +7,7 @@ byte-identical JSON (timings appear only in the text rendering).
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -31,6 +32,7 @@ from .connection import (
 from .constructions import (
     AtlasWindow,
     HaarFiberQuadrature,
+    RowLift,
     TrivializingAtlas,
     complete_connection_builder,
     flatness_certificate_check,
@@ -390,17 +392,18 @@ def so2_family_setup(cfg: Config = DEFAULT, nodes: int = 0):
     return fam, quad
 
 
-def _skewed_source_lift(g: Point, w: Tangent) -> Tangent:
+@RowLift
+def _skewed_source_lift(p: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
     """A source lift on the rotation-action family that is skewed in the fibre angle."""
-    phi = g.coords[3]
-    skew = 0.2 * math.sin(phi) * w.coeffs[1] + 0.1 * w.coeffs[2]
-    return Tangent(g, (w.coeffs[0], w.coeffs[1], w.coeffs[2], skew))
+    skew = 0.2 * np.sin(C[:, 3]) * W[:, 1] + 0.1 * W[:, 2]
+    return np.column_stack((W[:, 0], W[:, 1], W[:, 2], skew))
 
 
-def _rotating_base_lift(x: Point, w: Tangent) -> Tangent:
+@RowLift
+def _rotating_base_lift(p: int, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """A base-object lift on the rotation-action family that turns the plane."""
-    v1, v2 = x.coords[1], x.coords[2]
-    return Tangent(x, (w.coeffs[0], 0.05 * v2 * w.coeffs[0], -0.05 * v1 * w.coeffs[0]))
+    w = W[:, 0]
+    return np.column_stack((w, 0.05 * X[:, 2] * w, -0.05 * X[:, 1] * w))
 
 
 def skewed_family_field(fam: GroupoidMorphism):
@@ -490,13 +493,10 @@ def product_not_uniform_setup(cfg: Config = DEFAULT):
         k = arr_prod.join(eta.point(0.0), p)
         return gamma, eta, g, k
 
-    def object_path_with_start(rng):
-        delta = cat.curve_path(H.objects, 0, curve(rng))
-        x = pi.object_fiber_sampler(delta.point(0.0), rng)
-        return delta, x
-
-    pi.transport = TransportSamplers(pi.transport.path_with_start, composable,
-                                     object_path_with_start)
+    pi.transport = dataclasses.replace(
+        pi.transport, composable=composable,
+        object_path_with_start=cat.with_fibre_start(
+            lambda rng: cat.curve_path(H.objects, 0, curve(rng)), pi.object_fiber_sampler))
     c = Connection(pi, hor, hor0, {"provenance": "flat_product",
                                    "claimed_multiplicative": True})
     return c, {}

@@ -7,6 +7,7 @@ probes never claim it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -55,7 +56,7 @@ def pushed_path(map_: SmoothMap, path: BasePath, cfg: Config = DEFAULT) -> BaseP
     def velocity(t: float) -> Tangent:
         p = path.point(t)
         J = jacobian(map_, p, cfg)
-        return Tangent(point(t), tuple(J @ np.asarray(path.velocity(t).coeffs)))
+        return Tangent(map_(p), tuple((J @ np.asarray(path.velocity(t).coeffs)).tolist()))
 
     return BasePath(map_.codomain, point, velocity,
                     is_loop=path.is_loop, label=f"{map_.name}∘{path.label}")
@@ -70,7 +71,7 @@ def product_path(G, gamma: BasePath, eta: BasePath, cfg: Config = DEFAULT) -> Ba
     def velocity(t: float) -> Tangent:
         g, h = gamma.point(t), eta.point(t)
         v = tm_apply(G, g, h, gamma.velocity(t), eta.velocity(t), cfg)
-        return Tangent(point(t), tuple(v))
+        return Tangent(G.compose(g, h), tuple(v.tolist()))
 
     return BasePath(G.arrows, point, velocity,
                     is_loop=gamma.is_loop and eta.is_loop,
@@ -99,8 +100,12 @@ def parallel_transport(
             f"start arrow projects {start_gap:.3e} away from gamma(0)"
         )
 
+    # the velocity does not depend on the state, and one step asks for it at
+    # about five distinct times, each several times
+    velocity = functools.lru_cache(maxsize=8)(gamma.velocity)
+
     def field(t: float, p: Point) -> Tangent:
-        return c.hor(p, gamma.velocity(t))
+        return c.hor(p, velocity(t))
 
     trajectory = integrate(field, g, t1, cfg=cfg, h=h)
     if not trajectory.completed:

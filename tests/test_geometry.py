@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import grpdconn.catalog as cat
 from grpdconn.errors import EvaluationOutsideDomain
 from grpdconn.geometry import (
     Patch,
@@ -16,6 +18,7 @@ from grpdconn.geometry import (
     normalize_angle,
     torus_line,
 )
+from grpdconn.groupoid import Groupoid
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
@@ -81,3 +84,61 @@ def test_tangent_dimension_checked():
     p = Point.make(line(2), 0, (0.0, 0.0))
     with pytest.raises(ValueError):
         Tangent(p, (1.0,))
+
+
+def _product_spaces():
+    """Every ProductSpace reachable from the catalog's default instances,
+    through groupoid metadata, factors and union parts."""
+    found = {}
+
+    def walk(obj):
+        if isinstance(obj, ProductSpace):
+            found.setdefault(obj.space.name + repr(obj.space.patches), obj)
+        elif isinstance(obj, Groupoid):
+            walk(list(obj.metadata.values()))
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+        elif isinstance(obj, dict):
+            walk(list(obj.values()))
+
+    walk([grpd for _, grpd in cat.default_instances()])
+    return list(found.values())
+
+
+PRODUCT_SPACES = _product_spaces()
+
+
+def _packed_reference(pa: Patch, pb: Patch, a, b):
+    """(linA, linB, circA, circB) from each factor patch's coordinate kinds."""
+    lin_a = [c for i, c in enumerate(a) if not pa.is_circ(i)]
+    circ_a = [c for i, c in enumerate(a) if pa.is_circ(i)]
+    lin_b = [c for i, c in enumerate(b) if not pb.is_circ(i)]
+    circ_b = [c for i, c in enumerate(b) if pb.is_circ(i)]
+    return tuple(lin_a + lin_b + circ_a + circ_b)
+
+
+def test_product_spaces_cover_mixed_and_multi_patch_factors():
+    factors = [(prod.left, prod.right) for prod in PRODUCT_SPACES]
+    assert any(min(p.lin_count for p in s.patches) and min(p.circ_count for p in s.patches)
+               for pair in factors for s in pair)
+    assert any(len(s.patches) > 1 and s.dim for pair in factors for s in pair)
+
+
+@pytest.mark.parametrize("prod", PRODUCT_SPACES, ids=lambda p: p.space.name)
+def test_product_packing_matches_factor_patch_counts(prod):
+    rng = np.random.default_rng(11)
+    nb = len(prod.right.patches)
+    for ia, pa in enumerate(prod.left.patches):
+        for ib, pb in enumerate(prod.right.patches):
+            for _ in range(5):
+                a = tuple(rng.uniform(-3.0, 3.0, pa.dim).tolist())
+                b = tuple(rng.uniform(-3.0, 3.0, pb.dim).tolist())
+                packed = _packed_reference(pa, pb, a, b)
+                p = prod.join(Point(prod.left, ia, a), Point(prod.right, ib, b))
+                assert (p.space, p.patch_index, p.coords) == (prod.space, ia * nb + ib, packed)
+                pa_, pb_ = prod.split(Point(prod.space, ia * nb + ib, packed))
+                assert (pa_.space, pa_.patch_index, pa_.coords) == (prod.left, ia, a)
+                assert (pb_.space, pb_.patch_index, pb_.coords) == (prod.right, ib, b)
+                assert prod.join_coeffs(p, a, b) == packed
+                assert prod.split_coeffs(p, packed) == (a, b)

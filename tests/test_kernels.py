@@ -171,3 +171,38 @@ def test_array_average_matches_node_loop(nodes):
                     float(np.max(np.abs(np.asarray(X_hat(g).coeffs) - reference(g)))),
                     float(np.max(np.abs(np.asarray(lift.coeffs) - composite_reference(g)))))
     assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("lift, space_of, base_of", [
+    (_skewed_source_lift, lambda fam: fam.total.arrows, lambda fam: fam.total.src),
+    (_rotating_base_lift, lambda fam: fam.total.objects, lambda fam: fam.object_map),
+], ids=["skewed_source", "rotating_base"])
+def test_row_lift_rows_match_one_row_calls(lift, space_of, base_of):
+    fam, _ = so2_family_setup(nodes=8)
+    space, base = space_of(fam), base_of(fam)
+    rng = np.random.default_rng(17)
+    C = rng.uniform(-3.0, 3.0, (SAMPLES, space.dim))
+    W = rng.uniform(-1.0, 1.0, (SAMPLES, base.codomain.dim))
+    rows = lift.rows(0, C, W)
+    assert rows.shape == C.shape
+    for c, w, row in zip(C, W, rows):
+        p = Point(space, 0, tuple(c.tolist()))
+        one = lift(p, Tangent(base(p), tuple(w.tolist())))
+        assert one.base is p and _bits(one.coeffs) == _bits(row)
+
+
+@pytest.mark.parametrize("nodes", [8, 256])
+def test_row_lift_connection_matches_point_adapter(nodes):
+    fam, quad = so2_family_setup(nodes=nodes)
+    G = fam.total
+    rows = proper_family_connection(fam, _rotating_base_lift, _skewed_source_lift, quad, 2)
+    # the same formulas as plain callables go through the per-row adapter
+    adapter = proper_family_connection(fam, lambda x, w: _rotating_base_lift(x, w),
+                                       lambda g, w: _skewed_source_lift(g, w), quad, 2)
+    for i in range(4):
+        g = G.arrow_sampler(rng_for(7, 227, i))
+        a = Tangent(fam.arrow_map(g), (0.7 - 0.4 * i,))
+        assert _bits(rows.hor(g, a).coeffs) == _bits(adapter.hor(g, a).coeffs)
+        x = G.src(g)
+        w = Tangent(fam.object_map(x), (1.3,))
+        assert _bits(rows.hor0(x, w).coeffs) == _bits(adapter.hor0(x, w).coeffs)

@@ -9,7 +9,8 @@ from grpdconn.connection import Connection, MULTIPLICATIVE, NOT_MULTIPLICATIVE
 from grpdconn.errors import NotALoop, StartFiberMismatch
 from grpdconn.geometry import Point, Tangent, distance, line
 from grpdconn.groupoid import rng_for
-from grpdconn.paths import constant_path, coordinate_path, subpath
+from grpdconn.integrate import integrate
+from grpdconn.paths import BasePath, constant_path, coordinate_path, subpath
 from grpdconn.scenarios import (
     cover_setup,
     luca_setup,
@@ -67,6 +68,30 @@ def test_morita_transport_matches_closed_form():
         assert out.completed and out.drift < DEFAULT.transport_drift_tol
         worst = max(worst, distance(out.end, morita_closed_form_end(c, gamma, g, kappa)))
     assert worst < 1e-6
+
+
+def test_transport_evaluates_velocity_once_per_distinct_time():
+    c, _ = morita_setup()
+    gamma, g = c.morphism.transport.path_with_start(rng_for(31, 0))
+    asked = []
+
+    def velocity(t):
+        asked.append(t)
+        return gamma.velocity(t)
+
+    out = parallel_transport(c, BasePath(gamma.space, gamma.point, velocity), g, 1.0, h=0.02)
+    field_times = []
+
+    def field(t, p):
+        field_times.append(t)
+        return c.hor(p, gamma.velocity(t))
+
+    reference = integrate(field, g, 1.0, h=0.02)
+    assert len(field_times) == 11 * 50                 # 50 steps, none subdivided
+    assert sorted(asked) == sorted(set(field_times))   # each distinct time once
+    assert out.completed and len(asked) < len(field_times) / 2
+    assert ([(t, np.array(p.coords).tobytes()) for t, p in out.trajectory.samples]
+            == [(t, np.array(p.coords).tobytes()) for t, p in reference.samples])
 
 
 def test_punctured_bundle_escapes_through_exclusion():
