@@ -35,6 +35,7 @@ from .groupoid import (
     TransportSamplers,
     points,
 )
+from .linalg import apply_rows
 from .paths import BasePath, coordinate_path
 from .smoothmap import PairMap, PatchJacobian, SmoothMap, identity_map, jacobian
 
@@ -170,10 +171,12 @@ def segment_path(space: Space, patch_index: int, start, end, label: str = "") ->
 
 def factor_projection(prod: ProductSpace, side: int, name: str) -> SmoothMap:
     """The projection of ``prod`` onto its left (side 0) or right (side 1)
-    factor; its Jacobian is that factor's selector, one per packed patch."""
+    factor; its Jacobian is that factor's selector, one per packed patch, and
+    it is a coordinate cut."""
     return SmoothMap(prod.space, (prod.left, prod.right)[side],
                      lambda p: prod.split(p)[side],
-                     PatchJacobian(lambda p: prod.selectors(p.patch_index)[side]), name)
+                     PatchJacobian(lambda p: prod.selectors(p.patch_index)[side]), name,
+                     lambda p, C: (prod.unpack_index(p)[side], prod.factor_rows(p, C, side)))
 
 
 def with_fibre_start(draw, sampler):
@@ -457,15 +460,10 @@ def product_projection(G: Groupoid, name: str, metadata: Optional[dict] = None,
     """The projection pr1: G1 x G2 -> G1 of a product groupoid.
 
     Fibres are sampled with G2's samplers; ``fields`` (the kernel) are passed
-    on to the morphism, and ``metadata`` gains ``arrow_rows``, the
-    arrow map on a block of coordinate rows (a column selection).
+    on to the morphism. Both maps are coordinate cuts.
     """
     G1, G2 = G.metadata["factors"]
     arr, obj = G.metadata["arr_product"], G.metadata["obj_product"]
-
-    def arrow_rows(p, C):
-        return arr.unpack_index(p)[0], arr.split_rows(p, C)[0]
-
     return GroupoidMorphism(
         name=name,
         total=G,
@@ -474,13 +472,18 @@ def product_projection(G: Groupoid, name: str, metadata: Optional[dict] = None,
         object_map=factor_projection(obj, 0, "pr1_0"),
         fiber_sampler=lambda h, rng: arr.join(h, G2.arrow_sampler(rng)),
         object_fiber_sampler=lambda y, rng: obj.join(y, G2.object_sampler(rng)),
-        metadata={**(metadata or {}), "arrow_rows": arrow_rows},
+        metadata=metadata or {},
         **fields,
     )
 
 
 # ---------------------------------------------------------------------------
 # abelian groups Z_n x R^a x T^b over a point, and bundles of them
+
+
+def _to_point_cut(p: int, C: np.ndarray):
+    """The map to a point as a coordinate cut: no columns."""
+    return 0, C[:, :0]
 
 
 def abelian_group(A: Space, name: str) -> Groupoid:
@@ -518,8 +521,8 @@ def abelian_group(A: Space, name: str) -> Groupoid:
         name=name,
         objects=pt,
         arrows=A,
-        src=SmoothMap(A, pt, lambda p: origin, to_point, "src"),
-        tgt=SmoothMap(A, pt, lambda p: origin, to_point, "tgt"),
+        src=SmoothMap(A, pt, lambda p: origin, to_point, "src", _to_point_cut),
+        tgt=SmoothMap(A, pt, lambda p: origin, to_point, "tgt", _to_point_cut),
         unit=SmoothMap(pt, A, lambda x: Point.raw(A, 0, (0.0,) * dim),
                        PatchJacobian(lambda x: np.zeros((dim, 0))), "unit"),
         inv=SmoothMap(A, A, inv_eval, PatchJacobian(lambda p: -np.eye(dim)), "inv"),
@@ -668,11 +671,6 @@ def _rot(phi) -> np.ndarray:
     return R
 
 
-def _apply(R, V) -> np.ndarray:
-    """Row-wise matrix action: R[i] @ V[i] for R (k, m, n) and V (k, n)."""
-    return np.matmul(R, V[..., None])[..., 0]
-
-
 def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
     """Action groupoid SO(2) x R^2 over R^2 (rotation or trivial action).
 
@@ -707,10 +705,10 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
         V, phi = C[:, :2], C[:, 2]
         R = _rot(acting(phi))
         out, J = np.empty((len(C), 3)), np.zeros((len(C), 3, 3))
-        out[:, :2], out[:, 2] = _apply(R, V), -phi
+        out[:, :2], out[:, 2] = apply_rows(R, V), -phi
         J[:, :2, :2], J[:, 2, 2] = R, -1.0
         if not trivial:
-            J[:, :2, 2] = _apply(_rot(phi + math.pi / 2.0), V)
+            J[:, :2, 2] = apply_rows(_rot(phi + math.pi / 2.0), V)
         return 0, out, J
 
     def src(p, C):

@@ -22,9 +22,18 @@ from .errors import (
     NotAnActionMorphism,
     RankDeficientLift,
 )
-from .geometry import Point, Tangent
-from .groupoid import CheckReport, Groupoid, GroupoidMorphism, _Worst, _coords, rng_for
+from .geometry import Point, Space, Tangent
+from .groupoid import (
+    CheckReport,
+    Groupoid,
+    GroupoidMorphism,
+    _Worst,
+    _coords,
+    points,
+    rng_for,
+)
 from .linalg import (
+    apply_rows,
     intersect_columns,
     min_principal_angle,
     nullspace,
@@ -32,12 +41,46 @@ from .linalg import (
     solve_least_squares,
     subspace_residual,
 )
-from .smoothmap import PatchJacobian, jacobian
+from .smoothmap import PatchJacobian, SmoothMap, jacobian
 from .tangent import SubbundleFrame, tm_apply
 
 MULTIPLICATIVE = "Multiplicative"
 NOT_MULTIPLICATIVE = "NotMultiplicative"
 INCONCLUSIVE = "Inconclusive"
+
+
+@dataclass(frozen=True)
+class RowLift:
+    """A lift given on blocks of coordinate rows.
+
+    ``rows(patch, C, W)`` lifts, at every row of a ``(k, dim)`` block ``C``
+    of points on one patch, the tangent coefficients in the same row of the
+    ``(k, m)`` block ``W``, and returns the lifts as a ``(k, dim)`` array; a
+    row's lift depends on nothing but its own rows of ``C`` and ``W``.
+    Called as ``lift(p, w)`` it makes the one-row call and returns a Tangent
+    at ``p``; the base point of ``w`` is not read.
+    """
+
+    rows: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, p: Point, w: Tangent) -> Tangent:
+        out = self.rows(p.patch_index, np.array([p.coords]), np.array([w.coeffs]))
+        return Tangent(p, tuple(out[0].tolist()))
+
+
+def lift_rows(lift, space: Space, base_map: SmoothMap):
+    """The row form of a lift on ``space``: ``lift.rows`` for a
+    :class:`RowLift`; any other lift goes through this per-row adapter, which
+    calls it at each row with the tangent based at ``base_map`` of the row."""
+    if isinstance(lift, RowLift):
+        return lift.rows
+
+    def rows(p: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return np.array([lift(g, Tangent(base_map(g), tuple(w))).coeffs
+                         for g, w in zip(points(space, p, C), W.tolist())],
+                        dtype=float).reshape(C.shape)
+
+    return rows
 
 
 @dataclass
@@ -322,9 +365,13 @@ def kernel_connection(c: Connection, cfg: Config = DEFAULT) -> Connection:
     """Restrict the lift to the kernel family: hor_K(k, w) = hor(k, Tu_H(w)).
 
     The kernel presentation must be exposed by the catalog, and its embedding
-    must declare a patch-constant Jacobian (a :class:`PatchJacobian`, as every
-    catalog embedding does). Lifts are pulled back through the pseudo-inverse
-    of that Jacobian, computed once per patch; the tangency residual of the
+    and H's unit must declare patch-constant Jacobians (a
+    :class:`PatchJacobian`, as every catalog map does). The lift is a
+    :class:`RowLift`: on each kernel patch the embedding is then affine, so a
+    block of rows is embedded by its Jacobian and the offset read off at the
+    first row seen there, lifted by ``c.hor`` on rows (through the per-row
+    adapter when ``c.hor`` is not a RowLift), and pulled back through the
+    pseudo-inverse of that Jacobian. The worst tangency residual of the
     pullback is recorded in the returned connection's metadata.
     """
     pi = c.morphism
@@ -333,25 +380,35 @@ def kernel_connection(c: Connection, cfg: Config = DEFAULT) -> Connection:
     K = pi.kernel.groupoid
     embed = pi.kernel.embed
     family = pi.kernel.family
-    if not isinstance(embed.jac, PatchJacobian):
-        raise KernelEmbeddingNotPatchConstant(
-            f"{pi.name}: the kernel embedding {embed.name} does not declare a PatchJacobian")
     H = pi.base_grpd
+    for m in (embed, H.unit):
+        if not isinstance(m.jac, PatchJacobian):
+            raise KernelEmbeddingNotPatchConstant(
+                f"{pi.name}: {m.name} does not declare a PatchJacobian")
     worst_tangency = [0.0]
-    pull = PatchJacobian(lambda k: np.linalg.pinv(jacobian(embed, k, cfg)))
+    lift = lift_rows(c.hor, pi.total.arrows, pi.arrow_map)
+    per_patch: dict = {}
 
-    def _pull(k: Point, lifted: np.ndarray) -> np.ndarray:
-        coeffs = pull(k) @ lifted
-        resid = float(np.linalg.norm(jacobian(embed, k, cfg) @ coeffs - lifted))
-        worst_tangency[0] = max(worst_tangency[0], resid)
+    def on_patch(p: int, C: np.ndarray):
+        """Image patch, Jacobian, offset and pseudo-inverse of the embedding
+        on kernel patch p, and H's unit Jacobian there."""
+        if p not in per_patch:
+            k = Point(K.arrows, p, tuple(C[0].tolist()))
+            J = jacobian(embed, k, cfg)
+            g = embed(k)
+            offset = np.asarray(g.coords) - J @ np.asarray(k.coords)
+            Tu_H = jacobian(H.unit, family.arrow_map(k), cfg)
+            per_patch[p] = g.patch_index, J, offset, np.linalg.pinv(J), Tu_H
+        return per_patch[p]
+
+    @RowLift
+    def hor_K(p: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
+        q, J, offset, pull, Tu_H = on_patch(p, C)
+        lifted = lift(q, apply_rows(J, C) + offset, apply_rows(Tu_H, W))
+        coeffs = apply_rows(pull, lifted)
+        resid = np.linalg.norm(apply_rows(J, coeffs) - lifted, axis=1)
+        worst_tangency[0] = max(worst_tangency[0], float(np.max(resid, initial=0.0)))
         return coeffs
-
-    def hor_K(k: Point, w: Tangent) -> Tangent:
-        g = embed(k)
-        y = w.base
-        Tu_H = jacobian(H.unit, y, cfg)
-        lifted = c.hor(g, Tangent(H.unit(y), tuple(Tu_H @ np.asarray(w.coeffs))))
-        return Tangent(k, tuple(_pull(k, np.asarray(lifted.coeffs))))
 
     return Connection(
         morphism=family,

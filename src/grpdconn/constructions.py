@@ -39,42 +39,51 @@ from .groupoid import (
     points,
     rng_for,
 )
-from .connection import Connection, multiplicative_field_report
+from .connection import Connection, RowLift, lift_rows, multiplicative_field_report
 from .intervals import Interval, fmt_bound
-from .smoothmap import PatchJacobian, jacobian
+from .smoothmap import PatchJacobian, SmoothMap, jacobian
 
 
 # ---------------------------------------------------------------------------
 # Morita (pullback) connections
 
 
-def morita_connection(pi: GroupoidMorphism, hor0, cfg: Config = DEFAULT) -> Connection:
+def morita_connection(pi: GroupoidMorphism, hor0) -> Connection:
     """The unique lift on a pullback projection extending a base lift.
 
     For arrows (x, h, y) of the pullback groupoid the lift of a base tangent
     ``a`` is (hor0(x, Tt_H a), a, hor0(y, Ts_H a)), assembled in the pullback
-    coordinates (h, f_t, f_s).
+    coordinates (h, f_t, f_s). The lift is a :class:`RowLift`: H's target and
+    source must be coordinate cuts (as those of pair, unit and abelian
+    groupoids are), which cut both the points and the tangents of a block,
+    and ``hor0`` lifts the two blocks of base points on rows (through the
+    per-row adapter when it is not a RowLift).
     """
     if not pi.metadata.get("morita_fibration"):
         raise NotASubmersion(f"{pi.name} is not a pullback projection")
+    H = pi.base_grpd
+    if H.tgt.cut is None or H.src.cut is None:
+        raise NotASubmersion(f"{pi.name}: the target and source of {H.name} are not "
+                             "coordinate cuts")
     base_prod = pi.metadata["base_product"]
     arr = pi.total.metadata["arr_product"]
     fibre_pairs = pi.total.metadata["factors"][1].metadata["product_space"]
-    H = pi.base_grpd
+    base_rows = lift_rows(hor0, base_prod.space, pi.object_map)
 
-    def hor(g: Point, a: Tangent) -> Tangent:
-        h, f = arr.split(g)
-        ft, fs = fibre_pairs.split(f)
-        ht, hs = H.tgt(h), H.src(h)
-        av = np.asarray(a.coeffs)
-        x = base_prod.join(ht, ft)
-        y = base_prod.join(hs, fs)
-        lift_t = hor0(x, Tangent(ht, tuple((jacobian(H.tgt, h, cfg) @ av).tolist())))
-        lift_s = hor0(y, Tangent(hs, tuple((jacobian(H.src, h, cfg) @ av).tolist())))
-        _, dft = base_prod.split_coeffs(x, tuple(lift_t.coeffs))
-        _, dfs = base_prod.split_coeffs(y, tuple(lift_s.coeffs))
-        fibre = fibre_pairs.join_coeffs(f, dft, dfs)
-        return Tangent(g, arr.join_coeffs(g, tuple(a.coeffs), fibre))
+    def leg(end: SmoothMap, ih: int, Hr, W, i_f: int, Fr):
+        """The fibre part of hor0 at the base point (end(h), f) of each row."""
+        q, ends = end.cut(ih, Hr)
+        x = base_prod.pack_index(q, i_f)
+        return base_prod.factor_rows(x, base_rows(x, base_prod.join_rows(x, ends, Fr),
+                                                  end.cut(ih, W)[1]), 1)
+
+    @RowLift
+    def hor(p: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
+        (ih, i_f), (Hr, Fr) = arr.unpack_index(p), arr.split_rows(p, C)
+        (it, i_s), (Ft, Fs) = fibre_pairs.unpack_index(i_f), fibre_pairs.split_rows(i_f, Fr)
+        fibre = fibre_pairs.join_rows(i_f, leg(H.tgt, ih, Hr, W, it, Ft),
+                                      leg(H.src, ih, Hr, W, i_s, Fs))
+        return arr.join_rows(p, W, fibre)
 
     return Connection(
         morphism=pi,
@@ -395,25 +404,6 @@ class RowField:
         return Tangent(g, tuple(self.rows(g.patch_index, np.array([g.coords]))[0].tolist()))
 
 
-@dataclass(frozen=True)
-class RowLift:
-    """A lift given on blocks of coordinate rows; the lift counterpart of
-    :class:`RowField`.
-
-    ``rows(patch, C, W)`` lifts, at every row of a ``(k, dim)`` block ``C``
-    of points on one patch, the tangent coefficients in the same row of the
-    ``(k, m)`` block ``W``, and returns the lifts as a ``(k, dim)`` array.
-    Called as ``lift(p, w)`` it makes the one-row call and returns a Tangent
-    at ``p``; the base point of ``w`` is not read.
-    """
-
-    rows: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, p: Point, w: Tangent) -> Tangent:
-        out = self.rows(p.patch_index, np.array([p.coords]), np.array([w.coeffs]))
-        return Tangent(p, tuple(out[0].tolist()))
-
-
 def haar_average(
     G: Groupoid,
     quad: HaarFiberQuadrature,
@@ -496,7 +486,7 @@ def proper_family_connection(
     block of node rows the composite field takes sources from the rows (G's
     ``src`` kernel). When ``hor0`` and ``hor_s`` are both :class:`RowLift`s
     it lifts the whole block in two row calls; otherwise it takes base arrows
-    from the rows too (the family's ``arrow_rows`` column selection) and
+    from the rows too (the family's arrow map, a coordinate cut) and
     calls ``hor0`` and ``hor_s`` once per row. The averaged basis vectors at
     the last arrow asked for are kept, so ``hor`` and ``hor0`` at one arrow
     average once.
@@ -504,7 +494,6 @@ def proper_family_connection(
     G = family.total
     N = family.base_grpd.objects
     base_arrows = family.base_grpd.arrows
-    arrow_rows = family.metadata["arrow_rows"]
     dim_N = N.dim
 
     if isinstance(hor0, RowLift) and isinstance(hor_s, RowLift):
@@ -515,7 +504,7 @@ def proper_family_connection(
         def composite(p: int, C: np.ndarray, e: tuple) -> np.ndarray:
             gs = points(G.arrows, p, C)
             xs = points(G.objects, *G.kernels.src(p, C))
-            ys = points(base_arrows, *arrow_rows(p, C))
+            ys = points(base_arrows, *family.arrow_map.cut(p, C))
             return np.array([hor_s(g, hor0(x, Tangent(y, e))).coeffs
                              for g, x, y in zip(gs, xs, ys)], dtype=float).reshape(C.shape)
 

@@ -46,7 +46,8 @@ class KernelNotExposed(GrpdConnError):
 
 
 class KernelEmbeddingNotPatchConstant(GrpdConnError):
-    """A kernel embedding's Jacobian is not declared a ``PatchJacobian``."""
+    """A kernel embedding's Jacobian, or that of the base groupoid's unit, is
+    not declared a ``PatchJacobian``."""
 
 
 class IncompatibleMorphisms(GrpdConnError):

@@ -219,9 +219,12 @@ class ProductSpace:
     # (linA | linB | circA | circB), la, lb being the factor patches' lin_count
     # and ca the left one's circ_count
     _cuts: tuple = field(init=False, repr=False, compare=False)
+    # per packed patch: the left and the right factor's columns, each a slice
+    # or, when they are not contiguous, a pair of slices
+    _columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        patches, layout, cuts = [], [], []
+        patches, layout, cuts, columns = [], [], [], []
         for ia, pa in enumerate(self.left.patches):
             for ib, pb in enumerate(self.right.patches):
                 if (pa.excluded_points and pb.dim) or (pb.excluded_points and pa.dim):
@@ -246,6 +249,8 @@ class ProductSpace:
                 sel_right.setflags(write=False)
                 layout.append((left, right, sel_left, sel_right))
                 cuts.append((ia, ib, la, la + lb, la + lb + ca))
+                columns.append((_slices(0, la, la + lb, la + lb + ca),
+                                _slices(la, la + lb, la + lb + ca, dim)))
         object.__setattr__(
             self,
             "space",
@@ -253,6 +258,7 @@ class ProductSpace:
         )
         object.__setattr__(self, "_layout", tuple(layout))
         object.__setattr__(self, "_cuts", tuple(cuts))
+        object.__setattr__(self, "_columns", tuple(columns))
 
     def unpack_index(self, packed_index: int) -> tuple[int, int]:
         nb = len(self.right.patches)
@@ -279,17 +285,32 @@ class ProductSpace:
         J[..., rows_right[:, None], cols_right] = J_right
         return J
 
+    def factor_rows(self, packed_index: int, rows, side: int):
+        """The left (side 0) or right (side 1) factor's columns of a (k, dim)
+        block on a packed patch, cut by slices (a view where they are
+        contiguous)."""
+        cols = self._columns[packed_index][side]
+        if type(cols) is slice:
+            return rows[:, cols]
+        return _np.concatenate((rows[:, cols[0]], rows[:, cols[1]]), axis=1)
+
     def split_rows(self, packed_index: int, rows):
         """Each factor's columns of a (k, dim) block on a packed patch."""
-        left, right = self._layout[packed_index][:2]
-        return rows[:, left], rows[:, right]
+        return self.factor_rows(packed_index, rows, 0), self.factor_rows(packed_index, rows, 1)
 
     def join_rows(self, packed_index: int, rows_left, rows_right):
         """The packed block of two factor blocks; a one-row block broadcasts."""
-        left, right = self._layout[packed_index][:2]
-        out = _np.empty((max(len(rows_left), len(rows_right)), len(left) + len(right)))
-        out[:, left] = rows_left
-        out[:, right] = rows_right
+        _, _, i, j, k = self._cuts[packed_index]
+        if (i == j or j == k) and len(rows_left) == len(rows_right):
+            # no left circle columns follow right line ones: the packing is
+            # the left block, then the right one
+            return _np.concatenate((rows_left, rows_right), axis=1)
+        out = _np.empty((max(len(rows_left), len(rows_right)),
+                         rows_left.shape[1] + rows_right.shape[1]))
+        out[:, :i] = rows_left[:, :i]
+        out[:, i:j] = rows_right[:, :j - i]
+        out[:, j:k] = rows_left[:, i:]
+        out[:, k:] = rows_right[:, j - i:]
         return out
 
     def join(self, a: Point, b: Point) -> Point:
@@ -311,6 +332,16 @@ class ProductSpace:
     def split_coeffs(self, p: Point, coeffs: tuple[float, ...]):
         _, _, i, j, k = self._cuts[p.patch_index]
         return coeffs[:i] + coeffs[j:k], coeffs[i:j] + coeffs[k:]
+
+
+def _slices(a: int, b: int, c: int, d: int):
+    """Columns a:b and c:d as one slice, or as a pair of slices when both are
+    non-empty."""
+    if c == d:
+        return slice(a, b)
+    if a == b:
+        return slice(c, d)
+    return slice(a, b), slice(c, d)
 
 
 # convenience space constructors used throughout the catalog

@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import InvalidHorizon
@@ -22,6 +24,9 @@ EXCLUDED_POINT = "ExcludedPoint"
 STEP_COLLAPSE = "StepCollapse"
 
 _MAX_SUBDIVISION = 12
+# with first_escape, the subdivision depth from which a row waits for the rows
+# before it (see integrate_rows)
+_PARK_DEPTH = 4
 
 
 @dataclass
@@ -45,25 +50,13 @@ class TrajectoryOutcome:
         return best[1]
 
 
-class _Escape(Exception):
-    def __init__(self, time: float, reason: str, state):
-        self.time = time
-        self.reason = reason
-        self.state = state
-
-
-def _rk4(f, t, y, h, k1):
-    """One RK4 step of size h from (t, y), given the first stage k1 = f(t, y)."""
-    y2 = [yi + 0.5 * h * ki for yi, ki in zip(y, k1)]
-    k2 = f(t + 0.5 * h, y2)
-    y3 = [yi + 0.5 * h * ki for yi, ki in zip(y, k2)]
-    k3 = f(t + 0.5 * h, y3)
-    y4 = [yi + h * ki for yi, ki in zip(y, k3)]
-    k4 = f(t + h, y4)
-    return [
-        yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    ]
+def _rk4(f, t, rows, Y, h, K1):
+    """One RK4 step of size h from (t, Y) for a block of rows, given the first
+    stage K1 = f(t, rows, Y)."""
+    K2 = f(t + 0.5 * h, rows, Y + 0.5 * h * K1)
+    K3 = f(t + 0.5 * h, rows, Y + 0.5 * h * K2)
+    K4 = f(t + h, rows, Y + h * K3)
+    return Y + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
 def _chord_ball_hit(y0, y1, center, radius):
@@ -98,15 +91,32 @@ def _segment_ball_hit(y0, y1, center, radius, lin_count):
     return min(hits, default=None)
 
 
-def integrate(
-    field: Callable[[float, Point], Tangent],
-    p0: Point,
+def integrate_rows(
+    field: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
+    starts: Sequence[Point],
     horizon: float,
     cfg: Config = DEFAULT,
     h: Optional[float] = None,
     ode_tol: Optional[float] = None,
-) -> TrajectoryOutcome:
-    """Integrate ``dy/dt = field(t, y)`` from p0 over [0, horizon].
+    first_escape: bool = False,
+) -> list[Optional[TrajectoryOutcome]]:
+    """Integrate ``dy/dt = field(t, rows, Y)`` from a block of starts on one
+    patch over [0, horizon], one trajectory per start.
+
+    ``field`` takes the indices ``rows`` (into ``starts``) of the ``(k, n)``
+    block of states ``Y`` and returns the ``(k, n)`` block of velocities; a
+    row's velocity may depend on nothing but its own row. Each row follows
+    exactly the arithmetic it would follow alone: the same step doubling, the
+    rows whose Richardson gap exceeds the tolerance (or is not finite)
+    subdivide as a subset, and a row stops at its own escape.
+
+    With ``first_escape`` only the first row that escapes (in ``starts``
+    order) matters: the rows after it are dropped, and their outcome is None.
+    A row whose step needs more than ``_PARK_DEPTH`` levels of subdivision
+    while a row before it is still running is parked at the start of that
+    step and resumed once the rows before it are done, so that the deep
+    subdivision of an escape that a row before it would make irrelevant is
+    not paid for.
 
     ``ode_tol=None`` uses the configured tolerance; pass ``math.inf`` to
     disable subdivision (pure fixed-step RK4 accepting the half-step state).
@@ -117,52 +127,145 @@ def integrate(
     tol = cfg.numeric_ode_tol if ode_tol is None else ode_tol
     bound = cfg.numeric_blowup_bound
 
-    space, patch_index = p0.space, p0.patch_index
-    patch = p0.patch
-    exclusions = patch.excluded_points
+    space, patch_index = starts[0].space, starts[0].patch_index
+    patch = starts[0].patch
+    samples = [[(0.0, p)] for p in starts]
+    escapes: dict[int, tuple[float, str, np.ndarray]] = {}
+    parked: dict[int, None] = {}    # rows parked during the current nominal step
 
-    def f(t, y):
-        v = field(t, Point.raw(space, patch_index, tuple(y)))
-        return v.coeffs
+    def check_segments(t, rows, Y0, Y1, step, alive):
+        """Escapes over the accepted steps Y0 -> Y1 of the rows in ``alive``
+        (a mask, None for every row): norm blowup at the step's end, then each
+        excluded ball in turn. Returns the mask of the rows that did not
+        escape, None when every row is left."""
+        big = np.abs(Y1) > bound
+        if big.any():
+            blown = big.any(axis=1) if alive is None else alive & big.any(axis=1)
+            for j in np.flatnonzero(blown):
+                escapes[rows[j]] = (t + step, NORM_BLOWUP, Y1[j])
+            alive = ~blown if alive is None else alive & ~blown
+        for center, radius in patch.excluded_points:
+            for j in range(len(rows)) if alive is None else np.flatnonzero(alive):
+                s = _segment_ball_hit(Y0[j].tolist(), Y1[j].tolist(), center, radius,
+                                      patch.lin_count)
+                if s is not None:
+                    escapes[rows[j]] = (t + s * ((t + step) - t), EXCLUDED_POINT, Y1[j])
+                    if alive is None:
+                        alive = np.ones(len(rows), dtype=bool)
+                    alive[j] = False
+        return alive
 
-    def check_segment(t0, t1, y0, y1):
-        if any(abs(c) > bound for c in y1):
-            raise _Escape(t1, NORM_BLOWUP, y1)
-        for center, radius in exclusions:
-            s = _segment_ball_hit(y0, y1, center, radius, patch.lin_count)
-            if s is not None:
-                raise _Escape(t0 + s * (t1 - t0), EXCLUDED_POINT, y1)
+    def advance(t, rows, Y, step, depth, K1, lowest, Y_full=None):
+        """One step of size ``step`` for every row; returns the new states and
+        the mask of rows that neither escaped nor were parked (None for all).
 
-    def advance(t, y, step, depth, k1):
-        # the full step, the first half step and the first subdivision all
-        # start at (t, y), so they share its first stage k1 = f(t, y) (step
-        # doubling as in Hairer, Norsett & Wanner, Solving ODEs I, II.4)
-        y_full = _rk4(f, t, y, step, k1)
-        y_mid = _rk4(f, t, y, 0.5 * step, k1)
+        The full step, the first half step and the first subdivision all start
+        at (t, Y), so they share its first stage K1, and a subdivision's first
+        half reuses the half step as its full step (step doubling as in
+        Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+        """
+        if Y_full is None:
+            Y_full = _rk4(field, t, rows, Y, step, K1)
+        Y_mid = _rk4(field, t, rows, Y, 0.5 * step, K1)
         t_mid = t + 0.5 * step
-        y_half = _rk4(f, t_mid, y_mid, 0.5 * step, f(t_mid, y_mid))
-        disagreement = max((abs(a - b) for a, b in zip(y_full, y_half)), default=0.0)
-        if not math.isfinite(disagreement) or disagreement > tol:
-            if depth >= _MAX_SUBDIVISION:
-                raise _Escape(t, STEP_COLLAPSE, y)
-            y_mid2 = advance(t, y, 0.5 * step, depth + 1, k1)
-            return advance(t_mid, y_mid2, 0.5 * step, depth + 1, f(t_mid, y_mid2))
-        check_segment(t, t + step, y, y_half)
-        return y_half
+        Y_half = _rk4(field, t_mid, rows, Y_mid, 0.5 * step, field(t_mid, rows, Y_mid))
+        gap = np.abs(Y_full - Y_half)
+        flat = gap.ravel().tolist()
+        # a NaN or infinite gap makes the sum fail the test
+        if max(flat, default=0.0) <= tol and sum(flat) < math.inf:
+            return Y_half, check_segments(t, rows, Y, Y_half, step, None)
+        # the rows whose gap exceeds the tolerance or is not finite subdivide
+        gap = gap.max(axis=1, initial=0.0)
+        redo = ~(gap <= tol) | (gap == math.inf)
+        alive = check_segments(t, rows, Y, Y_half, step, ~redo)
+        sub = np.flatnonzero(redo)
+        if depth >= _MAX_SUBDIVISION:
+            for j in sub:
+                escapes[rows[j]] = (t, STEP_COLLAPSE, Y[j])
+            return Y_half, alive
+        if first_escape and depth >= _PARK_DEPTH:
+            park = rows[sub] > lowest
+            for r in rows[sub[park]].tolist():
+                parked[r] = None
+            sub = sub[~park]
+            if not len(sub):
+                return Y_half, alive
+        Y1, ok1 = advance(t, rows[sub], Y[sub], 0.5 * step, depth + 1, K1[sub], lowest,
+                          Y_mid[sub])
+        if ok1 is not None:
+            sub, Y1 = sub[ok1], Y1[ok1]
+            if not len(sub):
+                return Y_half, alive
+        Y2, ok2 = advance(t_mid, rows[sub], Y1, 0.5 * step, depth + 1,
+                          field(t_mid, rows[sub], Y1), lowest)
+        Y_new = Y_half.copy()
+        Y_new[sub] = Y2
+        alive[sub if ok2 is None else sub[ok2]] = True
+        return Y_new, alive
 
-    y = list(p0.coords)
-    samples = [(0.0, p0)]
-    n_steps = max(1, int(math.ceil(horizon / h - cfg.numeric_tol_time)))
-    try:
-        for k in range(n_steps):
+    def run(rows, Y, k_start):
+        """Nominal steps from step ``k_start`` on; returns the rows that
+        completed, and parks rows as ``advance`` does."""
+        resume = []
+        for k in range(k_start, n_steps):
             t0 = k * h
             t1 = min((k + 1) * h, horizon)
-            y = advance(t0, y, t1 - t0, 0, f(t0, y))
-            samples.append((t1, Point.raw(space, patch_index, tuple(y))))
-    except _Escape as esc:
-        samples.append((esc.time, Point.raw(space, patch_index, tuple(esc.state))))
-        return TrajectoryOutcome("Escaped", samples, esc.time, esc.reason)
-    return TrajectoryOutcome("Completed", samples)
+            lowest = min(rows[0], resume[0][0]) if resume else rows[0]
+            Y_new, alive = advance(t0, rows, Y, t1 - t0, 0, field(t0, rows, Y), lowest)
+            if parked:
+                resume = sorted(resume + [(r, k, Y[rows == r][0]) for r in parked],
+                                key=lambda item: item[0])
+                parked.clear()
+            if first_escape and escapes:
+                keep = rows < min(escapes)
+                alive = keep if alive is None else alive & keep
+            if alive is not None:
+                rows, Y_new = rows[alive], Y_new[alive]
+            Y = Y_new
+            for r, y in zip(rows.tolist(), Y.tolist()):
+                samples[r].append((t1, Point(space, patch_index, tuple(y))))
+            if not len(rows):
+                break
+        done = rows.tolist()
+        for r, k, y in resume:
+            if not (escapes and r > min(escapes)):
+                done += run(np.array([r]), y[None], k)
+        return done
+
+    Y0 = np.array([p.coords for p in starts], dtype=float).reshape(len(starts), patch.dim)
+    n_steps = max(1, int(math.ceil(horizon / h - cfg.numeric_tol_time)))
+    with np.errstate(all="ignore"):
+        completed = run(np.arange(len(starts)), Y0, 0)
+    out: list[Optional[TrajectoryOutcome]] = [None] * len(starts)
+    for r in completed:
+        out[r] = TrajectoryOutcome("Completed", samples[r])
+    for r, (time, reason, state) in escapes.items():
+        if first_escape and r > min(escapes):
+            continue
+        samples[r].append((time, Point(space, patch_index, tuple(state.tolist()))))
+        out[r] = TrajectoryOutcome("Escaped", samples[r], time, reason)
+    if first_escape and escapes:
+        out[min(escapes) + 1:] = [None] * (len(starts) - min(escapes) - 1)
+    return out
+
+
+def integrate(
+    field: Callable[[float, Point], Tangent],
+    p0: Point,
+    horizon: float,
+    cfg: Config = DEFAULT,
+    h: Optional[float] = None,
+    ode_tol: Optional[float] = None,
+) -> TrajectoryOutcome:
+    """Integrate ``dy/dt = field(t, y)`` from p0 over [0, horizon]: the
+    one-row call of :func:`integrate_rows`."""
+    space, patch_index = p0.space, p0.patch_index
+
+    def rows(t, _, Y):
+        p = Point(space, patch_index, tuple(Y.tolist()[0]))
+        return np.array(field(t, p).coeffs, dtype=float)[None]
+
+    return integrate_rows(rows, [p0], horizon, cfg, h, ode_tol)[0]
 
 
 def dump_trajectory(outcome: TrajectoryOutcome, path: str) -> None:

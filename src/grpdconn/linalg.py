@@ -10,6 +10,14 @@ from .errors import DegenerateBasis
 from .geometry import Point, Tangent
 
 
+def apply_rows(M, V) -> np.ndarray:
+    """Row-wise matrix action: M[i] @ V[i] for M (k, m, n), or M @ V[i] for
+    one (m, n) matrix, and V (k, n). Each row takes the same BLAS path as a
+    single matrix-vector product, so a row's result does not depend on the
+    block it is in."""
+    return np.matmul(M, V[..., None])[..., 0]
+
+
 def _as_matrix(basis) -> np.ndarray:
     cols = []
     for v in basis:

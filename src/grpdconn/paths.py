@@ -2,20 +2,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .geometry import Point, Space, Tangent
 
 
 @dataclass(frozen=True)
 class BasePath:
-    """A curve [0,1] -> space given by closed-form point and velocity maps."""
+    """A curve [0,1] -> space given by closed-form point and velocity maps.
+
+    ``velocity_coeffs``, when given, returns ``velocity(t).coeffs`` without
+    building the velocity's base point.
+    """
 
     space: Space
     point: Callable[[float], Point]
     velocity: Callable[[float], Tangent]
     is_loop: bool = False
     label: str = ""
+    velocity_coeffs: Optional[Callable[[float], tuple]] = None
 
     def reversed(self) -> "BasePath":
         # Open-interval style reparametrization t -> 1 - t, derivative negated.
@@ -50,10 +55,14 @@ def coordinate_path(
     def point(t: float) -> Point:
         return Point.raw(space, patch_index, coords_fn(t))
 
-    def velocity(t: float) -> Tangent:
-        return Tangent(point(t), tuple(float(d) for d in deriv_fn(t)))
+    def coeffs(t: float) -> tuple:
+        return tuple(float(d) for d in deriv_fn(t))
 
-    return BasePath(space, point, velocity, is_loop=is_loop, label=label)
+    def velocity(t: float) -> Tangent:
+        return Tangent(point(t), coeffs(t))
+
+    return BasePath(space, point, velocity, is_loop=is_loop, label=label,
+                    velocity_coeffs=coeffs)
 
 def subpath(path: BasePath, t0: float, t1: float) -> BasePath:
     """Restriction to [t0, t1] reparametrized over [0, 1] (chain rule)."""

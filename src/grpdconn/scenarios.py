@@ -23,6 +23,7 @@ from .connection import (
     MULTIPLICATIVE,
     NOT_MULTIPLICATIVE,
     Rejection,
+    RowLift,
     action_connection,
     complement_check,
     kernel_connection,
@@ -32,7 +33,6 @@ from .connection import (
 from .constructions import (
     AtlasWindow,
     HaarFiberQuadrature,
-    RowLift,
     TrivializingAtlas,
     complete_connection_builder,
     flatness_certificate_check,
@@ -207,29 +207,35 @@ def _pointwise(name, rep, expected, witness=None) -> CheckResult:
 
 
 
-def _escape_rate(u: float) -> float:
-    """exp(-u) clamped to the float range; escaping lifts only grow."""
-    return math.exp(min(-u, 700.0))
+def _escape_rates(u: np.ndarray) -> np.ndarray:
+    """exp(-u) clamped to the float range, per entry; escaping lifts only
+    grow. Entries go through math.exp, from which np.exp differs in the last
+    bit on some inputs."""
+    return np.array([math.exp(min(-x, 700.0)) for x in u.ravel().tolist()]).reshape(u.shape)
+
 
 def luca_setup(cfg: Config = DEFAULT):
     """Plane-over-circle group morphism with the skewed quadratic lift."""
     pi = cat.plane_to_circle_morphism()
 
-    def hor(g: Point, a: Tangent) -> Tangent:
-        x = g.coords[0]
-        return Tangent(g, (a.coeffs[0], x * x * a.coeffs[0]))
+    @RowLift
+    def hor(p: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
+        x = C[:, 0]
+        return np.column_stack((W[:, 0], x * x * W[:, 0]))
 
-    def hor0(x: Point, w: Tangent) -> Tangent:
-        return Tangent(x, ())
+    @RowLift
+    def hor0(p: int, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return X[:, :0].copy()
 
     c = Connection(pi, hor, hor0, {"provenance": "skewed_square_lift",
                                    "claimed_multiplicative": False})
     return c, {}
 
 
-def _identity_lift(g: Point, w: Tangent) -> Tangent:
-    """The unique lift of a local diffeomorphism: the same coefficients at g."""
-    return Tangent(g, tuple(w.coeffs))
+@RowLift
+def _identity_lift(p: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The unique lift of a local diffeomorphism: the same coefficients."""
+    return W
 
 
 def punctured_bundle_setup(cfg: Config = DEFAULT):
@@ -256,11 +262,9 @@ def _exp_base_lift(base_prod: ProductSpace, kappa: float):
     """hor0 on pr1: N x F -> N with fibre rate kappa: closed-form transports
     x(t) = x(0) * exp(kappa * (delta(t) - delta(0)))."""
 
-    def hor0(x: Point, w: Tangent) -> Tangent:
-        n_pt, f_pt = base_prod.split(x)
-        dn = w.coeffs
-        df = tuple(kappa * f * dn[0] for f in f_pt.coords)
-        return Tangent(x, base_prod.join_coeffs(x, dn, df))
+    @RowLift
+    def hor0(p: int, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return base_prod.join_rows(p, W, kappa * base_prod.factor_rows(p, X, 1) * W[:, :1])
 
     return hor0
 
@@ -271,7 +275,7 @@ def morita_setup(cfg: Config = DEFAULT, kappa: float = 0.4):
     pi = cat.pullback_of_projection(H, line(1, name="F"), name="morita_pullback")
     base_prod = pi.metadata["base_product"]
     hor0 = _exp_base_lift(base_prod, kappa)
-    c = morita_connection(pi, hor0, cfg)
+    c = morita_connection(pi, hor0)
     _attach_morita_transport(pi, punctured=False)
     return c, {"kappa": kappa, "H": H, "base_prod": base_prod}
 
@@ -286,14 +290,13 @@ def morita_punctured_setup(cfg: Config = DEFAULT):
     pi = cat.pullback_of_projection(H, F, name="morita_pullback_punctured")
     base_prod = pi.metadata["base_product"]
 
-    def hor0(x: Point, w: Tangent) -> Tangent:
-        n_pt, f_pt = base_prod.split(x)
-        u = f_pt.coords[0]
-        sign = 1.0 if f_pt.patch_index == 0 else -1.0
-        rate = -sign * _escape_rate(u) * w.coeffs[0]
-        return Tangent(x, base_prod.join_coeffs(x, w.coeffs, (rate,)))
+    @RowLift
+    def hor0(p: int, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        sign = 1.0 if base_prod.unpack_index(p)[1] == 0 else -1.0
+        rate = -sign * _escape_rates(base_prod.factor_rows(p, X, 1)) * W[:, :1]
+        return base_prod.join_rows(p, W, rate)
 
-    c = morita_connection(pi, hor0, cfg)
+    c = morita_connection(pi, hor0)
     _attach_morita_transport(pi, punctured=True)
     return c, {"base_prod": base_prod}
 
@@ -362,20 +365,28 @@ def pair_fibration_setup(punctured: bool = False, cfg: Config = DEFAULT):
     prodM: ProductSpace = pi.metadata["product_space"]
     M = prodM.left
 
-    def base_lift_coeff(x: Point, w: float) -> float:
-        if not punctured:
-            return 0.0
-        sign = 1.0 if x.patch_index == 0 else -1.0
-        return -sign * _escape_rate(x.coords[0]) * w
+    def fibre_lift(rate_signs):
+        """The lift (rate * w, w) on rows whose first columns are log-chart
+        fibre coordinates u and whose last ones are the angles, which both M
+        (u, theta) and its pairs (u1, u2, theta1, theta2) are; the rate is 0,
+        or in the punctured variant -sign exp(-u), a translation toward the
+        deleted point in the chart of sign +-1 (rate_signs[patch] = -sign)."""
 
-    def hor0(x: Point, w: Tangent) -> Tangent:
-        return Tangent(x, (base_lift_coeff(x, w.coeffs[0]), w.coeffs[0]))
+        @RowLift
+        def rows(p: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
+            if not punctured:
+                return np.concatenate((np.zeros_like(W), W), axis=1)
+            return np.concatenate((rate_signs[p] * _escape_rates(C[:, :W.shape[1]]) * W, W),
+                                  axis=1)
 
-    def hor(g: Point, a: Tangent) -> Tangent:
-        left, right = prodM.split(g)
-        d1 = base_lift_coeff(left, a.coeffs[0])
-        d2 = base_lift_coeff(right, a.coeffs[1])
-        return Tangent(g, prodM.join_coeffs(g, (d1, a.coeffs[0]), (d2, a.coeffs[1])))
+        return rows
+
+    def minus_signs(*patches):
+        return np.array([-1.0 if q == 0 else 1.0 for q in patches])
+
+    hor0 = fibre_lift([minus_signs(q) for q in range(len(M.patches))])
+    hor = fibre_lift([minus_signs(*prodM.unpack_index(p))
+                      for p in range(len(prodM.space.patches))])
 
     c = Connection(pi, hor, hor0, {"provenance": "pair_product_lift",
                                    "claimed_multiplicative": True,
@@ -476,11 +487,13 @@ def product_not_uniform_setup(cfg: Config = DEFAULT):
     arr_prod: ProductSpace = pi.total.metadata["arr_product"]
     obj_prod: ProductSpace = pi.total.metadata["obj_product"]
 
-    def hor(g: Point, a: Tangent) -> Tangent:
-        return Tangent(g, arr_prod.join_coeffs(g, tuple(a.coeffs), (0.0,)))
+    @RowLift
+    def hor(p: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return arr_prod.join_rows(p, W, np.zeros((1, 1)))
 
-    def hor0(x: Point, w: Tangent) -> Tangent:
-        return Tangent(x, obj_prod.join_coeffs(x, tuple(w.coeffs), (0.0,)))
+    @RowLift
+    def hor0(p: int, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return obj_prod.join_rows(p, W, np.zeros((1, 1)))
 
     # composable paths: affine coordinate curves sharing the middle one
     def curve(rng):

@@ -51,11 +51,18 @@ def _frozen(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothMap:
+    """A map of spaces. ``cut`` is set on coordinate cuts (identities, factor
+    projections, maps to a point): ``cut(p, C)`` takes a ``(k, n)`` block of
+    rows on patch ``p`` to its image patch and image rows, by column slices.
+    A cut is linear in the coordinates, so the same call pushes tangent rows
+    forward."""
+
     domain: Space
     codomain: Space
     eval: Callable[[Point], Point]
     jac: Optional[Callable[[Point], np.ndarray]] = None
     name: str = ""
+    cut: Optional[Callable[[int, np.ndarray], tuple[int, np.ndarray]]] = None
 
     def __call__(self, p: Point) -> Point:
         return self.eval(p)
@@ -63,7 +70,7 @@ class SmoothMap:
 
 def identity_map(space: Space, name: str = "id") -> SmoothMap:
     return SmoothMap(space, space, lambda p: p,
-                     PatchJacobian(lambda p: np.eye(space.dim)), name)
+                     PatchJacobian(lambda p: np.eye(space.dim)), name, lambda p, C: (p, C))
 
 
 def compose(outer: SmoothMap, inner: SmoothMap, name: str = "") -> SmoothMap:

@@ -8,6 +8,7 @@ probes never claim it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -18,10 +19,11 @@ from .config import DEFAULT, Config
 from .errors import NotALoop, PairSamplerFailure, StartFiberMismatch
 from .geometry import Point, Tangent, distance
 from .groupoid import _Worst, _coords, rng_for
-from .integrate import TrajectoryOutcome, integrate
+from .integrate import TrajectoryOutcome, integrate, integrate_rows
 from .connection import (
     Connection,
     INCONCLUSIVE,
+    RowLift,
     MultiplicativityReport,
     _banded_verdict,
     kernel_connection,
@@ -84,30 +86,44 @@ def base_connection(c: Connection) -> Connection:
                       {"provenance": "base"})
 
 
-def parallel_transport(
-    c: Connection,
-    gamma: BasePath,
-    g: Point,
-    t1: float = 1.0,
-    cfg: Config = DEFAULT,
-    h: Optional[float] = None,
-) -> TransportOutcome:
-    """Horizontal lift of ``gamma`` through ``g``, integrated up to ``t1``."""
-    pi = c.morphism
+def _check_start(pi, gamma: BasePath, g: Point, cfg: Config) -> None:
     start_gap = distance(pi.arrow_map(g), gamma.point(0.0))
     if not (start_gap < cfg.groupoid_tol_compose * 10 + 1e-12):
         raise StartFiberMismatch(
             f"start arrow projects {start_gap:.3e} away from gamma(0)"
         )
 
-    # the velocity does not depend on the state, and one step asks for it at
-    # about five distinct times, each several times
-    velocity = functools.lru_cache(maxsize=8)(gamma.velocity)
 
-    def field(t: float, p: Point) -> Tangent:
-        return c.hor(p, velocity(t))
+def _velocity_rows(paths: list[BasePath]):
+    """The velocities of ``paths`` at time t as a ``(k, m)`` block for the
+    rows asked for. One step asks for about five distinct times, each several
+    times and for shrinking sets of rows, so each time keeps its block and
+    later asks for its rows take them from it."""
+    rates = [p.velocity_coeffs or (lambda t, p=p: p.velocity(t).coeffs) for p in paths]
+    blocks: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    trajectory = integrate(field, g, t1, cfg=cfg, h=h)
+    def at(t: float, rows: np.ndarray) -> np.ndarray:
+        hit = blocks.get(t)
+        if hit is not None:
+            known, V = hit
+            if known is rows or known.tobytes() == rows.tobytes():
+                return V
+            pos = np.minimum(np.searchsorted(known, rows), len(known) - 1)
+            if np.array_equal(known[pos], rows):
+                return V[pos]
+        V = np.array([rates[r](t) for r in rows.tolist()], dtype=float)
+        if len(blocks) >= 8:
+            del blocks[next(iter(blocks))]
+        blocks[t] = rows, V
+        return V
+
+    return at
+
+
+def _outcome(pi, gamma: BasePath, trajectory) -> Optional[TransportOutcome]:
+    """A transport's outcome from its trajectory, with its projection drift."""
+    if trajectory is None:
+        return None
     if not trajectory.completed:
         return TransportOutcome("Escaped", None, math.inf, trajectory)
     drift = 0.0
@@ -119,6 +135,77 @@ def parallel_transport(
     drift = max(drift, distance(pi.arrow_map(p_end), gamma.point(t_end)))
     end = p_end.normalized()
     return TransportOutcome("Completed", end, drift, trajectory)
+
+
+def parallel_transport_rows(
+    c: Connection,
+    paths: list[BasePath],
+    starts: list[Point],
+    t1: float = 1.0,
+    cfg: Config = DEFAULT,
+    h: Optional[float] = None,
+    first_escape: bool = False,
+) -> list[Optional[TransportOutcome]]:
+    """Horizontal lifts of ``paths[i]`` through ``starts[i]``, integrated up
+    to ``t1``.
+
+    When ``c.hor`` is a :class:`RowLift` the rows on each start patch are
+    integrated as one block, and each field evaluation lifts the whole block
+    in one call of ``c.hor.rows``; any other lift transports one row at a
+    time through :func:`integrate`. With ``first_escape`` the rows after the
+    first one that escapes are dropped (their outcome is None).
+    """
+    pi = c.morphism
+    for gamma, g in zip(paths, starts):
+        _check_start(pi, gamma, g, cfg)
+    trajectories: list = [None] * len(starts)
+    if isinstance(c.hor, RowLift):
+        groups: dict[int, list[int]] = {}
+        for i, g in enumerate(starts):
+            groups.setdefault(g.patch_index, []).append(i)
+        ceiling = len(starts)
+        for patch, rows in groups.items():
+            rows = [i for i in rows if i < ceiling]
+            if not rows:
+                continue
+            velocity = _velocity_rows([paths[i] for i in rows])
+
+            def field(t, block, Y, patch=patch, velocity=velocity, lift=c.hor.rows):
+                return lift(patch, Y, velocity(t, block))
+
+            outs = integrate_rows(field, [starts[i] for i in rows], t1, cfg, h,
+                                  first_escape=first_escape)
+            for i, out in zip(rows, outs):
+                trajectories[i] = out
+                if first_escape and out is not None and not out.completed:
+                    ceiling = min(ceiling, i)
+    else:
+        for i, (gamma, g) in enumerate(zip(paths, starts)):
+            # the velocity does not depend on the state, and one step asks
+            # for it at about five distinct times, each several times
+            velocity = functools.lru_cache(maxsize=8)(gamma.velocity)
+            trajectories[i] = integrate(lambda t, p: c.hor(p, velocity(t)), g, t1, cfg=cfg,
+                                        h=h)
+            if first_escape and not trajectories[i].completed:
+                break
+    if first_escape:
+        first = min((i for i, tr in enumerate(trajectories)
+                     if tr is not None and not tr.completed), default=len(starts))
+        trajectories[first + 1:] = [None] * (len(starts) - first - 1)
+    return [_outcome(pi, gamma, tr) for gamma, tr in zip(paths, trajectories)]
+
+
+def parallel_transport(
+    c: Connection,
+    gamma: BasePath,
+    g: Point,
+    t1: float = 1.0,
+    cfg: Config = DEFAULT,
+    h: Optional[float] = None,
+) -> TransportOutcome:
+    """Horizontal lift of ``gamma`` through ``g``, integrated up to ``t1``:
+    the one-row call of :func:`parallel_transport_rows`."""
+    return parallel_transport_rows(c, [gamma], [g], t1, cfg, h)[0]
 
 
 @dataclass
@@ -177,6 +264,58 @@ class ProbeVerdict:
         return self.kind == "IncompleteWitness"
 
 
+def _transport_in_order(legs, t1: float, cfg: Config, h: float, stop: bool):
+    """Outcomes of (connection, path, start) legs transported one at a time,
+    in order; with ``stop`` the legs after the first escape are not
+    transported (None). An error surfaces where this loop meets it."""
+    outs = [None] * len(legs)
+    for j, (conn, path, start) in enumerate(legs):
+        outs[j] = parallel_transport(conn, path, start, t1, cfg, h)
+        if stop and not outs[j].completed:
+            break
+    return outs
+
+
+def _transport_in_blocks(legs, t1: float, cfg: Config, h: float, first_escape=False):
+    """Outcomes of (connection, path, start) legs, one block per connection."""
+    outs = [None] * len(legs)
+    by_conn: dict[int, tuple[Connection, list[int]]] = {}
+    for j, (conn, _, _) in enumerate(legs):
+        by_conn.setdefault(id(conn), (conn, []))[1].append(j)
+    for conn, js in by_conn.values():
+        done = parallel_transport_rows(conn, [legs[j][1] for j in js],
+                                       [legs[j][2] for j in js], t1, cfg, h, first_escape)
+        for j, out in zip(js, done):
+            outs[j] = out
+    return outs
+
+
+def _leg_outcomes(leg_sets, t1: float, cfg: Config, h: float, stop: bool,
+                  first_escape: bool = False):
+    """Outcomes of every sample's (connection, path, start) legs, in blocks.
+
+    A block that raises is transported again sample by sample and leg by
+    leg, each sample's legs up to its first escape when ``stop``, so that
+    the error surfaces where a loop over the samples would meet it; so is a
+    single leg, which makes no block.
+    """
+    flat = [leg for legs in leg_sets for leg in legs]
+    if len(flat) > 1:
+        try:
+            outs = _transport_in_blocks(flat, t1, cfg, h, first_escape)
+        except Exception:
+            pass
+        else:
+            offsets = np.cumsum([0] + [len(legs) for legs in leg_sets]).tolist()
+            return [outs[a:b] for a, b in zip(offsets, offsets[1:])]
+    return [_transport_in_order(legs, t1, cfg, h, stop) for legs in leg_sets]
+
+
+# samples per block of a probe on a RowLift connection: the first blocks are
+# small, so that an early witness costs little; 64 from the fourth block on
+_PROBE_CHUNKS = (8, 16, 32, 64)
+
+
 def completeness_probe(
     c: Connection,
     path_family: Callable[[np.random.Generator], tuple[BasePath, Point]],
@@ -188,25 +327,50 @@ def completeness_probe(
 
     Returns the first escape as an IncompleteWitness; exhausting the budget
     yields NoCounterexampleFound, which is not a completeness claim.
+
+    Samples are drawn and transported in index order, in blocks of
+    ``_PROBE_CHUNKS`` samples when ``c.hor`` is a :class:`RowLift` and one at
+    a time otherwise. The witness is the lowest escaping index: once a row
+    escapes, the rows above it are dropped. A draw that raises, a start that
+    does not project to its path's start, or an error inside a block
+    surfaces only where sample-by-sample transport would have met it: the
+    samples drawn before a failed draw are transported first, and a block
+    that raises is transported again one sample at a time.
     """
-    for i in range(budget):
-        rng = rng_for(seed, 61, i)
-        gamma, g = path_family(rng)
-        outcome = parallel_transport(c, gamma, g, cfg.transport_horizon, cfg,
-                                     h=cfg.transport_probe_h_ode)
-        if not outcome.completed:
-            return ProbeVerdict(
-                "IncompleteWitness",
-                budget,
-                seed,
-                witness={
-                    "sample_index": i,
-                    "path": gamma.label,
-                    "start": _coords(g),
-                    "escape_time": outcome.trajectory.escape_time,
-                    "reason": outcome.trajectory.escape_reason,
-                },
-            )
+    h, horizon = cfg.transport_probe_h_ode, cfg.transport_horizon
+    if isinstance(c.hor, RowLift):
+        sizes = itertools.chain(_PROBE_CHUNKS, itertools.repeat(_PROBE_CHUNKS[-1]))
+    else:
+        sizes = itertools.repeat(1)
+    start = 0
+    while start < budget:
+        stop = min(start + next(sizes), budget)
+        legs, failure = [], None
+        for i in range(start, stop):
+            try:
+                legs.append((c, *path_family(rng_for(seed, 61, i))))
+            except Exception as exc:
+                failure = exc
+                break
+        outs = _leg_outcomes([legs], horizon, cfg, h, stop=True, first_escape=True)[0]
+        for j, outcome in enumerate(outs):
+            if outcome is not None and not outcome.completed:
+                _, gamma, g = legs[j]
+                return ProbeVerdict(
+                    "IncompleteWitness",
+                    budget,
+                    seed,
+                    witness={
+                        "sample_index": start + j,
+                        "path": gamma.label,
+                        "start": _coords(g),
+                        "escape_time": outcome.trajectory.escape_time,
+                        "reason": outcome.trajectory.escape_reason,
+                    },
+                )
+        if failure is not None:
+            raise failure
+        start = stop
     return ProbeVerdict("NoCounterexampleFound", budget, seed)
 
 
@@ -228,65 +392,62 @@ def transport_multiplicativity_check(
     inverse, and product of transported arrows against transports along the
     correspondingly transformed base paths, at the times 1/3, 2/3 and 1. Escaped
     legs mark the sample Inconclusive rather than failed.
+
+    The six legs of every pair are transported in blocks, and then the
+    unit-clause legs of the conclusive pairs, drawn from each pair's own
+    generator after its legs. Clauses are recorded in pair order.
     """
     pi = c.morphism
     if pi.transport is None or pi.transport.composable is None:
         raise PairSamplerFailure(f"{pi.name} carries no composable path-pair sampler")
     G, H = pi.total, pi.base_grpd
     worst = _Worst()
-    inconclusive = 0
-    conclusive = 0
     h_step = cfg.transport_probe_h_ode
-
     base_conn = base_connection(c)
 
-    def base_transport(path: BasePath, x: Point):
-        return parallel_transport(base_conn, path, x, 1.0, cfg, h=h_step)
-
+    rngs, starts, leg_sets = [], [], []
     for i in range(n_pairs):
         rng = rng_for(seed, 67, i)
         gamma, eta, g, k = pi.transport.composable(rng)
-        legs = {}
-        escaped = False
-        for name, (path, start, conn) in {
-            "tau_g": (gamma, g, c),
-            "tau_k": (eta, k, c),
-            "tau_inv": (pushed_path(H.inv, gamma, cfg), G.inv(g), c),
-            "tau_prod": (product_path(H, gamma, eta, cfg), G.compose(g, k), c),
-            "sigma_s": (pushed_path(H.src, gamma, cfg), G.src(g), base_conn),
-            "sigma_t": (pushed_path(H.tgt, gamma, cfg), G.tgt(g), base_conn),
-        }.items():
-            out = parallel_transport(conn, path, start, 1.0, cfg, h=h_step)
-            if not out.completed:
-                escaped = True
-                break
-            legs[name] = out
-        if escaped:
-            inconclusive += 1
-            continue
-        conclusive += 1
+        rngs.append(rng)
+        starts.append((g, k))
+        leg_sets.append((
+            (c, gamma, g),
+            (c, eta, k),
+            (c, pushed_path(H.inv, gamma, cfg), G.inv(g)),
+            (c, product_path(H, gamma, eta, cfg), G.compose(g, k)),
+            (base_conn, pushed_path(H.src, gamma, cfg), G.src(g)),
+            (base_conn, pushed_path(H.tgt, gamma, cfg), G.tgt(g)),
+        ))
+    outcomes = _leg_outcomes(leg_sets, 1.0, cfg, h_step, stop=True)
+    conclusive = [i for i, outs in enumerate(outcomes)
+                  if all(out is not None and out.completed for out in outs)]
+    unit_legs = {}
+    if pi.transport.object_path_with_start is not None:
+        for i in conclusive:
+            delta, x = pi.transport.object_path_with_start(rngs[i])
+            unit_legs[i] = ((base_conn, delta, x),
+                            (c, pushed_path(H.unit, delta, cfg), G.unit(x)))
+    unit_outcomes = dict(zip(unit_legs, _leg_outcomes(list(unit_legs.values()), 1.0, cfg,
+                                                      h_step, stop=False)))
+
+    inconclusive = n_pairs - len(conclusive)
+    for i in conclusive:
+        tau_g, tau_k, tau_inv, tau_prod, sigma_s, sigma_t = outcomes[i]
+        g, k = starts[i]
         w = {"sample": i, "g": _coords(g), "k": _coords(k)}
         for t in _CHECK_TIMES:
-            tau_t = legs["tau_g"].state_at(t)
-            worst.record("source", distance(G.src(tau_t), legs["sigma_s"].state_at(t)), w)
-            worst.record("target", distance(G.tgt(tau_t), legs["sigma_t"].state_at(t)), w)
-            worst.record("inverse", distance(G.inv(tau_t), legs["tau_inv"].state_at(t)), w)
-            worst.record(
-                "product",
-                distance(
-                    G.compose(tau_t, legs["tau_k"].state_at(t)),
-                    legs["tau_prod"].state_at(t),
-                ),
-                w,
-            )
-
-        if pi.transport.object_path_with_start is not None:
-            delta, x = pi.transport.object_path_with_start(rng)
-            xi = base_transport(delta, x)
-            zeta = parallel_transport(
-                c, pushed_path(H.unit, delta, cfg), G.unit(x), 1.0, cfg, h=h_step
-            )
+            tau_t = tau_g.state_at(t)
+            worst.record("source", distance(G.src(tau_t), sigma_s.state_at(t)), w)
+            worst.record("target", distance(G.tgt(tau_t), sigma_t.state_at(t)), w)
+            worst.record("inverse", distance(G.inv(tau_t), tau_inv.state_at(t)), w)
+            worst.record("product",
+                         distance(G.compose(tau_t, tau_k.state_at(t)), tau_prod.state_at(t)),
+                         w)
+        if i in unit_outcomes:
+            xi, zeta = unit_outcomes[i]
             if xi.completed and zeta.completed:
+                x = unit_legs[i][0][2]
                 for t in _CHECK_TIMES:
                     worst.record(
                         "unit",
@@ -296,7 +457,7 @@ def transport_multiplicativity_check(
             else:
                 inconclusive += 1
 
-    if conclusive == 0:
+    if not conclusive:
         verdict = INCONCLUSIVE
     else:
         verdict = _banded_verdict(worst.max_residual, cfg.conn_tol_mult)

@@ -4,7 +4,7 @@ import pytest
 
 from grpdconn.errors import InvalidHorizon
 from grpdconn.geometry import Patch, Point, Space, Tangent, line
-from grpdconn.integrate import EXCLUDED_POINT, NORM_BLOWUP, integrate
+from grpdconn.integrate import EXCLUDED_POINT, NORM_BLOWUP, STEP_COLLAPSE, integrate
 
 R = line(1)
 
@@ -86,3 +86,19 @@ def test_excluded_ball_on_angle_patch_caught_after_winding():
     out = integrate(field, Point.make(circle, 0, (2.0,)), 1.0, h=2e-2)
     assert out.escape_reason == EXCLUDED_POINT
     assert abs(out.escape_time - (2 * math.pi - 1.1) / 10) < 2e-2
+
+
+@pytest.mark.parametrize("nan_at", [0, 1])
+def test_nan_in_any_coordinate_stops_the_integration(nan_at):
+    # a NaN velocity from t = 0.5 on makes the Richardson gap NaN in that
+    # coordinate; whichever coordinate it is, the step cannot be resolved
+    def field(t, p):
+        v = [1.0, 1.0]
+        if t > 0.5:
+            v[nan_at] = math.nan
+        return Tangent(p, tuple(v))
+
+    out = integrate(field, Point.make(line(2), 0, (0.0, 0.0)), 1.0)
+    assert not out.completed
+    assert out.escape_reason == STEP_COLLAPSE
+    assert out.escape_time == 0.5
