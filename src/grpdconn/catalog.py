@@ -1192,6 +1192,8 @@ def pair_fibration(punctured: bool = False, name: str = "") -> GroupoidMorphism:
     )
     pi.transport = fibre_starts(pi, lambda rng: curve_path(H.arrows, 0, angle(rng), angle(rng)),
                                 composable, lambda rng: curve_path(Ncirc, 0, angle(rng)))
+    kernel_family.transport = fibre_starts(kernel_family,
+                                           lambda rng: curve_path(Ncirc, 0, angle(rng)))
     return pi
 
 

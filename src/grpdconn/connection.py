@@ -98,7 +98,7 @@ class Connection:
     def base(self) -> Groupoid:
         return self.morphism.base_grpd
 
-    def lift_frame(self, g: Point, cfg: Config = DEFAULT) -> SubbundleFrame:
+    def lift_frame(self, g: Point) -> SubbundleFrame:
         """Frame of Hor_g: lifts of a coordinate basis at pi(g)."""
         h = self.morphism.arrow_map(g)
         dim = h.patch.dim
@@ -109,7 +109,7 @@ class Connection:
             basis.append(self.hor(g, Tangent(h, tuple(e))))
         return SubbundleFrame(g, basis)
 
-    def base_lift_frame(self, x: Point, cfg: Config = DEFAULT) -> SubbundleFrame:
+    def base_lift_frame(self, x: Point) -> SubbundleFrame:
         y = self.morphism.object_map(x)
         dim = y.patch.dim
         basis = []
@@ -118,15 +118,6 @@ class Connection:
             e[k] = 1.0
             basis.append(self.hor0(x, Tangent(y, tuple(e))))
         return SubbundleFrame(x, basis)
-
-
-def connection_frames(c: Connection, cfg: Config = DEFAULT):
-    """Hor frames callable for vb_subgroupoid_check."""
-
-    def frames(g: Point) -> SubbundleFrame:
-        return c.lift_frame(g, cfg)
-
-    return frames
 
 
 @dataclass
@@ -171,7 +162,7 @@ def complement_check(c: Connection, n_samples: int, seed: int, cfg: Config = DEF
         g = pi.total.arrow_sampler(rng)
         h = pi.arrow_map(g)
         Dpi = jacobian(pi.arrow_map, g, cfg)
-        fr = c.lift_frame(g, cfg)
+        fr = c.lift_frame(g)
         L = fr.matrix()
         w = {"g": _coords(g)}
         dim_h = h.patch.dim
@@ -202,7 +193,7 @@ def complement_check(c: Connection, n_samples: int, seed: int, cfg: Config = DEF
         x = pi.total.object_sampler(rng)
         y = pi.object_map(x)
         Dpi0 = jacobian(pi.object_map, x, cfg)
-        fr0 = c.base_lift_frame(x, cfg)
+        fr0 = c.base_lift_frame(x)
         if y.patch.dim:
             proj0 = Dpi0 @ fr0.matrix() - np.eye(y.patch.dim)
             worst.record("base_right_inverse", float(np.max(np.abs(proj0))), {"x": _coords(x)})
@@ -304,9 +295,9 @@ def multiplicativity_check_pointwise(
         )
 
         # base restriction: Hor_{u(x)} ∩ TM = Tu(Hor0_x)
-        fr = c.lift_frame(ux, cfg)
+        fr = c.lift_frame(ux)
         inter = intersect_columns(fr.matrix(), Tu_G, cfg)
-        base_fr = c.base_lift_frame(x, cfg).matrix()
+        base_fr = c.base_lift_frame(x).matrix()
         if base_fr.shape[1] == 0:
             target_fr = np.zeros((Tu_G.shape[0], 0))
         else:

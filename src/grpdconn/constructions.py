@@ -93,10 +93,8 @@ def morita_connection(pi: GroupoidMorphism, hor0) -> Connection:
     )
 
 
-def morita_compare(
-    c_formula: Connection, c_other: Connection, n_samples: int, seed: int,
-    cfg: Config = DEFAULT,
-) -> float:
+def morita_compare(c_formula: Connection, c_other: Connection, n_samples: int,
+                   seed: int) -> float:
     """Worst deviation of another lift from the pullback formula at samples."""
     pi = c_formula.morphism
     G, H = pi.total, pi.base_grpd
@@ -160,31 +158,6 @@ class TrivializingAtlas:
         if self.fiber.objects.dim != 1 or self.fiber.objects.patches[0].circ_count:
             raise AtlasMismatch("atlas fibres must carry a single line coordinate")
 
-    def base_coord(self, p: Point) -> float:
-        return p.coords[0]
-
-    def fiber_coord(self, p: Point) -> float:
-        return p.coords[1]
-
-    def chart_fiber_value(self, alpha: int, y: float, x: float) -> float:
-        return x - self.windows[alpha].shift(y)
-
-    def hor_alpha(self, alpha: int, g: Point, w: Tangent) -> Tangent:
-        """Chart-flat lift: D(psi^alpha)^{-1}(w, 0)."""
-        y = self.base_coord(g)
-        dy = w.coeffs[0]
-        coeffs = [0.0] * g.patch.dim
-        coeffs[0] = dy
-        coeffs[1] = self.windows[alpha].shift_deriv(y) * dy
-        return Tangent(g, tuple(coeffs))
-
-    def push_through_chart(self, alpha: int, g: Point, v) -> np.ndarray:
-        """D(psi^alpha) applied to a tangent at g."""
-        v = np.asarray(v.coeffs if isinstance(v, Tangent) else v, dtype=float)
-        out = v.copy()
-        out[1] = v[1] - self.windows[alpha].shift_deriv(self.base_coord(g)) * v[0]
-        return out
-
     def validate(self, n_samples: int, seed: int, cfg: Config = DEFAULT) -> CheckReport:
         """pr1∘psi = pi, chart multiplicativity, and window margins."""
         worst = _Worst()
@@ -196,17 +169,13 @@ class TrivializingAtlas:
                 rng = rng_for(seed, 79, alpha, i)
                 y = float(rng.uniform(win.outer[0], win.outer[1]))
                 g, h = self._sample_pair_over(y, rng)
-                worst.record(
-                    "projection_compat",
-                    abs(self.base_coord(g) - y),
-                    {"window": alpha},
-                )
+                worst.record("projection_compat", abs(g.coords[0] - y), {"window": alpha})
                 # psi is a groupoid morphism: the chart of a product is the
                 # product of the charts (shifts act only on the shared unit
                 # coordinates, so both sides agree exactly)
                 gh = G.compose(g, h)
-                lhs = self.chart_fiber_value(alpha, y, self.fiber_coord(gh))
-                rhs = self.chart_fiber_value(alpha, y, self.fiber_coord(h))
+                lhs = gh.coords[1] - win.shift(y)
+                rhs = h.coords[1] - win.shift(y)
                 worst.record("chart_multiplicative", abs(lhs - rhs), {"window": alpha})
         return worst.report("atlas", cfg.groupoid_tol_alg * 10, n_samples, seed)
 
@@ -253,17 +222,32 @@ def bump_partition(windows: list[AtlasWindow]):
 _PARTITION_CHECKS = 64   # grid intervals on which a partition's sum is checked
 
 
+def slope_lift(slope: Callable[[float, float], float]):
+    """The Point-level lift (w, slope(y, x) w, 0, ...) on the (y, x)-leading
+    coordinates of a constant family: a partition-weighted sum of chart-flat
+    lifts D(psi^alpha)^{-1}(w, 0), whose slopes are the shift derivatives."""
+
+    def hor(g: Point, w: Tangent) -> Tangent:
+        dy = w.coeffs[0]
+        coeffs = [0.0] * g.patch.dim
+        coeffs[0] = dy
+        coeffs[1] = slope(g.coords[0], g.coords[1]) * dy
+        return Tangent(g, tuple(coeffs))
+
+    return hor
+
+
 def glue_local_trivial(
     family: GroupoidMorphism,
     atlas: TrivializingAtlas,
     partition: list[Callable[[float], float]],
-    cfg: Config = DEFAULT,
 ) -> Connection:
     """Glue the chart-flat lifts through a base partition of unity.
 
     The partition is pulled back through the family projection, which makes
     it invariant automatically; a partition failing to sum to 1 on the base
-    (beyond 1e-10) raises PartitionGap.
+    (beyond 1e-10) raises PartitionGap. Objects and arrows share the (y, x)
+    leading coordinates, so one slope lift serves both.
     """
     if len(partition) != len(atlas.windows):
         raise PartitionGap("one partition function per window is required")
@@ -276,31 +260,14 @@ def glue_local_trivial(
         if abs(total - 1.0) > 1e-10:
             raise PartitionGap(f"partition sums to {total!r} at y = {y!r}")
 
-    def weights(y: float):
-        return [chi(y) for chi in partition]
+    def slope(y: float, x: float) -> float:
+        return sum(chi(y) * win.shift_deriv(y) for chi, win in zip(partition, atlas.windows))
 
-    def hor(g: Point, w: Tangent) -> Tangent:
-        y = atlas.base_coord(g)
-        coeffs = np.zeros(g.patch.dim)
-        for alpha, weight in enumerate(weights(y)):
-            if weight:
-                coeffs += weight * np.asarray(atlas.hor_alpha(alpha, g, w).coeffs)
-        return Tangent(g, tuple(coeffs))
-
-    def hor0(x: Point, w: Tangent) -> Tangent:
-        y = atlas.base_coord(x)
-        coeffs = [0.0] * x.patch.dim
-        coeffs[0] = w.coeffs[0]
-        coeffs[1] = sum(
-            weight * atlas.windows[alpha].shift_deriv(y)
-            for alpha, weight in enumerate(weights(y))
-        ) * w.coeffs[0]
-        return Tangent(x, tuple(coeffs))
-
+    hor = slope_lift(slope)
     return Connection(
         morphism=family,
         hor=hor,
-        hor0=hor0,
+        hor0=hor,
         metadata={"provenance": "glued_local_trivial", "claimed_multiplicative": True},
     )
 
@@ -669,7 +636,6 @@ def level_schedule(
     atlas: TrivializingAtlas,
     profile: ExhaustionProfile,
     truncation_depth: int = 3,
-    cfg: Config = DEFAULT,
 ) -> LevelSchedule:
     """Integer levels n(i, alpha) built by lexicographic induction.
 
@@ -796,7 +762,6 @@ class WindowCertificate:
     window: int
     levels: list[int]
     flatness_residual: float
-    flatness_samples: int
     precompact_bound: dict
     precompact_verified: bool
 
@@ -871,18 +836,14 @@ def complete_connection_builder(
             )
         return [r / total for r in rho]
 
-    def hor(g: Point, w: Tangent) -> Tangent:
-        y, x = g.coords[0], g.coords[1]
-        dy = w.coeffs[0]
-        slope = 0.0
+    def slope(y: float, x: float) -> float:
+        total = 0.0
         for alpha, weight in enumerate(weights_at(y, x)):
             if weight:
-                slope += weight * windows[alpha].shift_deriv(y)
-        coeffs = [0.0] * g.patch.dim
-        coeffs[0] = dy
-        coeffs[1] = slope * dy
-        return Tangent(g, tuple(coeffs))
+                total += weight * windows[alpha].shift_deriv(y)
+        return total
 
+    hor = slope_lift(slope)
     connection = Connection(
         morphism=family,
         hor=hor,
@@ -896,23 +857,11 @@ def complete_connection_builder(
     window_certs = []
     partition_residual = 0.0
     invariance_residual = 0.0
+    grid = [(k + 0.5) / n_cert_samples for k in range(n_cert_samples)]
     for alpha, win in enumerate(windows):
-        flat_worst = 0.0
-        count = 0
-        for n in schedule.window_levels(alpha):
-            for b in profile.preimage_points(n):
-                for k in range(n_cert_samples):
-                    y = win.inner[0] + (win.inner[1] - win.inner[0]) * (
-                        (k + 0.5) / n_cert_samples
-                    )
-                    x = win.shift(y) + b
-                    for patch_index in range(len(G.arrows.patches)):
-                        g = Point.raw(G.arrows, patch_index, _embed_yx(G.arrows, patch_index, y, x))
-                        w = Tangent(family.arrow_map(g), (1.0,))
-                        got = np.asarray(hor(g, w).coeffs)
-                        want = np.asarray(atlas.hor_alpha(alpha, g, w).coeffs)
-                        flat_worst = max(flat_worst, float(np.max(np.abs(got - want))))
-                        count += 1
+        ys = [win.inner[0] + (win.inner[1] - win.inner[0]) * u for u in grid]
+        flat_worst = max(_chart_flat_deviation(
+            connection, win, profile, {n: ys for n in schedule.window_levels(alpha)}))
         if flat_worst >= 1e-9:
             raise CertificateFailure(
                 f"flatness: window {alpha} deviates {flat_worst:.3e} on its slabs"
@@ -928,7 +877,6 @@ def complete_connection_builder(
                 window=alpha,
                 levels=schedule.window_levels(alpha),
                 flatness_residual=flat_worst,
-                flatness_samples=count,
                 precompact_bound=fmt_bound(max_radius),
                 precompact_verified=verified,
             )
@@ -968,12 +916,26 @@ def complete_connection_builder(
     return connection, certificate
 
 
-def _embed_yx(space, patch_index: int, y: float, x: float):
-    dim = space.patches[patch_index].dim
-    coords = [0.0] * dim
-    coords[0] = y
-    coords[1] = x
-    return tuple(coords)
+def _chart_flat_deviation(c: Connection, win: AtlasWindow, profile: ExhaustionProfile,
+                          ys_by_level: dict[int, list[float]]) -> tuple[float, float]:
+    """Worst base and fibre deviation of c's lift of w = 1 from the chart-flat
+    form (w, 0, ...) of window ``win``, pushed through the chart derivative,
+    on every arrow patch at the slab points (y, sigma(y) + b) of each level n
+    and each y in ``ys_by_level[n]``."""
+    arrows = c.total.arrows
+    worst_base = worst_fiber = 0.0
+    for n, ys in ys_by_level.items():
+        for b in profile.preimage_points(n):
+            for y in ys:
+                x = win.shift(y) + b
+                for patch_index, patch in enumerate(arrows.patches):
+                    g = Point.raw(arrows, patch_index, (y, x) + (0.0,) * (patch.dim - 2))
+                    w = Tangent(c.morphism.arrow_map(g), (1.0,))
+                    v = np.array(c.hor(g, w).coeffs, dtype=float)
+                    v[1] -= win.shift_deriv(y) * v[0]
+                    worst_base = max(worst_base, abs(v[0] - 1.0))
+                    worst_fiber = max(worst_fiber, float(np.max(np.abs(v[1:]))))
+    return worst_base, worst_fiber
 
 
 # ---------------------------------------------------------------------------
@@ -1009,26 +971,17 @@ def flatness_certificate_check(
     """
     if c.total.arrows is not atlas.family.total.arrows:
         raise AtlasMismatch("connection and atlas live on different families")
-    G = c.total
     worst_fiber = 0.0
     worst_base = 0.0
     failed = []
     bounds = []
     box = cfg.constr_box
     for alpha, win in enumerate(atlas.windows):
-        for n in level_values[alpha]:
-            for b in profile.preimage_points(n):
-                for k in range(n_samples):
-                    rng = rng_for(seed, 103, alpha, n, k)
-                    y = float(rng.uniform(win.inner[0], win.inner[1]))
-                    x = win.shift(y) + b
-                    for patch_index in range(len(G.arrows.patches)):
-                        g = Point.raw(G.arrows, patch_index,
-                                      _embed_yx(G.arrows, patch_index, y, x))
-                        w = Tangent(c.morphism.arrow_map(g), (1.0,))
-                        pushed = atlas.push_through_chart(alpha, g, c.hor(g, w))
-                        worst_base = max(worst_base, abs(pushed[0] - 1.0))
-                        worst_fiber = max(worst_fiber, float(np.max(np.abs(pushed[1:]))))
+        base, fiber = _chart_flat_deviation(c, win, profile, {
+            n: [float(rng_for(seed, 103, alpha, n, k).uniform(win.inner[0], win.inner[1]))
+                for k in range(n_samples)]
+            for n in level_values[alpha]})
+        worst_base, worst_fiber = max(worst_base, base), max(worst_fiber, fiber)
         max_radius = _level_radius(profile, level_values[alpha])
         bounds.append(fmt_bound(max_radius))
         if not (profile.compact_fiber or max_radius.lo > box):

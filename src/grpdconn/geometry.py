@@ -183,10 +183,6 @@ class Tangent:
         return math.sqrt(sum(a * a for a in self.coeffs))
 
 
-def tangent(p: Point, coeffs) -> Tangent:
-    return Tangent(p, tuple(float(c) for c in coeffs))
-
-
 # ---------------------------------------------------------------------------
 # products of spaces
 

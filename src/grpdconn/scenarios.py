@@ -449,7 +449,7 @@ def sproper_setup(cfg: Config = DEFAULT):
         fiber,
     )
     profile, _ = invariant_exhaustion(fiber, 16, 0, cfg)
-    schedule = level_schedule(atlas, profile, cfg=cfg)
+    schedule = level_schedule(atlas, profile)
     return fam, atlas, profile, schedule
 
 
@@ -660,7 +660,7 @@ def _run_morita(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
         return Tangent(g, tuple(b + e for b, e in zip(base.coeffs, extra)))
 
     c_skew = Connection(c.morphism, skewed, c.hor0, {"provenance": "skewed"})
-    dev = morita_compare(c, c_skew, _scale(40, scale), seed, cfg)
+    dev = morita_compare(c, c_skew, _scale(40, scale), seed)
     rep = multiplicativity_check_pointwise(c_skew, _scale(60, scale), seed, cfg)
     yield _check("uniqueness_perturbed_lift", rep.verdict, NOT_MULTIPLICATIVE,
                  rep.max_residual, None, rep.n_samples,
@@ -783,7 +783,7 @@ def _run_sproper(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
     v = completeness_probe(conn, sproper_paths(fam, cfg), _scale(500, scale), seed, cfg)
     yield _probe("completeness_probe", v, "NoCounterexampleFound")
 
-    bad = level_schedule(atlas, profile, schedule.truncation_depth, cfg)
+    bad = level_schedule(atlas, profile, schedule.truncation_depth)
     bad.levels[(1, 1)] = bad.levels[(1, 0)]
     try:
         complete_connection_builder(fam, atlas, bad, profile, cfg, 4, seed)

@@ -585,16 +585,8 @@ def theorem_crosscheck_kernel(
     total_v = completeness_probe(c, pi.transport.path_with_start, budget, seed, cfg)
 
     kc = kernel_connection(c, cfg)
-    k_family = pi.kernel.family
-
-    def kernel_paths(rng):
-        if k_family.transport is not None and k_family.transport.path_with_start:
-            return k_family.transport.path_with_start(rng)
-        delta, _ = pi.transport.object_path_with_start(rng)
-        k0 = k_family.fiber_sampler(delta.point(0.0), rng)
-        return delta, k0
-
-    kernel_v = completeness_probe(kc, kernel_paths, budget, seed, cfg)
+    kernel_v = completeness_probe(kc, pi.kernel.family.transport.path_with_start,
+                                  budget, seed, cfg)
 
     base_conn = base_connection(c)
 

@@ -96,9 +96,9 @@ def _transport_cases():
 
 
 def _connection_and_sampler(name):
-    """A connection and its (path, start) sampler; a kernel family without
-    samplers of its own draws a path in the base objects and a kernel start
-    over it, as the kernel cross-check does."""
+    """A connection and its (path, start) sampler; the pullback kernel's
+    family has no samplers of its own, so it draws a path in the base
+    objects and a kernel start over it."""
     if name == "punctured_bundle.base":
         c = base_connection(punctured_bundle_setup()[0])
         return c, c.morphism.transport.path_with_start

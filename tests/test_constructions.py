@@ -148,6 +148,20 @@ def test_two_window_glue_multiplicative():
     assert v.kind == "NoCounterexampleFound"
 
 
+def test_two_window_glue_is_not_slab_flat():
+    # one slope lift serves objects and arrows, so its base part is exactly w;
+    # on the slabs where the windows overlap the partition mixes two shift
+    # slopes, which the chart-flat clause rejects (the builder's slab-avoiding
+    # partition passes it: test_builder_and_recheck)
+    fam, atlas, profile, sched = sproper_setup()
+    c = glue_local_trivial(fam, atlas, bump_partition(atlas.windows))
+    assert c.hor is c.hor0
+    fv = flatness_certificate_check(c, atlas, sched.per_window, profile, 6, 2)
+    assert fv.worst_base_residual == 0.0
+    assert fv.worst_fiber_residual > 1e-2
+    assert "chart_flat_form" in fv.failed_clauses
+
+
 def _box_path(fam, rng):
     a = float(rng.uniform(-2, 2))
     b = float(rng.uniform(-2, 2))

@@ -3,8 +3,11 @@
 or ``perfbench/`` outside its own definition.
 
 References are names, attribute names and imported names read from the
-syntax tree of every Python file there. Dunder names and the console entry
-point ``cli.main`` are exempt.
+syntax tree of every Python file there. Inside a file, a name bound by
+importing a module of the package (``from grpdconn import tangent``,
+``from . import catalog``) names that module, so neither the import nor a
+use of the bound name counts as a reference to a definition of that name.
+Dunder names and the console entry point ``cli.main`` are exempt.
 
 Metadata keys get the same lint. A key of a metadata literal in ``src/`` (a
 dict passed as ``metadata=``, or as a Connection's fourth argument) must
@@ -32,17 +35,34 @@ def _trees():
 TREES = list(_trees())
 
 
+PACKAGE_MODULES = {path.stem for path in MODULES}
+
+
+def _imports_package_module(node: ast.ImportFrom, alias: ast.alias) -> bool:
+    from_package = node.module == "grpdconn" or (node.level > 0 and node.module is None)
+    return from_package and alias.name in PACKAGE_MODULES
+
+
+def _module_bindings(tree: ast.Module) -> set[str]:
+    """Names a file binds to modules of the package by ``from ... import``."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if _imports_package_module(node, alias)}
+
+
 def _references() -> dict[str, list[tuple[Path, int]]]:
     """Every name a file reads, with the file and line of each reading."""
     refs: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in TREES:
+        modules = _module_bindings(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                names = [node.id]
+                names = [node.id] if node.id not in modules else []
             elif isinstance(node, ast.Attribute):
                 names = [node.attr]
             elif isinstance(node, ast.ImportFrom):
-                names = [alias.name for alias in node.names]
+                names = [alias.name for alias in node.names
+                         if not _imports_package_module(node, alias)]
             else:
                 continue
             for name in names:

@@ -18,7 +18,6 @@ from grpdconn.tangent import (
     tm_apply,
     vb_subgroupoid_check,
 )
-from grpdconn.connection import connection_frames
 
 
 def test_pair_groupoid_tm():
@@ -72,7 +71,7 @@ def test_full_tangent_frames_pass():
 
 def test_skewed_horizontal_frames_fail_multiplication():
     c, _ = luca_setup()
-    verdict = vb_subgroupoid_check(c.total, connection_frames(c), 40, seed=3)
+    verdict = vb_subgroupoid_check(c.total, c.lift_frame, 40, seed=3)
     assert not verdict.passed
     assert verdict.witness["clause"] == "multiplication"
     assert verdict.clauses["multiplication"] > 10 * 1e-6
@@ -164,14 +163,14 @@ def test_accepted_lift_frames_close_under_structure_maps():
     from grpdconn.connection import Connection
 
     c, _ = morita_setup()
-    verdict = vb_subgroupoid_check(c.total, connection_frames(c), 25, seed=5)
+    verdict = vb_subgroupoid_check(c.total, c.lift_frame, 25, seed=5)
     assert verdict.passed, verdict.witness
 
     fiber = cat2.group_bundle(line(1, name="F"), "finite", order=2)
     fam = cat2.trivial_family(line(1, name="N"), fiber)
     flat = Connection(fam, lambda g, w: Tangent(g, (w.coeffs[0], 0.0)),
                       lambda x, w: Tangent(x, (w.coeffs[0], 0.0)), {})
-    verdict2 = vb_subgroupoid_check(fam.total, connection_frames(flat), 25, seed=5)
+    verdict2 = vb_subgroupoid_check(fam.total, flat.lift_frame, 25, seed=5)
     assert verdict2.passed
 
 
