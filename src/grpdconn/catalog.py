@@ -309,7 +309,8 @@ def unit_groupoid(M: Space, name: str = "") -> Groupoid:
             nodes=lambda x, n: [(x.patch_index, np.array([x.coords], dtype=float), np.ones(1))],
             mul=lambda p, G, q, H: (q, H),
             inv=lambda p, C: (p, C, _constant_jacobians(np.eye(dim), C)),
-            src=lambda p, C: (p, C)),
+            src=lambda p, C: (p, C),
+            unit=lambda p, X: (p, X)),
     )
 
 
@@ -364,6 +365,12 @@ def product_kernels(K1: ArrayKernels, K2: ArrayKernels, arr: ProductSpace,
         out = obj.pack_index(r1, r2)
         return out, obj.join_rows(out, R1, R2)
 
+    def unit(p, X):
+        (i1, i2), (x1, x2) = obj.unpack_index(p), obj.split_rows(p, X)
+        (r1, R1), (r2, R2) = K1.unit(i1, x1), K2.unit(i2, x2)
+        out = arr.pack_index(r1, r2)
+        return out, arr.join_rows(out, R1, R2)
+
     def nodes(x, n):
         x1, x2 = obj.split(x)
         second = K2.nodes(x2, n)
@@ -375,7 +382,7 @@ def product_kernels(K1: ArrayKernels, K2: ArrayKernels, arr: ProductSpace,
                     blocks.append((p, arr.join_rows(p, C1[i:i + 1], C2), w1[i] * w2))
         return blocks
 
-    return ArrayKernels(nodes=nodes, mul=mul, inv=inv, src=src)
+    return ArrayKernels(nodes=nodes, mul=mul, inv=inv, src=src, unit=unit)
 
 
 def product_groupoid(G1: Groupoid, G2: Groupoid, name: str = "") -> Groupoid:
@@ -539,7 +546,8 @@ def abelian_group(A: Space, name: str) -> Groupoid:
             nodes=nodes,
             mul=lambda p, G, q, H: ((p + q) % order, G + H),
             inv=lambda p, C: ((-p) % order, -C, _constant_jacobians(-np.eye(dim), C)),
-            src=lambda p, C: (0, np.zeros((len(C), 0)))) if compact else None,
+            src=lambda p, C: (0, np.zeros((len(C), 0))),
+            unit=lambda p, X: (0, np.zeros((len(X), dim)))) if compact else None,
     )
 
 
@@ -651,7 +659,8 @@ def group_bundle(
             nodes=nodes,
             mul=lambda p, G, q, H: ((p + q) % order, H),
             inv=lambda p, C: ((-p) % order, C, _constant_jacobians(np.eye(dim), C)),
-            src=lambda p, C: (0, C)),
+            src=lambda p, C: (0, C),
+            unit=lambda p, X: (0, X)),
     )
 
 
@@ -714,6 +723,11 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
     def src(p, C):
         return 0, C[:, :2]
 
+    def unit(p, X):  # x -> (x, 0)
+        out = np.zeros((len(X), 3))
+        out[:, :2] = X
+        return 0, out
+
     def row(p):
         return np.array([p.coords])
 
@@ -762,7 +776,7 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
             "source_connected": True,
             "product_space": prod,
         },
-        kernels=ArrayKernels(nodes=nodes, mul=mul, inv=inv, src=src),
+        kernels=ArrayKernels(nodes=nodes, mul=mul, inv=inv, src=src, unit=unit),
     )
 
 

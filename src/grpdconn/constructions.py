@@ -29,7 +29,7 @@ from .errors import (
     QuadratureMissing,
     SupremumUnbounded,
 )
-from .geometry import Point, Tangent
+from .geometry import Point, Space, Tangent
 from .groupoid import (
     CheckReport,
     Groupoid,
@@ -41,6 +41,7 @@ from .groupoid import (
 )
 from .connection import Connection, RowLift, lift_rows, multiplicative_field_report
 from .intervals import Interval, fmt_bound
+from .linalg import apply_rows
 from .smoothmap import PatchJacobian, SmoothMap, jacobian
 
 
@@ -362,13 +363,28 @@ class RowField:
     """A field on arrows given on blocks of coordinate rows.
 
     ``rows(patch, C)`` returns the coefficients at every row of a ``(k, dim)``
-    block as a ``(k, dim)`` array; at a Point the field is a one-row call.
+    block as a ``(k, dim)`` array; a row's coefficients depend on nothing but
+    its own row. At a Point the field is a one-row call.
     """
 
     rows: Callable[[int, np.ndarray], np.ndarray]
 
     def __call__(self, g: Point) -> Tangent:
         return Tangent(g, tuple(self.rows(g.patch_index, np.array([g.coords]))[0].tolist()))
+
+
+def field_rows(X, space: Space):
+    """The row form of a field on ``space``: ``X.rows`` for a
+    :class:`RowField`; any other field goes through this per-row adapter,
+    which calls it at each row."""
+    if isinstance(X, RowField):
+        return X.rows
+
+    def rows(p: int, C: np.ndarray) -> np.ndarray:
+        return np.array([X(g).coeffs for g in points(space, p, C)],
+                        dtype=float).reshape(C.shape)
+
+    return rows
 
 
 def haar_average(
@@ -383,13 +399,16 @@ def haar_average(
     """Average an s-projectable field into a multiplicative one.
 
     X_hat(g) = sum_j w_j Tm(X_{g h_j}, Ti(X_{h_j})) over nodes h_j in the
-    target fibre of s(g). One pass over each block of nodes composes, inverts
-    and differentiates with G's array kernels and applies G's ``mul``
-    partials, declared patch-constant, at the block's first row to every row;
-    X is evaluated once per row (through ``X.rows`` when X is a
-    :class:`RowField`), and the weighted terms are summed in node order.
-    Returns (X_hat, report); the report runs the multiplicative-field
-    identities at samples.
+    target fibre of s(g). X_hat is a :class:`RowField` that averages a whole
+    block of arrows: each row takes its nodes at its source (G's ``src``
+    kernel) and composes them with itself; the node rows of all arrows are
+    then grouped by their (product patch, node patch) pair, and each group
+    makes one pass that inverts and differentiates with G's array kernels,
+    evaluates X (through ``field_rows``) and applies G's ``mul`` partials,
+    declared patch-constant, at the group's first row to every row. Each
+    arrow's weighted terms are summed in its own node order, so a row's
+    average does not depend on the block it is in. Returns (X_hat, report);
+    the report runs the multiplicative-field identities at samples.
     """
     _require_kernels(G)
     if check:
@@ -399,27 +418,48 @@ def haar_average(
                 f"input field is not source-projectable (residual {resid:.3e})"
             )
     K, arrows = G.kernels, G.arrows
-    if isinstance(X, RowField):
-        X_rows = X.rows
-    else:
-        def X_rows(p: int, C: np.ndarray) -> np.ndarray:
-            return np.array([X(h).coeffs for h in points(arrows, p, C)],
-                            dtype=float).reshape(C.shape)
+    X_rows = field_rows(X, arrows)
 
-    def X_hat(g: Point) -> Tangent:
-        g_row = np.array([g.coords])
-        terms = []
-        for q, H, w in quad.nodes_at(G.src(g)):
-            r, GH = K.mul(g.patch_index, g_row, q, H)
+    def averaged(p: int, C: np.ndarray) -> np.ndarray:
+        # per (product patch, node patch): (arrow row, first node slot, H, GH, w)
+        groups: dict[tuple[int, int], list] = {}
+        n_nodes = 0
+        for i, x in enumerate(points(G.objects, *K.src(p, C))):
+            slot = 0
+            for q, H, w in quad.nodes_at(x):
+                r, GH = K.mul(p, C[i:i + 1], q, H)
+                groups.setdefault((r, q), []).append((i, slot, H, GH, w))
+                slot += len(H)
+            n_nodes = max(n_nodes, slot)
+        # a row with fewer nodes than the most is padded with +0.0 terms,
+        # which leave its running sum as its last term left it
+        terms = np.zeros((len(C), n_nodes, C.shape[1]))
+        for (r, q), parts in groups.items():
+            H, GH, w = (np.concatenate([part[k] for part in parts]) for k in (2, 3, 4))
             q_inv, H_inv, Ti = K.inv(q, H)
             A, B = G.mul.partials(Point(arrows, r, tuple(GH[0].tolist())),
                                   Point(arrows, q_inv, tuple(H_inv[0].tolist())), cfg)
-            moved = np.matmul(Ti, X_rows(q, H)[..., None])
-            lifted = np.matmul(A, X_rows(r, GH)[..., None]) + np.matmul(B, moved)
-            terms.append(w[:, None] * lifted[..., 0])
+            if r == q and isinstance(X, RowField):
+                # a RowField costs per call, the per-row adapter per row:
+                # one call of the former serves both blocks of rows
+                X_both = X_rows(q, np.concatenate((H, GH)))
+                X_H, X_GH = X_both[:len(H)], X_both[len(H):]
+            else:
+                X_H, X_GH = X_rows(q, H), X_rows(r, GH)
+            moved = np.matmul(Ti, X_H[..., None])
+            lifted = np.matmul(A, X_GH[..., None]) + np.matmul(B, moved)
+            weighted = w[:, None] * lifted[..., 0]
+            if len(weighted) == len(C) * n_nodes:
+                # this group holds every node of every row, in row and node order
+                terms = weighted.reshape(terms.shape)
+            else:
+                at = (np.repeat([part[0] for part in parts], [len(part[2]) for part in parts]),
+                      np.concatenate([part[1] + np.arange(len(part[2])) for part in parts]))
+                terms[at] = weighted
         # running sum in node order, as a loop would add; + 0.0 as from a zero start
-        acc = np.cumsum(np.concatenate(terms), axis=0)[-1] + 0.0
-        return Tangent(g, tuple(acc.tolist()))
+        return np.cumsum(terms, axis=1)[:, -1] + 0.0
+
+    X_hat = RowField(averaged)
 
     def V(x: Point) -> Tangent:
         ux = G.unit(x)
@@ -454,14 +494,20 @@ def proper_family_connection(
     ``src`` kernel). When ``hor0`` and ``hor_s`` are both :class:`RowLift`s
     it lifts the whole block in two row calls; otherwise it takes base arrows
     from the rows too (the family's arrow map, a coordinate cut) and
-    calls ``hor0`` and ``hor_s`` once per row. The averaged basis vectors at
-    the last arrow asked for are kept, so ``hor`` and ``hor0`` at one arrow
-    average once.
+    calls ``hor0`` and ``hor_s`` once per row.
+
+    ``hor`` and ``hor0`` are :class:`RowLift`s: ``hor`` sums the averaged
+    basis rows weighted by the tangent's coefficients, and ``hor0`` takes
+    the unit rows of its objects (G's ``unit`` kernel) and applies G's
+    ``src`` Jacobian, which must be declared a ``PatchJacobian``, to those
+    rows' basis rows. The averaged basis rows of the last block asked for
+    are kept, so ``hor`` and ``hor0`` at one block average once.
     """
     G = family.total
-    N = family.base_grpd.objects
+    if not isinstance(G.src.jac, PatchJacobian):
+        raise QuadratureMissing(f"{G.name}: src Jacobian is not declared a PatchJacobian")
     base_arrows = family.base_grpd.arrows
-    dim_N = N.dim
+    dim_N = family.base_grpd.objects.dim
 
     if isinstance(hor0, RowLift) and isinstance(hor_s, RowLift):
         def composite(p: int, C: np.ndarray, e: tuple) -> np.ndarray:
@@ -479,32 +525,32 @@ def proper_family_connection(
     for j in range(dim_N):
         e = tuple(1.0 if i == j else 0.0 for i in range(dim_N))
         X_tilde = RowField(lambda p, C, e=e: composite(p, C, e))
-        averaged.append(haar_average(G, quad, X_tilde, n_samples, seed, cfg,
-                                     check=(j == 0))[0])
+        X_hat, _ = haar_average(G, quad, X_tilde, n_samples, seed, cfg, check=(j == 0))
+        averaged.append(field_rows(X_hat, G.arrows))
 
-    last = [None, None]   # the last arrow asked for, and its averaged basis vectors
+    last = [None, None]   # the last block asked for, and its averaged basis rows
 
-    def basis_at(g: Point) -> list[np.ndarray]:
-        key = (g.space, g.patch_index, g.coords)
+    def basis_rows(p: int, C: np.ndarray) -> list[np.ndarray]:
+        key = (p, C.shape, C.tobytes())
         if last[0] != key:
-            last[:] = key, [np.asarray(X_hat(g).coeffs) for X_hat in averaged]
+            last[:] = key, [X_rows(p, C) for X_rows in averaged]
         return last[1]
 
-    def hor(g: Point, a: Tangent) -> Tangent:
-        acc = np.zeros(g.patch.dim)
-        for j, v in enumerate(basis_at(g)):
-            if a.coeffs[j]:
-                acc += a.coeffs[j] * v
-        return Tangent(g, tuple(acc))
+    @RowLift
+    def hor(p: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
+        acc = np.zeros(C.shape)
+        for j, V in enumerate(basis_rows(p, C)):
+            acc += W[:, j:j + 1] * V
+        return acc
 
-    def hor0_out(x: Point, w: Tangent) -> Tangent:
-        ux = G.unit(x)
-        Ts = jacobian(G.src, ux, cfg)
-        acc = np.zeros(x.patch.dim)
-        for j, v in enumerate(basis_at(ux)):
-            if w.coeffs[j]:
-                acc += w.coeffs[j] * (Ts @ v)
-        return Tangent(x, tuple(acc))
+    @RowLift
+    def hor0_out(p: int, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        u, U = G.kernels.unit(p, X)
+        Ts = jacobian(G.src, Point(G.arrows, u, tuple(U[0].tolist())), cfg)
+        acc = np.zeros(X.shape)
+        for j, V in enumerate(basis_rows(u, U)):
+            acc += W[:, j:j + 1] * apply_rows(Ts, V)
+        return acc
 
     return Connection(
         morphism=family,

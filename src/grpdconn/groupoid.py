@@ -34,7 +34,8 @@ class ArrayKernels:
     patch. ``nodes(x, n)`` is the target-fibre quadrature at the object x for
     node count n, as ``(patch, rows, weights)`` blocks in node order.
     ``mul(p, G, q, H)`` composes the one arrow of the one-row block G with
-    every row of H; ``src(p, C)`` returns a block; ``inv(p, C)`` returns a
+    every row of H; ``src(p, C)`` returns a block; ``unit(p, X)`` takes a
+    block of objects to the block of their units; ``inv(p, C)`` returns a
     block and inv's Jacobians as a ``(k, dim, dim)`` array. The averaging
     applies the ``mul`` partials at a block's first row to every row, so
     ``haar_average`` and ``HaarFiberQuadrature.from_groupoid`` refuse a
@@ -46,6 +47,7 @@ class ArrayKernels:
     mul: Callable[[int, np.ndarray, int, np.ndarray], tuple[int, np.ndarray]]
     inv: Callable[[int, np.ndarray], tuple[int, np.ndarray, np.ndarray]]
     src: Callable[[int, np.ndarray], tuple[int, np.ndarray]]
+    unit: Callable[[int, np.ndarray], tuple[int, np.ndarray]]
 
 
 def points(space: Space, patch_index: int, rows: np.ndarray) -> list[Point]:

@@ -8,6 +8,7 @@ Angle coordinates evolve in the universal cover; consumers wrap on demand.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,9 +46,20 @@ class TrajectoryOutcome:
         return self.samples[-1][1] if self.samples else None
 
     def state_at(self, t: float) -> Point:
-        """Sample nearest to time t (samples lie on the nominal grid)."""
-        best = min(self.samples, key=lambda item: abs(item[0] - t))
-        return best[1]
+        """Sample nearest to time t (samples lie on the nominal grid); on a
+        tie the earliest, as a scan would find it.
+
+        Sample times never decrease, so their distances to t fall up to the
+        first sample at or after t and rise from it: two bisections find the
+        nearest one, the second the earliest sample whose distance ties with
+        the sample before t.
+        """
+        samples = self.samples
+        i = bisect.bisect_left(samples, t, key=lambda item: item[0])
+        if i == len(samples) or (i and abs(samples[i - 1][0] - t) <= abs(samples[i][0] - t)):
+            gap = abs(samples[i - 1][0] - t)
+            i = bisect.bisect_left(samples, -gap, hi=i, key=lambda item: -abs(item[0] - t))
+        return samples[i][1]
 
 
 def _rk4(f, t, rows, Y, h, K1):

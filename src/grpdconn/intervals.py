@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 
 def _down(x: float) -> float:
-    if math.isinf(x):
-        return x
+    # an overflow to +inf steps down to the largest double, which lies below
+    # the finite exact value; -inf stays
     return math.nextafter(x, -math.inf)
 
 
 def _up(x: float) -> float:
-    if math.isinf(x):
-        return x
     return math.nextafter(x, math.inf)
 
 

@@ -267,10 +267,13 @@ class ProbeVerdict:
 def _transport_in_order(legs, t1: float, cfg: Config, h: float, stop: bool):
     """Outcomes of (connection, path, start) legs transported one at a time,
     in order; with ``stop`` the legs after the first escape are not
-    transported (None). An error surfaces where this loop meets it."""
+    transported (None). An error surfaces where this loop meets it, and so
+    does a leg that is an exception."""
     outs = [None] * len(legs)
-    for j, (conn, path, start) in enumerate(legs):
-        outs[j] = parallel_transport(conn, path, start, t1, cfg, h)
+    for j, leg in enumerate(legs):
+        if isinstance(leg, Exception):
+            raise leg
+        outs[j] = parallel_transport(*leg, t1, cfg, h)
         if stop and not outs[j].completed:
             break
     return outs
@@ -294,13 +297,14 @@ def _leg_outcomes(leg_sets, t1: float, cfg: Config, h: float, stop: bool,
                   first_escape: bool = False):
     """Outcomes of every sample's (connection, path, start) legs, in blocks.
 
-    A block that raises is transported again sample by sample and leg by
-    leg, each sample's legs up to its first escape when ``stop``, so that
-    the error surfaces where a loop over the samples would meet it; so is a
-    single leg, which makes no block.
+    A leg may be an exception, standing for a draw that failed. A block that
+    raises, or a set of legs holding an exception, is transported again
+    sample by sample and leg by leg, each sample's legs up to its first
+    escape when ``stop``, so that an error surfaces where a loop over the
+    samples would meet it; so is a single leg, which makes no block.
     """
     flat = [leg for legs in leg_sets for leg in legs]
-    if len(flat) > 1:
+    if len(flat) > 1 and not any(isinstance(leg, Exception) for leg in flat):
         try:
             outs = _transport_in_blocks(flat, t1, cfg, h, first_escape)
         except Exception:
@@ -333,9 +337,9 @@ def completeness_probe(
     a time otherwise. The witness is the lowest escaping index: once a row
     escapes, the rows above it are dropped. A draw that raises, a start that
     does not project to its path's start, or an error inside a block
-    surfaces only where sample-by-sample transport would have met it: the
-    samples drawn before a failed draw are transported first, and a block
-    that raises is transported again one sample at a time.
+    surfaces only where sample-by-sample transport would have met it: a
+    failed draw ends the block as its last leg, and a block that holds one
+    or raises is transported again one sample at a time.
     """
     h, horizon = cfg.transport_probe_h_ode, cfg.transport_horizon
     if isinstance(c.hor, RowLift):
@@ -345,12 +349,12 @@ def completeness_probe(
     start = 0
     while start < budget:
         stop = min(start + next(sizes), budget)
-        legs, failure = [], None
+        legs = []
         for i in range(start, stop):
             try:
                 legs.append((c, *path_family(rng_for(seed, 61, i))))
             except Exception as exc:
-                failure = exc
+                legs.append(exc)
                 break
         outs = _leg_outcomes([legs], horizon, cfg, h, stop=True, first_escape=True)[0]
         for j, outcome in enumerate(outs):
@@ -368,8 +372,6 @@ def completeness_probe(
                         "reason": outcome.trajectory.escape_reason,
                     },
                 )
-        if failure is not None:
-            raise failure
         start = stop
     return ProbeVerdict("NoCounterexampleFound", budget, seed)
 
@@ -393,9 +395,12 @@ def transport_multiplicativity_check(
     correspondingly transformed base paths, at the times 1/3, 2/3 and 1. Escaped
     legs mark the sample Inconclusive rather than failed.
 
-    The six legs of every pair are transported in blocks, and then the
-    unit-clause legs of the conclusive pairs, drawn from each pair's own
-    generator after its legs. Clauses are recorded in pair order.
+    Each pair draws its composable paths and starts, then its unit path and
+    start, from its own generator. A pair's six legs and its two unit legs
+    are transported in one set of blocks (one per connection); a pair with
+    an escaped leg is Inconclusive, and its unit legs are dropped. A unit
+    draw that raises surfaces only on a pair whose six legs complete, where
+    a pair-by-pair loop would draw it. Clauses are recorded in pair order.
     """
     pi = c.morphism
     if pi.transport is None or pi.transport.composable is None:
@@ -404,37 +409,38 @@ def transport_multiplicativity_check(
     worst = _Worst()
     h_step = cfg.transport_probe_h_ode
     base_conn = base_connection(c)
+    unit_draw = pi.transport.object_path_with_start
 
-    rngs, starts, leg_sets = [], [], []
+    starts, leg_sets = [], []
     for i in range(n_pairs):
         rng = rng_for(seed, 67, i)
         gamma, eta, g, k = pi.transport.composable(rng)
-        rngs.append(rng)
-        starts.append((g, k))
-        leg_sets.append((
+        legs = [
             (c, gamma, g),
             (c, eta, k),
             (c, pushed_path(H.inv, gamma, cfg), G.inv(g)),
             (c, product_path(H, gamma, eta, cfg), G.compose(g, k)),
             (base_conn, pushed_path(H.src, gamma, cfg), G.src(g)),
             (base_conn, pushed_path(H.tgt, gamma, cfg), G.tgt(g)),
-        ))
+        ]
+        x = None
+        if unit_draw is not None:
+            try:
+                delta, x = unit_draw(rng)
+                legs += [(base_conn, delta, x), (c, pushed_path(H.unit, delta, cfg), G.unit(x))]
+            except Exception as exc:
+                x = None
+                legs.append(exc)
+        starts.append((g, k, x))
+        leg_sets.append(legs)
     outcomes = _leg_outcomes(leg_sets, 1.0, cfg, h_step, stop=True)
     conclusive = [i for i, outs in enumerate(outcomes)
-                  if all(out is not None and out.completed for out in outs)]
-    unit_legs = {}
-    if pi.transport.object_path_with_start is not None:
-        for i in conclusive:
-            delta, x = pi.transport.object_path_with_start(rngs[i])
-            unit_legs[i] = ((base_conn, delta, x),
-                            (c, pushed_path(H.unit, delta, cfg), G.unit(x)))
-    unit_outcomes = dict(zip(unit_legs, _leg_outcomes(list(unit_legs.values()), 1.0, cfg,
-                                                      h_step, stop=False)))
+                  if all(out is not None and out.completed for out in outs[:6])]
 
     inconclusive = n_pairs - len(conclusive)
     for i in conclusive:
-        tau_g, tau_k, tau_inv, tau_prod, sigma_s, sigma_t = outcomes[i]
-        g, k = starts[i]
+        tau_g, tau_k, tau_inv, tau_prod, sigma_s, sigma_t = outcomes[i][:6]
+        g, k, x = starts[i]
         w = {"sample": i, "g": _coords(g), "k": _coords(k)}
         for t in _CHECK_TIMES:
             tau_t = tau_g.state_at(t)
@@ -444,18 +450,15 @@ def transport_multiplicativity_check(
             worst.record("product",
                          distance(G.compose(tau_t, tau_k.state_at(t)), tau_prod.state_at(t)),
                          w)
-        if i in unit_outcomes:
-            xi, zeta = unit_outcomes[i]
-            if xi.completed and zeta.completed:
-                x = unit_legs[i][0][2]
-                for t in _CHECK_TIMES:
-                    worst.record(
-                        "unit",
-                        distance(G.unit(xi.state_at(t)), zeta.state_at(t)),
-                        {"x": _coords(x)},
-                    )
-            else:
-                inconclusive += 1
+        if x is None:
+            continue
+        xi, zeta = outcomes[i][6:]
+        if zeta is not None and xi.completed and zeta.completed:
+            for t in _CHECK_TIMES:
+                worst.record("unit", distance(G.unit(xi.state_at(t)), zeta.state_at(t)),
+                             {"x": _coords(x)})
+        else:
+            inconclusive += 1
 
     if not conclusive:
         verdict = INCONCLUSIVE

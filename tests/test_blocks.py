@@ -23,6 +23,7 @@ from grpdconn.scenarios import (
     morita_setup,
     pair_fibration_setup,
     product_not_uniform_setup,
+    proper_average_connection,
     punctured_bundle_setup,
 )
 from grpdconn.transport import (
@@ -53,6 +54,7 @@ CONNECTIONS = {
     "pair.kernel": lambda: kernel_connection(pair_fibration_setup(punctured=False)[0]),
     "pair_punctured": lambda: pair_fibration_setup(punctured=True)[0],
     "product_not_uniform": lambda: product_not_uniform_setup()[0],
+    "proper_average": lambda: proper_average_connection(DEFAULT),
 }
 
 

@@ -41,6 +41,8 @@ from grpdconn.errors import (
 from grpdconn.geometry import Patch, Point, Space, Tangent, line
 from grpdconn.groupoid import rng_for
 from grpdconn.scenarios import (
+    _rotating_base_lift,
+    _skewed_source_lift,
     morita_punctured_setup,
     morita_setup,
     proper_average_connection,
@@ -213,6 +215,17 @@ def test_average_refuses_undeclared_mul_partials():
         HaarFiberQuadrature.from_groupoid(undeclared, 8)
     with pytest.raises(QuadratureMissing):
         haar_average(undeclared, quad, skewed_family_field(fam), check=False)
+
+
+def test_proper_family_connection_refuses_undeclared_src_jacobian():
+    # the averaged base lift applies the src Jacobian at a block's first
+    # unit row to every row, which only a declaration allows
+    fam, quad = so2_family_setup(nodes=8)
+    G = fam.total
+    src = dataclasses.replace(G.src, jac=lambda p: G.src.jac(p))
+    undeclared = dataclasses.replace(fam, total=dataclasses.replace(G, src=src))
+    with pytest.raises(QuadratureMissing):
+        proper_family_connection(undeclared, _rotating_base_lift, _skewed_source_lift, quad, 2)
 
 
 def test_average_fixed_point_and_idempotence():

@@ -1,10 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from grpdconn.errors import InvalidHorizon
 from grpdconn.geometry import Patch, Point, Space, Tangent, line
-from grpdconn.integrate import EXCLUDED_POINT, NORM_BLOWUP, STEP_COLLAPSE, integrate
+from grpdconn.integrate import (
+    EXCLUDED_POINT,
+    NORM_BLOWUP,
+    STEP_COLLAPSE,
+    TrajectoryOutcome,
+    integrate,
+)
 
 R = line(1)
 
@@ -102,3 +109,19 @@ def test_nan_in_any_coordinate_stops_the_integration(nan_at):
     assert not out.completed
     assert out.escape_reason == STEP_COLLAPSE
     assert out.escape_time == 0.5
+
+
+# sample times: grid-like values, repeats (a StepCollapse escape repeats the
+# last grid time) and values whose distances to t round to ties
+_times = st.lists(st.sampled_from([0.0, 5e-324, 0.02, 1.0 / 3.0, 0.34, 0.5, 2.0 / 3.0, 1.0])
+                  | st.floats(-2.0, 3.0), min_size=1, max_size=12)
+
+
+@given(_times, st.sampled_from([1.0 / 3.0, 2.0 / 3.0, 1.0, 0.0, -1.0, 1e300])
+       | st.floats(-3.0, 4.0))
+def test_state_at_bisection_matches_the_nearest_sample_scan(times, t):
+    samples = [(time, object()) for time in sorted(times)]
+    outcome = TrajectoryOutcome("Completed", samples)
+    # the first sample of least distance, as min() scans for it
+    nearest = min(samples, key=lambda item: abs(item[0] - t))
+    assert outcome.state_at(t) is nearest[1]

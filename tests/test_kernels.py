@@ -1,5 +1,6 @@
 """Array kernels against the Point-level structure maps, bit for bit, and the
-array-native Haar average against the per-node loop it replaced."""
+array-native Haar average against the per-node loop it replaced and against
+its own one-row calls."""
 import itertools
 import math
 
@@ -7,7 +8,12 @@ import numpy as np
 import pytest
 
 import grpdconn.catalog as cat
-from grpdconn.constructions import haar_average, proper_family_connection
+from grpdconn.constructions import (
+    HaarFiberQuadrature,
+    RowField,
+    haar_average,
+    proper_family_connection,
+)
 from grpdconn.geometry import Point, Tangent, line
 from grpdconn.groupoid import points, rng_for
 from grpdconn.scenarios import (
@@ -131,6 +137,20 @@ def test_kernels_match_point_maps_bit_for_bit(name, G):
                 assert _bits(J_row) == _bits(jacobian(G.inv, node)), (name, "inv jac block")
 
 
+@pytest.mark.parametrize("name,G", KERNEL_GROUPOIDS, ids=[n for n, _ in KERNEL_GROUPOIDS])
+def test_unit_kernel_matches_point_unit_bit_for_bit(name, G):
+    K = G.kernels
+    xs = [G.object_sampler(rng_for(7, 213, i)) for i in range(SAMPLES)]
+    for x in xs:
+        row = np.array([x.coords], dtype=float).reshape(1, -1)
+        assert _same_one_row(K.unit(x.patch_index, row), G.unit(x)), (name, x)
+    # a block of objects gives each row its one-row unit
+    for patch in sorted({x.patch_index for x in xs}):
+        on = [x for x in xs if x.patch_index == patch]
+        u, U = K.unit(patch, np.array([x.coords for x in on], dtype=float).reshape(len(on), -1))
+        assert all(_same_point(u, row, G.unit(x)) for row, x in zip(U, on)), (name, patch)
+
+
 def _loop_average(G, quad, X):
     """The per-node averaging loop: one compose, inverse, Jacobian and tm_apply
     per node, summed in node order."""
@@ -206,3 +226,28 @@ def test_row_lift_connection_matches_point_adapter(nodes):
         x = G.src(g)
         w = Tangent(fam.object_map(x), (1.3,))
         assert _bits(rows.hor0(x, w).coeffs) == _bits(adapter.hor0(x, w).coeffs)
+
+
+def test_punctured_bundle_average_mixes_node_layouts_in_a_block():
+    # over the ball the punctured bundle has one target-fibre node, elsewhere
+    # two: a block with rows on and off the ball averages each row as alone
+    G = cat.group_bundle(line(1, name="R"), "finite", order=2, punctured_at=(0.0,))
+    quad = HaarFiberQuadrature.from_groupoid(G, 4)
+    radius = G.arrows.patches[1].excluded_points[0][1]
+
+    @RowField
+    def X(p, C):
+        return np.sin(3.0 * C) + 0.5 * p
+
+    X_hat, _ = haar_average(G, quad, X, check=False)
+    reference = _loop_average(G, quad, X)
+    for patch, ys in ((0, np.linspace(-3.0 * radius, 3.0 * radius, 64)),
+                      (1, np.linspace(1.5 * radius, 1.0, 64))):
+        C = ys[:, None]
+        layouts = {len(quad.nodes_at(Point(G.objects, 0, (y,)))) for y in ys.tolist()}
+        assert layouts == ({1, 2} if patch == 0 else {2})
+        block = X_hat.rows(patch, C)
+        for y, row in zip(ys.tolist(), block):
+            g = Point(G.arrows, patch, (y,))
+            assert _bits(row) == _bits(X_hat(g).coeffs), (patch, y)
+            assert float(np.max(np.abs(row - reference(g)))) <= 1e-15, (patch, y)

@@ -1,10 +1,13 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import grpdconn
 from grpdconn.cli import main
 from grpdconn.config import DEFAULT, parse_config_file
 from grpdconn.errors import UnknownScenario
@@ -128,6 +131,16 @@ def test_cli_list_and_run(tmp_path, capsys):
     assert parsed["overall_pass"] is True
 
     assert main(["run", "not_a_scenario"]) == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package directory's parent is what a user puts on PYTHONPATH
+    root = os.path.dirname(os.path.dirname(os.path.abspath(grpdconn.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "grpdconn", "list"], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert "luca_r2_s1" in done.stdout
 
 
 def test_cli_replay_round_trip(tmp_path, capsys):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import grpdconn.catalog as cat
+import grpdconn.transport as transport
 from grpdconn.config import DEFAULT
-from grpdconn.connection import Connection, MULTIPLICATIVE, NOT_MULTIPLICATIVE
+from grpdconn.connection import Connection, MULTIPLICATIVE, NOT_MULTIPLICATIVE, RowLift
 from grpdconn.errors import NotALoop, StartFiberMismatch
 from grpdconn.geometry import Point, Tangent, distance, line
-from grpdconn.groupoid import rng_for
+from grpdconn.groupoid import TransportSamplers, rng_for
 from grpdconn.integrate import integrate
 from grpdconn.paths import BasePath, constant_path, coordinate_path, subpath
 from grpdconn.scenarios import (
@@ -17,6 +18,7 @@ from grpdconn.scenarios import (
     morita_closed_form_end,
     morita_setup,
     pair_fibration_setup,
+    proper_average_connection,
     punctured_bundle_setup,
 )
 from grpdconn.transport import (
@@ -254,3 +256,90 @@ def test_crosscheck_flags_budget_tension_when_forced():
     cc, _ = cover_setup()
     rep = theorem_crosscheck_kernel(cc, 80, seed=3, fibration_ok=True)
     assert not rep.consistent
+
+
+# ---------------------------------------------------------------------------
+# the path check's unit legs
+
+# composable segments in the punctured bundle's base, each transported from
+# the punctured sheet: pairs 1 and 3 cross the puncture, so they escape and
+# are Inconclusive, pairs 0 and 2 complete
+_PAIR_SEGMENTS = [(0.5, 1.5), (-1.5, 0.3), (-1.9, -0.4), (-1.0, 1.0)]
+
+
+def _handed_out_pair_check(unit_fails=(), hor=None, hor0=None):
+    """The punctured bundle's path check on the pairs of ``_PAIR_SEGMENTS``,
+    in order, with unit paths on [2 + i, 2.5 + i] for pair i. The unit-path
+    sampler raises at the pairs in ``unit_fails``; it finds a pair's index
+    from the generator the pair's draw was given."""
+    c = punctured_bundle_setup()[0]
+    pi = c.morphism
+    M, A = pi.total.objects, pi.total.arrows
+    index, drawn = {}, []
+
+    def composable(rng):
+        # generators may reuse the ids of freed ones: count the draws
+        i = index[id(rng)] = len(drawn)
+        drawn.append(i)
+        a, b = _PAIR_SEGMENTS[i]
+        gamma = cat.segment_path(M, 0, (a,), (b,))
+        return gamma, gamma, Point.raw(A, 1, (a,)), Point.raw(A, 0, (a,))
+
+    def unit_path(rng):
+        i = index[id(rng)]
+        if i in unit_fails:
+            raise RuntimeError(f"unit draw {i}")
+        return cat.segment_path(M, 0, (2.0 + i,), (2.5 + i,)), Point.raw(M, 0, (2.0 + i,))
+
+    pi.transport = TransportSamplers(pi.transport.path_with_start, composable, unit_path)
+    c = Connection(pi, hor or c.hor, hor0 or c.hor0, {})
+    return transport_multiplicativity_check(c, len(_PAIR_SEGMENTS), seed=7)
+
+
+def test_path_check_unit_draws_of_inconclusive_pairs_do_not_surface():
+    rep = _handed_out_pair_check()
+    assert rep.verdict == MULTIPLICATIVE and rep.inconclusive_samples == 2
+    assert "unit" in rep.residuals
+    rep = _handed_out_pair_check(unit_fails=(1, 3))
+    assert rep.verdict == MULTIPLICATIVE and rep.inconclusive_samples == 2
+    with pytest.raises(RuntimeError, match="unit draw 2"):
+        _handed_out_pair_check(unit_fails=(1, 2))
+
+
+def _failing_above(threshold, message, sign=1.0):
+    """The identity lift, raising on blocks with a row beyond ``threshold``
+    (above it for sign 1, below it for sign -1)."""
+
+    @RowLift
+    def lift(p, C, W):
+        if (sign * C[:, 0] > sign * threshold).any():
+            raise RuntimeError(message)
+        return W
+
+    return lift
+
+
+def test_path_check_unit_leg_error_surfaces_in_pair_order():
+    # pair 0's unit leg fails in the base lift (its unit path runs above 2),
+    # pair 2's own legs fail in the lift (they start at -1.9): a pair-by-pair
+    # loop meets pair 0's unit leg first
+    with pytest.raises(RuntimeError, match="unit leg"):
+        _handed_out_pair_check(hor=_failing_above(-1.7, "pair 2", sign=-1.0),
+                               hor0=_failing_above(1.95, "unit leg"))
+
+
+def test_path_check_transports_a_pair_in_one_block_per_connection(monkeypatch):
+    c = proper_average_connection(DEFAULT)
+    blocks = []
+    rows = transport.parallel_transport_rows
+
+    def counted(conn, paths, *args, **kwargs):
+        blocks.append(len(paths))
+        return rows(conn, paths, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "parallel_transport_rows", counted)
+    rep = transport_multiplicativity_check(c, 1, seed=7)
+    assert rep.inconclusive_samples == 0 and "unit" in rep.residuals
+    # four legs and the unit leg on the averaged lift, two legs and the unit
+    # path on its base lift
+    assert sorted(blocks) == [3, 5]
