@@ -439,23 +439,11 @@ def haar_average(
             q_inv, H_inv, Ti = K.inv(q, H)
             A, B = G.mul.partials(Point(arrows, r, tuple(GH[0].tolist())),
                                   Point(arrows, q_inv, tuple(H_inv[0].tolist())), cfg)
-            if r == q and isinstance(X, RowField):
-                # a RowField costs per call, the per-row adapter per row:
-                # one call of the former serves both blocks of rows
-                X_both = X_rows(q, np.concatenate((H, GH)))
-                X_H, X_GH = X_both[:len(H)], X_both[len(H):]
-            else:
-                X_H, X_GH = X_rows(q, H), X_rows(r, GH)
-            moved = np.matmul(Ti, X_H[..., None])
-            lifted = np.matmul(A, X_GH[..., None]) + np.matmul(B, moved)
-            weighted = w[:, None] * lifted[..., 0]
-            if len(weighted) == len(C) * n_nodes:
-                # this group holds every node of every row, in row and node order
-                terms = weighted.reshape(terms.shape)
-            else:
-                at = (np.repeat([part[0] for part in parts], [len(part[2]) for part in parts]),
-                      np.concatenate([part[1] + np.arange(len(part[2])) for part in parts]))
-                terms[at] = weighted
+            moved = np.matmul(Ti, X_rows(q, H)[..., None])
+            lifted = np.matmul(A, X_rows(r, GH)[..., None]) + np.matmul(B, moved)
+            at = (np.repeat([part[0] for part in parts], [len(part[2]) for part in parts]),
+                  np.concatenate([part[1] + np.arange(len(part[2])) for part in parts]))
+            terms[at] = w[:, None] * lifted[..., 0]
         # running sum in node order, as a loop would add; + 0.0 as from a zero start
         return np.cumsum(terms, axis=1)[:, -1] + 0.0
 

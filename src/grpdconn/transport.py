@@ -264,17 +264,17 @@ class ProbeVerdict:
         return self.kind == "IncompleteWitness"
 
 
-def _transport_in_order(legs, t1: float, cfg: Config, h: float, stop: bool):
+def _transport_in_order(legs, t1: float, cfg: Config, h: float):
     """Outcomes of (connection, path, start) legs transported one at a time,
-    in order; with ``stop`` the legs after the first escape are not
-    transported (None). An error surfaces where this loop meets it, and so
-    does a leg that is an exception."""
+    in order, up to the first escape (the legs after it are not transported:
+    None). An error surfaces where this loop meets it, and so does a leg that
+    is an exception."""
     outs = [None] * len(legs)
     for j, leg in enumerate(legs):
         if isinstance(leg, Exception):
             raise leg
         outs[j] = parallel_transport(*leg, t1, cfg, h)
-        if stop and not outs[j].completed:
+        if not outs[j].completed:
             break
     return outs
 
@@ -293,26 +293,34 @@ def _transport_in_blocks(legs, t1: float, cfg: Config, h: float, first_escape=Fa
     return outs
 
 
-def _leg_outcomes(leg_sets, t1: float, cfg: Config, h: float, stop: bool,
-                  first_escape: bool = False):
+def _leg_outcomes(leg_sets, t1: float, cfg: Config, h: float, first_escape: bool = False):
     """Outcomes of every sample's (connection, path, start) legs, in blocks.
 
-    A leg may be an exception, standing for a draw that failed. A block that
-    raises, or a set of legs holding an exception, is transported again
-    sample by sample and leg by leg, each sample's legs up to its first
-    escape when ``stop``, so that an error surfaces where a loop over the
-    samples would meet it; so is a single leg, which makes no block.
+    A leg may be an exception, standing for a draw that failed: the other
+    legs are transported in blocks, and the exception is raised where a loop
+    over the samples, each sample's legs up to its first escape, would meet
+    it (its outcome is None where that loop would not). A block that raises
+    is transported again sample by sample and leg by leg, so that its error
+    surfaces where that loop would meet it; so is a single leg, which makes
+    no block.
     """
-    flat = [leg for legs in leg_sets for leg in legs]
-    if len(flat) > 1 and not any(isinstance(leg, Exception) for leg in flat):
+    flat = [leg for legs in leg_sets for leg in legs if not isinstance(leg, Exception)]
+    if len(flat) > 1:
         try:
-            outs = _transport_in_blocks(flat, t1, cfg, h, first_escape)
+            done = iter(_transport_in_blocks(flat, t1, cfg, h, first_escape))
         except Exception:
             pass
         else:
-            offsets = np.cumsum([0] + [len(legs) for legs in leg_sets]).tolist()
-            return [outs[a:b] for a, b in zip(offsets, offsets[1:])]
-    return [_transport_in_order(legs, t1, cfg, h, stop) for legs in leg_sets]
+            sets = []
+            for legs in leg_sets:
+                outs = [None if isinstance(leg, Exception) else next(done) for leg in legs]
+                for j, leg in enumerate(legs):
+                    if isinstance(leg, Exception) and all(
+                            out is not None and out.completed for out in outs[:j]):
+                        raise leg
+                sets.append(outs)
+            return sets
+    return [_transport_in_order(legs, t1, cfg, h) for legs in leg_sets]
 
 
 # samples per block of a probe on a RowLift connection: the first blocks are
@@ -338,8 +346,9 @@ def completeness_probe(
     escapes, the rows above it are dropped. A draw that raises, a start that
     does not project to its path's start, or an error inside a block
     surfaces only where sample-by-sample transport would have met it: a
-    failed draw ends the block as its last leg, and a block that holds one
-    or raises is transported again one sample at a time.
+    failed draw ends the block as its last leg and is raised unless a lower
+    sample escapes, and a block that raises is transported again one sample
+    at a time.
     """
     h, horizon = cfg.transport_probe_h_ode, cfg.transport_horizon
     if isinstance(c.hor, RowLift):
@@ -356,7 +365,7 @@ def completeness_probe(
             except Exception as exc:
                 legs.append(exc)
                 break
-        outs = _leg_outcomes([legs], horizon, cfg, h, stop=True, first_escape=True)[0]
+        outs = _leg_outcomes([legs], horizon, cfg, h, first_escape=True)[0]
         for j, outcome in enumerate(outs):
             if outcome is not None and not outcome.completed:
                 _, gamma, g = legs[j]
@@ -433,7 +442,7 @@ def transport_multiplicativity_check(
                 legs.append(exc)
         starts.append((g, k, x))
         leg_sets.append(legs)
-    outcomes = _leg_outcomes(leg_sets, 1.0, cfg, h_step, stop=True)
+    outcomes = _leg_outcomes(leg_sets, 1.0, cfg, h_step)
     conclusive = [i for i, outs in enumerate(outcomes)
                   if all(out is not None and out.completed for out in outs[:6])]
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import grpdconn.catalog as cat
+import grpdconn.transport as transport
 from grpdconn.config import DEFAULT
 from grpdconn.connection import Connection, RowLift, kernel_connection
 from grpdconn.errors import StartFiberMismatch
@@ -239,11 +240,15 @@ def test_probe_witness_is_the_lowest_escaping_index():
     assert v.witness["reason"] == late.escape_reason
 
 
-def test_probe_failures_after_the_witness_do_not_surface():
+def test_probe_failures_after_the_witness_do_not_surface(monkeypatch):
     c, pairs = _bundle_pairs()
-    # a sampler that fails at index 5, after the escape at index 2
+    # a sampler that fails at index 5, after the escape at index 2; the
+    # samples drawn before it are transported as one block
+    one_row = []
+    monkeypatch.setattr(transport, "parallel_transport",
+                        lambda *a, **k: one_row.append(a) or parallel_transport(*a, **k))
     v = completeness_probe(c, _handing_out(pairs[:5], RuntimeError("sampler")), 8, 7)
-    assert v.witness["sample_index"] == 2
+    assert v.witness["sample_index"] == 2 and one_row == []
     # a start off its path's fibre at index 6
     gamma, g = pairs[6]
     mismatched = pairs[:6] + [(gamma, Point.raw(g.space, 1, (g.coords[0] + 0.5,)))] + pairs[7:]

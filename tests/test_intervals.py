@@ -1,10 +1,8 @@
-import contextlib
 import math
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import iv as mp_iv
 
 from grpdconn.intervals import Interval, fmt_bound, hull_of
 
@@ -57,7 +55,7 @@ def test_sqrt_and_division():
 def test_overflowing_bounds_stay_sound():
     # 1 / 5e-324 = 2^1074 overflows to inf in floating point; the exact
     # quotient is finite, so the enclosure must keep the largest double below
-    # it (found by the mpmath cross-check below)
+    # it (found by the mpmath cross-check in test_intervals_mpmath.py)
     big = sys.float_info.max
     q = Interval.point(1.0) / Interval.point(5e-324)
     assert q.lo == big and q.hi == math.inf
@@ -94,60 +92,3 @@ def test_fmt_bound_records_direction():
     assert d["rounding"] == "outward"
     assert d["lo"] == "1" and d["hi"] == "2"
 
-
-# ---------------------------------------------------------------------------
-# cross-check against mpmath's interval arithmetic over every finite double
-
-doubles = st.floats(allow_nan=False, allow_infinity=False)
-nonzero = st.floats(min_value=5e-324, allow_infinity=False) | \
-    st.floats(max_value=-5e-324, allow_infinity=False)
-
-
-@contextlib.contextmanager
-def _mp_precision(bits: int = 200):
-    """mpmath's interval context at ``bits`` bits: its enclosures are then
-    far tighter than a double's ulp, so containing them means containing the
-    exact ranges."""
-    old = mp_iv.prec
-    mp_iv.prec = bits
-    try:
-        yield
-    finally:
-        mp_iv.prec = old
-
-
-def _pair(a: float, b: float) -> Interval:
-    return Interval.of(min(a, b), max(a, b))
-
-
-def _mp(x: Interval):
-    return mp_iv.mpf([x.lo, x.hi])
-
-
-def _encloses(ours: Interval, exact) -> bool:
-    return ours.lo <= exact.a and exact.b <= ours.hi
-
-
-@given(doubles, doubles)
-def test_trig_encloses_mpmath(a, b):
-    x = _pair(a, b)
-    with _mp_precision():
-        assert _encloses(x.sin(), mp_iv.sin(_mp(x))), x
-        assert _encloses(x.cos(), mp_iv.cos(_mp(x))), x
-
-
-@given(st.floats(min_value=0.0, allow_infinity=False), st.floats(min_value=0.0,
-                                                                  allow_infinity=False))
-def test_sqrt_encloses_mpmath(a, b):
-    x = _pair(a, b)
-    with _mp_precision():
-        assert _encloses(x.sqrt(), mp_iv.sqrt(_mp(x))), x
-
-
-@given(doubles, doubles, nonzero, nonzero)
-def test_division_encloses_mpmath(a, b, c, d):
-    x, y = _pair(a, b), _pair(c, d)
-    if y.lo <= 0.0 <= y.hi:
-        return
-    with _mp_precision():
-        assert _encloses(x / y, _mp(x) / _mp(y)), (x, y)

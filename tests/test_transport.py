@@ -306,6 +306,26 @@ def test_path_check_unit_draws_of_inconclusive_pairs_do_not_surface():
         _handed_out_pair_check(unit_fails=(1, 2))
 
 
+def _one_row_transports(monkeypatch):
+    """The legs transported one at a time from here on (the blocks' fallback)."""
+    legs = []
+    one_row = transport.parallel_transport
+
+    def counted(conn, path, start, *args, **kwargs):
+        legs.append(start)
+        return one_row(conn, path, start, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "parallel_transport", counted)
+    return legs
+
+
+def test_path_check_unit_draw_errors_keep_the_blocks(monkeypatch):
+    # the failed unit draws of Inconclusive pairs leave every leg in its block
+    one_row = _one_row_transports(monkeypatch)
+    rep = _handed_out_pair_check(unit_fails=(1, 3))
+    assert rep.inconclusive_samples == 2 and one_row == []
+
+
 def _failing_above(threshold, message, sign=1.0):
     """The identity lift, raising on blocks with a row beyond ``threshold``
     (above it for sign 1, below it for sign -1)."""
