@@ -256,29 +256,16 @@ def multiplicativity_check_pointwise(
         lift = c.hor(g, a)
         w = {"g": _coords(g), "a": list(a.coeffs)}
 
-        # source clause: Ts(hor_g(a)) = hor0(s(g), Ts_H(a))
-        Ts_G = jacobian(G.src, g, cfg)
-        Ts_H = jacobian(H.src, hg, cfg)
-        sg = G.src(g)
-        rhs = c.hor0(sg, Tangent(H.src(hg), tuple(Ts_H @ np.asarray(a.coeffs))))
-        lhs = Ts_G @ np.asarray(lift.coeffs)
-        worst.record("source", float(np.linalg.norm(lhs - np.asarray(rhs.coeffs))), w)
-
-        # target clause
-        Tt_G = jacobian(G.tgt, g, cfg)
-        Tt_H = jacobian(H.tgt, hg, cfg)
-        tg = G.tgt(g)
-        rhs = c.hor0(tg, Tangent(H.tgt(hg), tuple(Tt_H @ np.asarray(a.coeffs))))
-        lhs = Tt_G @ np.asarray(lift.coeffs)
-        worst.record("target", float(np.linalg.norm(lhs - np.asarray(rhs.coeffs))), w)
-
-        # inverse clause: Ti(hor_g(a)) = hor_{g^-1}(Ti_H(a))
-        Ti_G = jacobian(G.inv, g, cfg)
-        Ti_H = jacobian(H.inv, hg, cfg)
-        gi = G.inv(g)
-        rhs = c.hor(gi, Tangent(H.inv(hg), tuple(Ti_H @ np.asarray(a.coeffs))))
-        lhs = Ti_G @ np.asarray(lift.coeffs)
-        worst.record("inverse", float(np.linalg.norm(lhs - np.asarray(rhs.coeffs))), w)
+        # source, target and inverse clauses: Tm(hor_g(a)) = lift_{m(g)}(Tm_H(a)),
+        # lifted by hor0 at the units s(g), t(g) and by hor at g^-1
+        for clause, m_G, m_H, lift_at in (("source", G.src, H.src, c.hor0),
+                                          ("target", G.tgt, H.tgt, c.hor0),
+                                          ("inverse", G.inv, H.inv, c.hor)):
+            Tm_G = jacobian(m_G, g, cfg)
+            Tm_H = jacobian(m_H, hg, cfg)
+            rhs = lift_at(m_G(g), Tangent(m_H(hg), tuple(Tm_H @ np.asarray(a.coeffs))))
+            lhs = Tm_G @ np.asarray(lift.coeffs)
+            worst.record(clause, float(np.linalg.norm(lhs - np.asarray(rhs.coeffs))), w)
 
         # unit clause: hor_{u(x)}(Tu_H(w)) = Tu_G(hor0(x, w))
         x = G.object_sampler(rng)

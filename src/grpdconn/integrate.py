@@ -25,9 +25,6 @@ EXCLUDED_POINT = "ExcludedPoint"
 STEP_COLLAPSE = "StepCollapse"
 
 _MAX_SUBDIVISION = 12
-# with first_escape, the subdivision depth from which a row waits for the rows
-# before it (see integrate_rows)
-_PARK_DEPTH = 4
 
 
 @dataclass
@@ -123,12 +120,8 @@ def integrate_rows(
     subdivide as a subset, and a row stops at its own escape.
 
     With ``first_escape`` only the first row that escapes (in ``starts``
-    order) matters: the rows after it are dropped, and their outcome is None.
-    A row whose step needs more than ``_PARK_DEPTH`` levels of subdivision
-    while a row before it is still running is parked at the start of that
-    step and resumed once the rows before it are done, so that the deep
-    subdivision of an escape that a row before it would make irrelevant is
-    not paid for.
+    order) matters: after each nominal step the rows after the first row
+    that has escaped so far are dropped, and their outcome is None.
 
     ``ode_tol=None`` uses the configured tolerance; pass ``math.inf`` to
     disable subdivision (pure fixed-step RK4 accepting the half-step state).
@@ -143,33 +136,29 @@ def integrate_rows(
     patch = starts[0].patch
     samples = [[(0.0, p)] for p in starts]
     escapes: dict[int, tuple[float, str, np.ndarray]] = {}
-    parked: dict[int, None] = {}    # rows parked during the current nominal step
 
     def check_segments(t, rows, Y0, Y1, step, alive):
-        """Escapes over the accepted steps Y0 -> Y1 of the rows in ``alive``
-        (a mask, None for every row): norm blowup at the step's end, then each
-        excluded ball in turn. Returns the mask of the rows that did not
-        escape, None when every row is left."""
+        """Escapes over the accepted steps Y0 -> Y1 of the rows in the mask
+        ``alive``: norm blowup at the step's end, then each excluded ball in
+        turn. Clears the rows that escape from the mask and returns it."""
         big = np.abs(Y1) > bound
         if big.any():
-            blown = big.any(axis=1) if alive is None else alive & big.any(axis=1)
+            blown = alive & big.any(axis=1)
             for j in np.flatnonzero(blown):
                 escapes[rows[j]] = (t + step, NORM_BLOWUP, Y1[j])
-            alive = ~blown if alive is None else alive & ~blown
+            alive &= ~blown
         for center, radius in patch.excluded_points:
-            for j in range(len(rows)) if alive is None else np.flatnonzero(alive):
+            for j in np.flatnonzero(alive):
                 s = _segment_ball_hit(Y0[j].tolist(), Y1[j].tolist(), center, radius,
                                       patch.lin_count)
                 if s is not None:
                     escapes[rows[j]] = (t + s * ((t + step) - t), EXCLUDED_POINT, Y1[j])
-                    if alive is None:
-                        alive = np.ones(len(rows), dtype=bool)
                     alive[j] = False
         return alive
 
-    def advance(t, rows, Y, step, depth, K1, lowest, Y_full=None):
+    def advance(t, rows, Y, step, depth, K1, Y_full=None):
         """One step of size ``step`` for every row; returns the new states and
-        the mask of rows that neither escaped nor were parked (None for all).
+        the mask of the rows that did not escape.
 
         The full step, the first half step and the first subdivision all start
         at (t, Y), so they share its first stage K1, and a subdivision's first
@@ -185,7 +174,8 @@ def integrate_rows(
         flat = gap.ravel().tolist()
         # a NaN or infinite gap makes the sum fail the test
         if max(flat, default=0.0) <= tol and sum(flat) < math.inf:
-            return Y_half, check_segments(t, rows, Y, Y_half, step, None)
+            return Y_half, check_segments(t, rows, Y, Y_half, step,
+                                          np.ones(len(rows), dtype=bool))
         # the rows whose gap exceeds the tolerance or is not finite subdivide
         gap = gap.max(axis=1, initial=0.0)
         redo = ~(gap <= tol) | (gap == math.inf)
@@ -195,69 +185,41 @@ def integrate_rows(
             for j in sub:
                 escapes[rows[j]] = (t, STEP_COLLAPSE, Y[j])
             return Y_half, alive
-        if first_escape and depth >= _PARK_DEPTH:
-            park = rows[sub] > lowest
-            for r in rows[sub[park]].tolist():
-                parked[r] = None
-            sub = sub[~park]
-            if not len(sub):
-                return Y_half, alive
-        Y1, ok1 = advance(t, rows[sub], Y[sub], 0.5 * step, depth + 1, K1[sub], lowest,
-                          Y_mid[sub])
-        if ok1 is not None:
-            sub, Y1 = sub[ok1], Y1[ok1]
-            if not len(sub):
-                return Y_half, alive
+        Y1, ok1 = advance(t, rows[sub], Y[sub], 0.5 * step, depth + 1, K1[sub], Y_mid[sub])
+        sub, Y1 = sub[ok1], Y1[ok1]
+        if not len(sub):
+            return Y_half, alive
         Y2, ok2 = advance(t_mid, rows[sub], Y1, 0.5 * step, depth + 1,
-                          field(t_mid, rows[sub], Y1), lowest)
+                          field(t_mid, rows[sub], Y1))
         Y_new = Y_half.copy()
         Y_new[sub] = Y2
-        alive[sub if ok2 is None else sub[ok2]] = True
+        alive[sub[ok2]] = True
         return Y_new, alive
 
-    def run(rows, Y, k_start):
-        """Nominal steps from step ``k_start`` on; returns the rows that
-        completed, and parks rows as ``advance`` does."""
-        resume = []
-        for k in range(k_start, n_steps):
+    rows = np.arange(len(starts))
+    Y = np.array([p.coords for p in starts], dtype=float).reshape(len(starts), patch.dim)
+    n_steps = max(1, int(math.ceil(horizon / h - cfg.numeric_tol_time)))
+    with np.errstate(all="ignore"):
+        for k in range(n_steps):
             t0 = k * h
             t1 = min((k + 1) * h, horizon)
-            lowest = min(rows[0], resume[0][0]) if resume else rows[0]
-            Y_new, alive = advance(t0, rows, Y, t1 - t0, 0, field(t0, rows, Y), lowest)
-            if parked:
-                resume = sorted(resume + [(r, k, Y[rows == r][0]) for r in parked],
-                                key=lambda item: item[0])
-                parked.clear()
+            Y, alive = advance(t0, rows, Y, t1 - t0, 0, field(t0, rows, Y))
             if first_escape and escapes:
-                keep = rows < min(escapes)
-                alive = keep if alive is None else alive & keep
-            if alive is not None:
-                rows, Y_new = rows[alive], Y_new[alive]
-            Y = Y_new
+                alive &= rows < min(escapes)
+            rows, Y = rows[alive], Y[alive]
             for r, y in zip(rows.tolist(), Y.tolist()):
                 samples[r].append((t1, Point(space, patch_index, tuple(y))))
             if not len(rows):
                 break
-        done = rows.tolist()
-        for r, k, y in resume:
-            if not (escapes and r > min(escapes)):
-                done += run(np.array([r]), y[None], k)
-        return done
-
-    Y0 = np.array([p.coords for p in starts], dtype=float).reshape(len(starts), patch.dim)
-    n_steps = max(1, int(math.ceil(horizon / h - cfg.numeric_tol_time)))
-    with np.errstate(all="ignore"):
-        completed = run(np.arange(len(starts)), Y0, 0)
+    if first_escape and escapes:
+        first = min(escapes)
+        escapes = {first: escapes[first]}
     out: list[Optional[TrajectoryOutcome]] = [None] * len(starts)
-    for r in completed:
+    for r in rows.tolist():
         out[r] = TrajectoryOutcome("Completed", samples[r])
     for r, (time, reason, state) in escapes.items():
-        if first_escape and r > min(escapes):
-            continue
         samples[r].append((time, Point(space, patch_index, tuple(state.tolist()))))
         out[r] = TrajectoryOutcome("Escaped", samples[r], time, reason)
-    if first_escape and escapes:
-        out[min(escapes) + 1:] = [None] * (len(starts) - min(escapes) - 1)
     return out
 
 

@@ -68,12 +68,10 @@ class Interval:
 
     def __mul__(self, other):
         other = _coerce(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
+        products = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        # a term 0 x inf (NaN) counts as 0: an infinite bound stands for
+        # arbitrarily large finite values
+        products = [0.0 if math.isnan(p) else p for p in products]
         return Interval(_down(min(products)), _up(max(products)))
 
     __rmul__ = __mul__
@@ -82,12 +80,13 @@ class Interval:
         other = _coerce(other)
         if other.lo <= 0.0 <= other.hi:
             raise ZeroDivisionError("interval division by an interval containing zero")
-        quotients = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
+        quotients = []
+        for a in (self.lo, self.hi):
+            for b in (other.lo, other.hi):
+                # a term inf / inf (NaN) counts as both 0 and inf, with its sign
+                sign = math.copysign(1.0, a) * math.copysign(1.0, b)
+                q = a / b
+                quotients += [sign * 0.0, sign * math.inf] if math.isnan(q) else [q]
         return Interval(_down(min(quotients)), _up(max(quotients)))
 
     def sq(self) -> "Interval":
@@ -128,7 +127,8 @@ def _coerce(x) -> Interval:
 
 def _trig(iv: Interval, fn, crest_offset: float) -> Interval:
     """Monotonicity-aware enclosure of sin/cos; falls back to [-1, 1]."""
-    if iv.width >= 2.0 * math.pi:
+    # the width of an interval with an infinite bound is inf or NaN
+    if not iv.width < 2.0 * math.pi:
         return Interval(-1.0, 1.0)
     lo = fn(iv.lo)
     hi = fn(iv.hi)

@@ -342,13 +342,13 @@ def completeness_probe(
 
     Samples are drawn and transported in index order, in blocks of
     ``_PROBE_CHUNKS`` samples when ``c.hor`` is a :class:`RowLift` and one at
-    a time otherwise. The witness is the lowest escaping index: once a row
-    escapes, the rows above it are dropped. A draw that raises, a start that
-    does not project to its path's start, or an error inside a block
-    surfaces only where sample-by-sample transport would have met it: a
-    failed draw ends the block as its last leg and is raised unless a lower
-    sample escapes, and a block that raises is transported again one sample
-    at a time.
+    a time otherwise. The witness is the first escaping index: after each
+    step the rows above the first escaped row are dropped. A draw that
+    raises, a start that does not project to its path's start, or an error
+    inside a block surfaces only where sample-by-sample transport would have
+    met it: a failed draw ends the block as its last leg and is raised unless
+    a lower sample escapes, and a block that raises is transported again one
+    sample at a time.
     """
     h, horizon = cfg.transport_probe_h_ode, cfg.transport_horizon
     if isinstance(c.hor, RowLift):
@@ -557,9 +557,19 @@ def current_groupoid_check(
 @dataclass
 class ImplicationStatus:
     name: str
-    condition: str
     status: str                      # "consistent" | "violated" | "not-applicable"
-    detail: str
+
+
+# The implication diagram as (name, given, then, condition), each read "given
+# complete implies then complete". Where its condition holds, an implication
+# is violated when the then-probe finds a witness and the given-probe does not.
+_IMPLICATIONS = (
+    ("total_complete_implies_kernel_complete", "total", "kernel", "unconditional"),
+    ("kernel_complete_implies_base_complete", "kernel", "base", "unconditional"),
+    ("kernel_complete_implies_total_complete", "kernel", "total", "fibration"),
+    ("base_complete_implies_kernel_complete", "base", "kernel",
+     "fibration_and_source_connected_kernel"),
+)
 
 
 @dataclass
@@ -596,66 +606,21 @@ def theorem_crosscheck_kernel(
 
     total_v = completeness_probe(c, pi.transport.path_with_start, budget, seed, cfg)
 
-    kc = kernel_connection(c, cfg)
-    kernel_v = completeness_probe(kc, pi.kernel.family.transport.path_with_start,
-                                  budget, seed, cfg)
+    kernel_v = completeness_probe(kernel_connection(c, cfg),
+                                  pi.kernel.family.transport.path_with_start, budget, seed, cfg)
+    base_v = completeness_probe(base_connection(c), pi.transport.object_path_with_start,
+                                budget, seed, cfg)
 
-    base_conn = base_connection(c)
-
-    def base_paths(rng):
-        return pi.transport.object_path_with_start(rng)
-
-    base_v = completeness_probe(base_conn, base_paths, budget, seed, cfg)
-
-    W, N = True, False
-    obs = {
-        "total": total_v.found_witness,
-        "kernel": kernel_v.found_witness,
-        "base": base_v.found_witness,
-    }
-    implications = []
-
-    def assess(name, condition_ok, condition_desc, violated, detail_violated, detail_ok):
-        if condition_ok is False:
-            status, detail = "not-applicable", f"precondition fails: {condition_desc}"
-        elif violated:
-            status, detail = "violated", detail_violated
-        else:
-            status, detail = "consistent", detail_ok
-        implications.append(ImplicationStatus(name, condition_desc, status, detail))
-
-    assess(
-        "total_complete_implies_kernel_complete",
-        True,
-        "unconditional",
-        obs["kernel"] and not obs["total"],
-        "kernel witness found but total probe found none; total probe must be under-budgeted",
-        "kernel witness implies total witness or both clean",
-    )
-    assess(
-        "kernel_complete_implies_base_complete",
-        True,
-        "unconditional",
-        obs["base"] and not obs["kernel"],
-        "base witness found but kernel probe found none; kernel probe must be under-budgeted",
-        "base witness implies kernel witness or both clean",
-    )
-    assess(
-        "kernel_complete_implies_total_complete",
-        fibration_ok,
-        "morphism is a fibration",
-        obs["total"] and not obs["kernel"],
-        f"total witness {total_v.witness} with clean kernel probe despite fibration flag",
-        "clean kernel probe and clean total probe, or kernel witness present",
-    )
-    assess(
-        "base_complete_implies_kernel_complete",
-        kernel_sconn and fibration_ok,
-        "kernel source-connected and morphism a fibration",
-        obs["kernel"] and not obs["base"],
-        f"kernel witness {kernel_v.witness} with clean base probe despite source-connected kernel",
-        "clean base probe and clean kernel probe, or base witness present",
-    )
+    found = {"total": total_v.found_witness, "kernel": kernel_v.found_witness,
+             "base": base_v.found_witness}
+    conditions = {"unconditional": True, "fibration": fibration_ok,
+                  "fibration_and_source_connected_kernel": kernel_sconn and fibration_ok}
+    implications = [
+        ImplicationStatus(name, "not-applicable" if conditions[condition] is False
+                          else "violated" if found[then] and not found[given]
+                          else "consistent")
+        for name, given, then, condition in _IMPLICATIONS
+    ]
 
     consistent = all(s.status != "violated" for s in implications)
     note = "fibration flag true" if fibration_ok else "fibration precondition fails"

@@ -16,7 +16,13 @@ from grpdconn.connection import Connection, RowLift, kernel_connection
 from grpdconn.errors import StartFiberMismatch
 from grpdconn.geometry import Point, Tangent, line
 from grpdconn.groupoid import rng_for
-from grpdconn.integrate import EXCLUDED_POINT, STEP_COLLAPSE, integrate, integrate_rows
+from grpdconn.integrate import (
+    EXCLUDED_POINT,
+    NORM_BLOWUP,
+    STEP_COLLAPSE,
+    integrate,
+    integrate_rows,
+)
 from grpdconn.scenarios import (
     cover_setup,
     luca_setup,
@@ -117,16 +123,19 @@ def _connection_and_sampler(name):
     return c, draw
 
 
+def _assert_same_trajectory(block, single):
+    assert block.status == single.status
+    assert block.escape_reason == single.escape_reason
+    assert _bits([block.escape_time or 0.0]) == _bits([single.escape_time or 0.0])
+    assert [t for t, _ in block.samples] == [t for t, _ in single.samples]
+    assert [p.patch_index for _, p in block.samples] == [p.patch_index for _, p in single.samples]
+    assert _bits([p.coords for _, p in block.samples]) == \
+        _bits([p.coords for _, p in single.samples])
+
+
 def _assert_same_outcome(block, single):
     assert block.status == single.status
-    assert block.trajectory.escape_reason == single.trajectory.escape_reason
-    assert _bits([block.trajectory.escape_time or 0.0]) == \
-        _bits([single.trajectory.escape_time or 0.0])
-    assert [t for t, _ in block.trajectory.samples] == [t for t, _ in single.trajectory.samples]
-    assert [p.patch_index for _, p in block.trajectory.samples] == \
-        [p.patch_index for _, p in single.trajectory.samples]
-    assert _bits([p.coords for _, p in block.trajectory.samples]) == \
-        _bits([p.coords for _, p in single.trajectory.samples])
+    _assert_same_trajectory(block.trajectory, single.trajectory)
     assert _bits([block.drift]) == _bits([single.drift])
 
 
@@ -195,6 +204,61 @@ def test_subdivision_reuses_the_half_step():
     out = integrate(field, Point.make(line(1), 0, (0.0,)), 1.0, h=0.1, ode_tol=0.01)
     assert out.completed and len(out.samples) == 11
     assert len(calls) == 11 * 10 + 18
+
+
+# one block, every way a row can end: x' per kind, and each kind's start on a
+# line with a ball around 3
+MIXED = {
+    "completes": (lambda t, x: 0.5, -3.0),
+    "subdivides": (lambda t, x: -60.0 * x, 1.0),
+    "excluded": (lambda t, x: 1.0, 2.0),
+    "blowup": (lambda t, x: 100.0, DEFAULT.numeric_blowup_bound - 5.0),
+}
+MIXED_LINE = line(1, excluded=(((3.0,), 0.2),))
+
+
+def _mixed_rows(kinds):
+    """A field whose row r follows ``MIXED[kinds[r]]``, the rows' starts and
+    each row's evaluation count."""
+    counts = [0] * len(kinds)
+
+    def field(t, rows, Y):
+        for r in rows.tolist():
+            counts[r] += 1
+        return np.array([[MIXED[kinds[r]][0](t, y[0])] for r, y in zip(rows.tolist(), Y)])
+
+    starts = [Point.make(MIXED_LINE, 0, (MIXED[k][1],)) for k in kinds]
+    return field, starts, counts
+
+
+@pytest.mark.parametrize("first_escape", [False, True])
+@pytest.mark.parametrize("kinds", [
+    ("completes", "subdivides", "excluded", "blowup", "completes"),
+    ("blowup", "subdivides", "completes", "excluded"),
+])
+def test_mixed_block_matches_one_row_calls(kinds, first_escape):
+    # the blowup row escapes in the first step, the excluded row at t = 0.9;
+    # with first_escape every row after the lowest escaped one is None, even
+    # one that escaped before it
+    field, starts, counts = _mixed_rows(kinds)
+    block = integrate_rows(field, starts, 2.0, h=0.1, ode_tol=1e-6, first_escape=first_escape)
+    singles, evaluations = [], []
+    for kind, start in zip(kinds, starts):
+        one, _, alone = _mixed_rows((kind,))
+        singles.append(integrate_rows(one, [start], 2.0, h=0.1, ode_tol=1e-6)[0])
+        evaluations += alone
+    # 20 steps: a row that does not subdivide makes at most 11 evaluations in each
+    assert [n > 11 * 20 for n in evaluations] == [k == "subdivides" for k in kinds]
+    if not first_escape:
+        assert counts == evaluations
+    assert [s.escape_reason for s in singles] == \
+        [{"excluded": EXCLUDED_POINT, "blowup": NORM_BLOWUP}.get(k) for k in kinds]
+    witness = min(r for r, s in enumerate(singles) if not s.completed)
+    for r, (out, single) in enumerate(zip(block, singles)):
+        if first_escape and r > witness:
+            assert out is None
+        else:
+            _assert_same_trajectory(out, single)
 
 
 # ---------------------------------------------------------------------------

@@ -92,3 +92,44 @@ def test_fmt_bound_records_direction():
     assert d["rounding"] == "outward"
     assert d["lo"] == "1" and d["hi"] == "2"
 
+
+
+def test_zero_times_infinity_counts_as_zero():
+    # the infinite bound stands for arbitrarily large finite values, whose
+    # products with 0 are 0
+    q = Interval.of(0.0, 0.0) * Interval.of(-math.inf, math.inf)
+    assert (q.lo, q.hi) == (-5e-324, 5e-324)
+    q = Interval.of(0.0, 1.0) * Interval.of(2.0, math.inf)
+    assert q.lo < 0.0 and q.hi == math.inf
+
+
+def test_infinity_over_infinity_spans_zero_to_infinity():
+    q = Interval.of(math.inf, math.inf) / Interval.of(math.inf, math.inf)
+    assert q.lo <= 0.0 and q.hi == math.inf
+    q = Interval.of(-math.inf, -math.inf) / Interval.of(math.inf, math.inf)
+    assert q.lo == -math.inf and q.hi >= 0.0
+    q = Interval.of(1.0, math.inf) / Interval.of(1.0, math.inf)
+    assert q.lo <= 0.0 and q.hi == math.inf
+
+
+@pytest.mark.parametrize("lo, hi", [(math.inf, math.inf), (-math.inf, -math.inf),
+                                    (0.0, math.inf), (-math.inf, 0.0)])
+def test_trig_of_an_infinite_bound_is_the_unit_range(lo, hi):
+    iv = Interval.of(lo, hi)
+    for fn in (iv.sin, iv.cos):
+        out = fn()
+        assert (out.lo, out.hi) == (-1.0, 1.0)
+
+
+@given(intervals(), intervals())
+def test_finite_products_and_quotients_keep_their_bounds(i1, i2):
+    # the rules for 0 x inf and inf / inf leave finite inputs as they were
+    products = [a * b for a in (i1.lo, i1.hi) for b in (i2.lo, i2.hi)]
+    p = i1 * i2
+    assert (p.lo, p.hi) == (math.nextafter(min(products), -math.inf),
+                            math.nextafter(max(products), math.inf))
+    if not i2.contains(0.0):
+        quotients = [a / b for a in (i1.lo, i1.hi) for b in (i2.lo, i2.hi)]
+        q = i1 / i2
+        assert (q.lo, q.hi) == (math.nextafter(min(quotients), -math.inf),
+                                math.nextafter(max(quotients), math.inf))
