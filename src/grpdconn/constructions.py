@@ -42,7 +42,7 @@ from .groupoid import (
 from .connection import Connection, RowLift, lift_rows, multiplicative_field_report
 from .intervals import Interval, fmt_bound
 from .linalg import apply_rows
-from .smoothmap import PatchJacobian, SmoothMap, jacobian
+from .smoothmap import PatchJacobian, jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +56,13 @@ def morita_connection(pi: GroupoidMorphism, hor0) -> Connection:
     ``a`` is (hor0(x, Tt_H a), a, hor0(y, Ts_H a)), assembled in the pullback
     coordinates (h, f_t, f_s). The lift is a :class:`RowLift`: H's target and
     source must be coordinate cuts (as those of pair, unit and abelian
-    groupoids are), which cut both the points and the tangents of a block,
-    and ``hor0`` lifts the two blocks of base points on rows (through the
+    groupoids are), which cut both the points and the tangents of a block.
+
+    One column plan per arrow patch, built here, says which columns of a
+    block hold each fibre leg's base point and tangent, and which columns of
+    (tangents | leg lifts) make the lift. Legs over one patch of N x F are
+    stacked as the rows of one ``hor0`` call (a row's lift depends on its own
+    rows only, so its bits do not move); ``hor0`` lifts on rows (through the
     per-row adapter when it is not a RowLift).
     """
     if not pi.metadata.get("morita_fibration"):
@@ -71,20 +76,46 @@ def morita_connection(pi: GroupoidMorphism, hor0) -> Connection:
     fibre_pairs = pi.total.metadata["factors"][1].metadata["product_space"]
     base_rows = lift_rows(hor0, base_prod.space, pi.object_map)
 
-    def leg(end: SmoothMap, ih: int, Hr, W, i_f: int, Fr):
-        """The fibre part of hor0 at the base point (end(h), f) of each row."""
-        q, ends = end.cut(ih, Hr)
-        x = base_prod.pack_index(q, i_f)
-        return base_prod.factor_rows(x, base_rows(x, base_prod.join_rows(x, ends, Fr),
-                                                  end.cut(ih, W)[1]), 1)
+    def index_row(start: int, width: int) -> np.ndarray:
+        return np.arange(start, start + width)[None, :]
+
+    def plan(p: int):
+        """The hor0 calls of arrow patch p, each (patch of N x F, legs stacked,
+        point width, tangent width, point columns of C, tangent columns of W),
+        and the columns of (W | leg lifts) that make the lift."""
+        (ih, i_f), dim = arr.unpack_index(p), arr.space.patches[p].dim
+        (it, i_s), m = fibre_pairs.unpack_index(i_f), H.arrows.patches[ih].dim
+        Hc, Fc = arr.split_rows(p, index_row(0, dim))
+        legs = []
+        for end, i_leg, Fl in zip((H.tgt, H.src), (it, i_s),
+                                  fibre_pairs.split_rows(i_f, Fc)):
+            q, ends = end.cut(ih, Hc)
+            x = base_prod.pack_index(q, i_leg)
+            legs.append((x, base_prod.join_rows(x, ends, Fl)[0].astype(np.intp),
+                         end.cut(ih, index_row(0, m))[1][0]))
+        (xt, ct, wt), (xs, cs, ws) = legs
+        dt, ds = len(ct), len(cs)
+        fibre = fibre_pairs.join_rows(i_f, base_prod.factor_rows(xt, index_row(m, dt), 1),
+                                      base_prod.factor_rows(xs, index_row(m + dt, ds), 1))
+        out = arr.join_rows(p, index_row(0, m), fibre)[0].astype(np.intp)
+        if xt == xs:
+            calls = [(xt, 2, dt, len(wt), np.concatenate((ct, cs)), np.concatenate((wt, ws)))]
+        else:
+            calls = [(x, 1, len(c), len(w), c, w) for x, c, w in legs]
+        return calls, out
+
+    plans = [plan(p) for p in range(len(arr.space.patches))]
 
     @RowLift
     def hor(p: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
-        (ih, i_f), (Hr, Fr) = arr.unpack_index(p), arr.split_rows(p, C)
-        (it, i_s), (Ft, Fs) = fibre_pairs.unpack_index(i_f), fibre_pairs.split_rows(i_f, Fr)
-        fibre = fibre_pairs.join_rows(i_f, leg(H.tgt, ih, Hr, W, it, Ft),
-                                      leg(H.src, ih, Hr, W, i_s, Fs))
-        return arr.join_rows(p, W, fibre)
+        calls, out = plans[p]
+        k = len(C)
+        parts = [W]
+        for x, n, d, mw, cols, wcols in calls:
+            lifted = base_rows(x, C.take(cols, axis=1).reshape(n * k, d),
+                               W.take(wcols, axis=1).reshape(n * k, mw))
+            parts.append(lifted.reshape(k, n * d))
+        return np.concatenate(parts, axis=1).take(out, axis=1)
 
     return Connection(
         morphism=pi,

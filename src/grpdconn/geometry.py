@@ -332,7 +332,9 @@ class ProductSpace:
 
 def _slices(a: int, b: int, c: int, d: int):
     """Columns a:b and c:d as one slice, or as a pair of slices when both are
-    non-empty."""
+    non-empty and do not touch."""
+    if b == c:
+        return slice(a, d)
     if c == d:
         return slice(a, b)
     if a == b:

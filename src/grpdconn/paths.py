@@ -23,13 +23,17 @@ class BasePath:
     velocity_coeffs: Optional[Callable[[float], tuple]] = None
 
     def reversed(self) -> "BasePath":
-        # Open-interval style reparametrization t -> 1 - t, derivative negated.
+        # Open-interval style reparametrization t -> 1 - t, derivative negated
+        # (as Tangent.__rmul__ negates it, in velocity_coeffs too).
+        coeffs = self.velocity_coeffs
         return BasePath(
             self.space,
             lambda t: self.point(1.0 - t),
             lambda t: -1.0 * self.velocity(1.0 - t),
             is_loop=self.is_loop,
             label=self.label + "~rev",
+            velocity_coeffs=None if coeffs is None
+            else lambda t: tuple(-1.0 * c for c in coeffs(1.0 - t)),
         )
 
 

@@ -50,6 +50,7 @@ from grpdconn.scenarios import (
     so2_family_setup,
     sproper_setup,
 )
+from grpdconn.smoothmap import jacobian
 from grpdconn.transport import completeness_probe
 
 
@@ -122,6 +123,50 @@ def test_circle_group_pullback_loop_transport_returns():
     from grpdconn.geometry import distance
 
     assert distance(out.end, g) < 1e-8
+
+
+def _circle_group_pullback():
+    """The pullback of SO(2) over a point: H's objects have no coordinates,
+    so the legs' tangent blocks have zero columns."""
+    pi = cat.pullback_of_projection(cat.so2_group(), line(1, name="F"))
+    return morita_connection(pi, lambda x, w: Tangent(x, (0.0,) * x.patch.dim))
+
+
+def _morita_reference(c: Connection, g: Point, a: Tangent) -> tuple:
+    """(hor0(x, Tt a), a, hor0(y, Ts a)) at g, one Point and Tangent at a
+    time; Tt a and Ts a by H's Jacobians, which are 0/1 column picks."""
+    pi = c.morphism
+    H, base_prod = pi.base_grpd, pi.metadata["base_product"]
+    split3, join3 = pi.metadata["triple"]
+    h, ft, fs = split3(g)
+    legs = []
+    for end, f in ((H.tgt, ft), (H.src, fs)):
+        w = Tangent(end(h), tuple((jacobian(end, h) @ np.array(a.coeffs)).tolist()))
+        x = base_prod.join(end(h), f)
+        fibre = base_prod.split_coeffs(x, c.hor0(x, w).coeffs)[1]
+        legs.append(Point.raw(f.space, f.patch_index, fibre))
+    return join3(Point.raw(H.arrows, h.patch_index, a.coeffs), *legs).coords
+
+
+@pytest.mark.parametrize("setup", [lambda: morita_setup()[0],
+                                   lambda: morita_punctured_setup()[0],
+                                   _circle_group_pullback],
+                         ids=["morita", "punctured", "circle_group"])
+def test_morita_rows_match_point_reference(setup):
+    # every arrow patch: on the punctured pullback the legs of the same-sign
+    # patches share a patch of N x F (one hor0 call), the others do not
+    c = setup()
+    arrows, H = c.total.arrows, c.base.arrows
+    for p, patch in enumerate(arrows.patches):
+        rng = rng_for(29, p)
+        C = rng.uniform(-2.0, 2.0, (200, patch.dim))
+        ih = c.morphism.arrow_map(Point.raw(arrows, p, C[0])).patch_index
+        W = rng.uniform(-1.0, 1.0, (200, H.patches[ih].dim))
+        got = c.hor.rows(p, C, W)
+        for row, g_row, w_row in zip(got, C.tolist(), W.tolist()):
+            g = Point.raw(arrows, p, g_row)
+            want = _morita_reference(c, g, Tangent(c.morphism.arrow_map(g), tuple(w_row)))
+            assert np.array(want).tobytes() == row.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -142,3 +142,36 @@ def test_product_packing_matches_factor_patch_counts(prod):
                 assert (pb_.space, pb_.patch_index, pb_.coords) == (prod.right, ib, b)
                 assert prod.join_coeffs(p, a, b) == packed
                 assert prod.split_coeffs(p, packed) == (a, b)
+
+
+def _factor_columns(pa: Patch, pb: Patch):
+    """Each factor's packed columns, (linA, linB, circA, circB) by kinds."""
+    la, lb, ca = pa.lin_count, pb.lin_count, pa.circ_count
+    cut = la + lb + ca
+    return ([*range(la), *range(la + lb, cut)],
+            [*range(la, la + lb), *range(cut, pa.dim + pb.dim)])
+
+
+@pytest.mark.parametrize("prod", PRODUCT_SPACES + [ProductSpace(line(1), torus_line(2, 1))],
+                         ids=lambda p: p.space.name)
+def test_factor_columns_are_one_slice_where_contiguous(prod):
+    # touching ranges, such as the right factor's 1:3 and 3:4 of
+    # R x (R^2 x S^1), are one slice: factor_rows is then a view
+    rng = np.random.default_rng(5)
+    for p, packed in enumerate(prod.space.patches):
+        ia, ib = prod.unpack_index(p)
+        R = rng.uniform(-3.0, 3.0, (4, packed.dim))
+        parts = prod.split_rows(p, R)
+        for side, want in enumerate(_factor_columns(prod.left.patches[ia],
+                                                    prod.right.patches[ib])):
+            cols = prod._columns[p][side]
+            contiguous = not want or want == list(range(want[0], want[-1] + 1))
+            assert (type(cols) is slice) == contiguous
+            assert np.array_equal(parts[side], R[:, want])
+            if contiguous and want:
+                assert np.shares_memory(parts[side], R)
+        assert np.array_equal(prod.join_rows(p, *parts), R)
+        again = prod.split_rows(p, prod.join_rows(p, *parts))
+        assert all(np.array_equal(a, b) for a, b in zip(again, parts))
+    if prod.right.name == "R2xT1":
+        assert prod._columns[0] == (slice(0, 1), slice(1, 4))

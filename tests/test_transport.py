@@ -148,6 +148,22 @@ def test_reverse_transport_inverts():
         assert distance(back.end, g) < DEFAULT.transport_hol_tol
 
 
+def test_reversed_path_keeps_velocity_coeffs():
+    # the reverse leg reads velocity_coeffs without building Points; it must
+    # give velocity(t).coeffs, bit for bit
+    rng = rng_for(47, 0)
+    curve = cat.sine_curve(rng, cat.uniform(-1.5, 1.5), cat.uniform(-1.0, 1.0), 0.5)
+    plane = line(2)
+    paths = [coordinate_path(plane, 0, lambda t: (t, t * t), lambda t: (1.0, 2.0 * t)),
+             cat.curve_path(plane, 0, curve, curve)]
+    for gamma in paths:
+        rev = gamma.reversed()
+        assert rev.velocity_coeffs is not None
+        for t in rng.uniform(0.0, 1.0, 50).tolist() + [0.0, 1.0]:
+            assert np.array(rev.velocity_coeffs(t)).tobytes() == \
+                np.array(rev.velocity(t).coeffs).tobytes()
+
+
 def test_inverted_path_transports_inverses():
     # transport along the pointwise-inverted base path carries g^{-1} to the
     # inverse of the transported arrow (multiplicative connections)
