@@ -21,11 +21,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+SEED = 7
 
-def start(checkout: Path, out_dir: Path, seed: int) -> subprocess.Popen:
+
+def start(checkout: Path, out_dir: Path) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
     return subprocess.Popen(
-        [sys.executable, "-m", "grpdconn", "--seed", str(seed), "--format", "json",
+        [sys.executable, "-m", "grpdconn", "--seed", str(SEED), "--format", "json",
          "--output-dir", str(out_dir), "all"],
         cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
 
@@ -73,12 +75,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
         dirs = {side: Path(tmp) / side for side in ("parent", "change")}
-        procs = {side: start(getattr(args, side), dirs[side], args.seed) for side in dirs}
+        procs = {side: start(getattr(args, side), dirs[side]) for side in dirs}
         failed = []
         for side, proc in procs.items():
             _, err = proc.communicate()
