@@ -56,6 +56,31 @@ def _run_one(name, args, cfg) -> bool:
     return doc.overall_pass
 
 
+def _budget_scale(text: str) -> float:
+    if not 0.0 < float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
+    return float(text)
+
+
+def _load_report(path: str) -> dict:
+    """A saved report that replay can re-run, or ValueError saying why not."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            saved = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    version = saved.get("schema_version") if isinstance(saved, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unknown schema_version {version!r}, expected {SCHEMA_VERSION!r}")
+    name, seed, checks = saved.get("scenario"), saved.get("seed"), saved.get("checks")
+    if not (isinstance(name, str) and name in REGISTRY):
+        raise ValueError(f"unknown scenario {name!r}")
+    if not (type(seed) is int and isinstance(checks, list)
+            and all(isinstance(c, dict) and isinstance(c.get("name"), str) for c in checks)):
+        raise ValueError("a report needs an integer seed and a list of named checks")
+    return saved
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="grpdconn",
@@ -64,7 +89,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--budget-scale", type=float, default=1.0,
+    parser.add_argument("--budget-scale", type=_budget_scale, default=1.0,
                         help="multiply sampling budgets (default 1.0)")
     parser.add_argument("--output-dir", help="write reports here instead of stdout")
     parser.add_argument("--dump-trajectories", action="store_true",
@@ -106,15 +131,13 @@ def main(argv=None) -> int:
         return 0 if ok else 1
 
     if args.command == "replay":
-        with open(args.report, "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
-        if saved.get("schema_version") != SCHEMA_VERSION:
-            print(f"replay: unknown schema_version {saved.get('schema_version')!r}, "
-                  f"expected {SCHEMA_VERSION!r}", file=sys.stderr)
+        try:
+            saved = _load_report(args.report)
+        except ValueError as exc:
+            print(f"replay: {exc}", file=sys.stderr)
             return 2
-        name = saved["scenario"]
-        seed = saved["seed"]
-        doc = run_scenario(name, seed=seed, budget_scale=args.budget_scale, cfg=cfg)
+        doc = run_scenario(saved["scenario"], seed=saved["seed"],
+                           budget_scale=args.budget_scale, cfg=cfg)
         fresh = doc.to_json_obj()
         fresh_checks = {c["name"]: c for c in fresh["checks"]}
         paired = set()

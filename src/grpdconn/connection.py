@@ -100,24 +100,16 @@ class Connection:
 
     def lift_frame(self, g: Point) -> SubbundleFrame:
         """Frame of Hor_g: lifts of a coordinate basis at pi(g)."""
-        h = self.morphism.arrow_map(g)
-        dim = h.patch.dim
-        basis = []
-        for k in range(dim):
-            e = [0.0] * dim
-            e[k] = 1.0
-            basis.append(self.hor(g, Tangent(h, tuple(e))))
-        return SubbundleFrame(g, basis)
+        return _basis_lifts(self.hor, g, self.morphism.arrow_map(g))
 
     def base_lift_frame(self, x: Point) -> SubbundleFrame:
-        y = self.morphism.object_map(x)
-        dim = y.patch.dim
-        basis = []
-        for k in range(dim):
-            e = [0.0] * dim
-            e[k] = 1.0
-            basis.append(self.hor0(x, Tangent(y, tuple(e))))
-        return SubbundleFrame(x, basis)
+        return _basis_lifts(self.hor0, x, self.morphism.object_map(x))
+
+
+def _basis_lifts(lift, p: Point, q: Point) -> SubbundleFrame:
+    """The frame at ``p`` of ``lift``'s lifts of the coordinate basis at ``q``."""
+    return SubbundleFrame(p, [lift(p, Tangent(q, tuple(e)))
+                              for e in np.eye(q.patch.dim).tolist()])
 
 
 @dataclass

@@ -254,17 +254,18 @@ def bump_partition(windows: list[AtlasWindow]):
 _PARTITION_CHECKS = 64   # grid intervals on which a partition's sum is checked
 
 
-def slope_lift(slope: Callable[[float, float], float]):
-    """The Point-level lift (w, slope(y, x) w, 0, ...) on the (y, x)-leading
-    coordinates of a constant family: a partition-weighted sum of chart-flat
-    lifts D(psi^alpha)^{-1}(w, 0), whose slopes are the shift derivatives."""
+def slope_lift(slope: Callable[[float, float], float]) -> RowLift:
+    """The lift (w, slope(y, x) w, 0, ...) on the (y, x)-leading coordinates
+    of a constant family: a partition-weighted sum of chart-flat lifts
+    D(psi^alpha)^{-1}(w, 0), whose slopes are the shift derivatives."""
 
-    def hor(g: Point, w: Tangent) -> Tangent:
-        dy = w.coeffs[0]
-        coeffs = [0.0] * g.patch.dim
-        coeffs[0] = dy
-        coeffs[1] = slope(g.coords[0], g.coords[1]) * dy
-        return Tangent(g, tuple(coeffs))
+    @RowLift
+    def hor(p: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
+        out = np.zeros(C.shape)
+        out[:, 0] = W[:, 0]
+        out[:, 1] = np.fromiter(map(slope, C[:, 0].tolist(), C[:, 1].tolist()), float,
+                                len(C)) * W[:, 0]
+        return out
 
     return hor
 

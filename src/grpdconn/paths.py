@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .geometry import Point, Space, Tangent
 
@@ -11,41 +11,33 @@ from .geometry import Point, Space, Tangent
 class BasePath:
     """A curve [0,1] -> space given by closed-form point and velocity maps.
 
-    ``velocity_coeffs``, when given, returns ``velocity(t).coeffs`` without
-    building the velocity's base point.
+    ``velocity_coeffs(t)`` returns the coefficients of the velocity at
+    ``point(t)``; :meth:`velocity` pairs them with that point.
     """
 
     space: Space
     point: Callable[[float], Point]
-    velocity: Callable[[float], Tangent]
+    velocity_coeffs: Callable[[float], tuple]
     is_loop: bool = False
     label: str = ""
-    velocity_coeffs: Optional[Callable[[float], tuple]] = None
+
+    def velocity(self, t: float) -> Tangent:
+        return Tangent(self.point(t), self.velocity_coeffs(t))
 
     def reversed(self) -> "BasePath":
-        # Open-interval style reparametrization t -> 1 - t, derivative negated
-        # (as Tangent.__rmul__ negates it, in velocity_coeffs too).
-        coeffs = self.velocity_coeffs
+        # Open-interval style reparametrization t -> 1 - t, derivative negated.
         return BasePath(
             self.space,
             lambda t: self.point(1.0 - t),
-            lambda t: -1.0 * self.velocity(1.0 - t),
+            lambda t: tuple(-1.0 * c for c in self.velocity_coeffs(1.0 - t)),
             is_loop=self.is_loop,
             label=self.label + "~rev",
-            velocity_coeffs=None if coeffs is None
-            else lambda t: tuple(-1.0 * c for c in coeffs(1.0 - t)),
         )
 
 
 def constant_path(p: Point, label: str = "const") -> BasePath:
-    zero = Tangent(p, (0.0,) * p.patch.dim)
-    return BasePath(
-        p.space,
-        lambda t: p,
-        lambda t: zero,
-        is_loop=True,
-        label=label,
-    )
+    zero = (0.0,) * p.patch.dim
+    return BasePath(p.space, lambda t: p, lambda t: zero, is_loop=True, label=label)
 
 
 def coordinate_path(
@@ -62,11 +54,7 @@ def coordinate_path(
     def coeffs(t: float) -> tuple:
         return tuple(float(d) for d in deriv_fn(t))
 
-    def velocity(t: float) -> Tangent:
-        return Tangent(point(t), coeffs(t))
-
-    return BasePath(space, point, velocity, is_loop=is_loop, label=label,
-                    velocity_coeffs=coeffs)
+    return BasePath(space, point, coeffs, is_loop=is_loop, label=label)
 
 def subpath(path: BasePath, t0: float, t1: float) -> BasePath:
     """Restriction to [t0, t1] reparametrized over [0, 1] (chain rule)."""
@@ -75,7 +63,7 @@ def subpath(path: BasePath, t0: float, t1: float) -> BasePath:
     def point(t: float) -> Point:
         return path.point(t0 + span * t)
 
-    def velocity(t: float) -> Tangent:
-        return span * path.velocity(t0 + span * t)
+    def coeffs(t: float) -> tuple:
+        return tuple(span * c for c in path.velocity_coeffs(t0 + span * t))
 
-    return BasePath(path.space, point, velocity, label=f"{path.label}[{t0},{t1}]")
+    return BasePath(path.space, point, coeffs, label=f"{path.label}[{t0},{t1}]")

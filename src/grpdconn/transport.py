@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import NotALoop, PairSamplerFailure, StartFiberMismatch
-from .geometry import Point, Tangent, distance
+from .geometry import Point, distance
 from .groupoid import _Worst, _coords, rng_for
 from .integrate import TrajectoryOutcome, integrate, integrate_rows
 from .connection import (
@@ -55,12 +55,11 @@ def pushed_path(map_: SmoothMap, path: BasePath, cfg: Config = DEFAULT) -> BaseP
     def point(t: float) -> Point:
         return map_(path.point(t))
 
-    def velocity(t: float) -> Tangent:
-        p = path.point(t)
-        J = jacobian(map_, p, cfg)
-        return Tangent(map_(p), tuple((J @ np.asarray(path.velocity(t).coeffs)).tolist()))
+    def coeffs(t: float) -> tuple:
+        J = jacobian(map_, path.point(t), cfg)
+        return tuple((J @ np.asarray(path.velocity_coeffs(t))).tolist())
 
-    return BasePath(map_.codomain, point, velocity,
+    return BasePath(map_.codomain, point, coeffs,
                     is_loop=path.is_loop, label=f"{map_.name}∘{path.label}")
 
 
@@ -70,12 +69,12 @@ def product_path(G, gamma: BasePath, eta: BasePath, cfg: Config = DEFAULT) -> Ba
     def point(t: float) -> Point:
         return G.compose(gamma.point(t), eta.point(t))
 
-    def velocity(t: float) -> Tangent:
-        g, h = gamma.point(t), eta.point(t)
-        v = tm_apply(G, g, h, gamma.velocity(t), eta.velocity(t), cfg)
-        return Tangent(G.compose(g, h), tuple(v.tolist()))
+    def coeffs(t: float) -> tuple:
+        v = tm_apply(G, gamma.point(t), eta.point(t), gamma.velocity_coeffs(t),
+                     eta.velocity_coeffs(t), cfg)
+        return tuple(v.tolist())
 
-    return BasePath(G.arrows, point, velocity,
+    return BasePath(G.arrows, point, coeffs,
                     is_loop=gamma.is_loop and eta.is_loop,
                     label=f"m({gamma.label},{eta.label})")
 
@@ -99,7 +98,6 @@ def _velocity_rows(paths: list[BasePath]):
     rows asked for. One step asks for about five distinct times, each several
     times and for shrinking sets of rows, so each time keeps its block and
     later asks for its rows take them from it."""
-    rates = [p.velocity_coeffs or (lambda t, p=p: p.velocity(t).coeffs) for p in paths]
     blocks: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def at(t: float, rows: np.ndarray) -> np.ndarray:
@@ -111,7 +109,7 @@ def _velocity_rows(paths: list[BasePath]):
             pos = np.minimum(np.searchsorted(known, rows), len(known) - 1)
             if np.array_equal(known[pos], rows):
                 return V[pos]
-        V = np.array([rates[r](t) for r in rows.tolist()], dtype=float)
+        V = np.array([paths[r].velocity_coeffs(t) for r in rows.tolist()], dtype=float)
         if len(blocks) >= 8:
             del blocks[next(iter(blocks))]
         blocks[t] = rows, V
@@ -151,9 +149,10 @@ def parallel_transport_rows(
 
     When ``c.hor`` is a :class:`RowLift` the rows on each start patch are
     integrated as one block, and each field evaluation lifts the whole block
-    in one call of ``c.hor.rows``; any other lift transports one row at a
-    time through :func:`integrate`. With ``first_escape`` the rows after the
-    first one that escapes are dropped (their outcome is None).
+    in one call of ``c.hor.rows``; any other lift (a plain function, such as
+    a tracer's wrapper) transports one row at a time through
+    :func:`integrate`. With ``first_escape`` the rows after the first one that
+    escapes are dropped (their outcome is None).
     """
     pi = c.morphism
     for gamma, g in zip(paths, starts):
@@ -323,8 +322,8 @@ def _leg_outcomes(leg_sets, t1: float, cfg: Config, h: float, first_escape: bool
     return [_transport_in_order(legs, t1, cfg, h) for legs in leg_sets]
 
 
-# samples per block of a probe on a RowLift connection: the first blocks are
-# small, so that an early witness costs little; 64 from the fourth block on
+# samples per block of a probe: the first blocks are small, so that an early
+# witness costs little; 64 from the fourth block on
 _PROBE_CHUNKS = (8, 16, 32, 64)
 
 
@@ -341,9 +340,8 @@ def completeness_probe(
     yields NoCounterexampleFound, which is not a completeness claim.
 
     Samples are drawn and transported in index order, in blocks of
-    ``_PROBE_CHUNKS`` samples when ``c.hor`` is a :class:`RowLift` and one at
-    a time otherwise. The witness is the first escaping index: after each
-    step the rows above the first escaped row are dropped. A draw that
+    ``_PROBE_CHUNKS`` samples. The witness is the first escaping index: after
+    each step the rows above the first escaped row are dropped. A draw that
     raises, a start that does not project to its path's start, or an error
     inside a block surfaces only where sample-by-sample transport would have
     met it: a failed draw ends the block as its last leg and is raised unless
@@ -351,10 +349,7 @@ def completeness_probe(
     sample at a time.
     """
     h, horizon = cfg.transport_probe_h_ode, cfg.transport_horizon
-    if isinstance(c.hor, RowLift):
-        sizes = itertools.chain(_PROBE_CHUNKS, itertools.repeat(_PROBE_CHUNKS[-1]))
-    else:
-        sizes = itertools.repeat(1)
+    sizes = itertools.chain(_PROBE_CHUNKS, itertools.repeat(_PROBE_CHUNKS[-1]))
     start = 0
     while start < budget:
         stop = min(start + next(sizes), budget)

@@ -13,6 +13,7 @@ import grpdconn.catalog as cat
 import grpdconn.transport as transport
 from grpdconn.config import DEFAULT
 from grpdconn.connection import Connection, RowLift, kernel_connection
+from grpdconn.constructions import bump_partition, glue_local_trivial
 from grpdconn.errors import StartFiberMismatch
 from grpdconn.geometry import Point, Tangent, line
 from grpdconn.groupoid import rng_for
@@ -32,6 +33,9 @@ from grpdconn.scenarios import (
     product_not_uniform_setup,
     proper_average_connection,
     punctured_bundle_setup,
+    sproper_connection,
+    sproper_paths,
+    sproper_setup,
 )
 from grpdconn.transport import (
     base_connection,
@@ -49,6 +53,11 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.int64).ravel().tolist()
 
 
+def _glued_sproper():
+    fam, atlas, _, _ = sproper_setup()
+    return glue_local_trivial(fam, atlas, bump_partition(atlas.windows))
+
+
 CONNECTIONS = {
     "luca": lambda: luca_setup()[0],
     "punctured_bundle": lambda: punctured_bundle_setup()[0],
@@ -62,6 +71,8 @@ CONNECTIONS = {
     "pair_punctured": lambda: pair_fibration_setup(punctured=True)[0],
     "product_not_uniform": lambda: product_not_uniform_setup()[0],
     "proper_average": lambda: proper_average_connection(DEFAULT),
+    "sproper": lambda: sproper_connection(DEFAULT),
+    "sproper.glued": _glued_sproper,
 }
 
 
@@ -112,6 +123,8 @@ def _connection_and_sampler(name):
         c = base_connection(punctured_bundle_setup()[0])
         return c, c.morphism.transport.path_with_start
     c = CONNECTIONS[name]()
+    if name.startswith("sproper"):
+        return c, sproper_paths(c.morphism, DEFAULT)
     if c.morphism.transport is not None:
         return c, c.morphism.transport.path_with_start
     outer = CONNECTIONS[name.split(".")[0]]().morphism
@@ -349,13 +362,19 @@ def test_probe_error_inside_a_block_surfaces_where_the_loop_meets_it():
         completeness_probe(c, _handing_out(pairs[3:]), 3, 7)
 
 
-def test_probe_chunks_one_row_lifts_one_at_a_time():
-    # a lift that is not a RowLift is transported sample by sample: the
-    # probe draws nothing past its witness
+def test_probe_chunks_plain_lifts_like_row_lifts():
+    # a lift that is not a RowLift is drawn in the same chunks and transported
+    # one row at a time: it gives the RowLift's verdict, and a draw that fails
+    # after the witness, inside the first chunk, does not surface
     c, pairs = _bundle_pairs()
-    c = Connection(c.morphism, lambda g, w: Tangent(g, w.coeffs), c.hor0, {})
+    plain = Connection(c.morphism, lambda g, w: c.hor(g, w), c.hor0, {})
+    v = completeness_probe(c, _handing_out(pairs), 8, 7)
+    assert v.witness["sample_index"] == 2
+    draws, hand_out = [], _handing_out(pairs)
+    assert completeness_probe(plain, lambda rng: draws.append(rng) or hand_out(rng), 8, 7) == v
+    assert len(draws) == 8   # the whole first chunk, past the witness
     draw = _handing_out(pairs[:3], RuntimeError("drew past the witness"))
-    assert completeness_probe(c, draw, 8, 7).witness["sample_index"] == 2
+    assert completeness_probe(plain, draw, 8, 7) == v
 
 
 @pytest.mark.parametrize("seed", [3, 11])

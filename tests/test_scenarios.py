@@ -10,6 +10,7 @@ import pytest
 import grpdconn
 from grpdconn.cli import main
 from grpdconn.config import DEFAULT, parse_config_file
+from grpdconn.connection import RowLift
 from grpdconn.errors import UnknownScenario
 from grpdconn.scenarios import (
     REGISTRY,
@@ -154,7 +155,13 @@ def test_cli_replay_round_trip(tmp_path, capsys):
     assert "identical" in out
 
 
-@pytest.mark.parametrize("alteration", ["duplicate_check", "missing_check", "unknown_schema"])
+# replay's exit code for each alteration of a saved report: 1 when the re-run
+# differs, 2 when the report cannot be replayed
+REPLAY_EXIT = {"duplicate_check": 1, "missing_check": 1, "unknown_schema": 2,
+               "not_json": 2, "missing_seed": 2, "unknown_scenario": 2}
+
+
+@pytest.mark.parametrize("alteration", list(REPLAY_EXIT))
 def test_cli_replay_rejects_altered_report(tmp_path, capsys, alteration):
     rc = main(["--seed", "5", "--budget-scale", "0.2", "--format", "json",
                "--output-dir", str(tmp_path), "run", "splitting_fixture"])
@@ -165,12 +172,37 @@ def test_cli_replay_rejects_altered_report(tmp_path, capsys, alteration):
         saved["checks"].append(saved["checks"][0])
     elif alteration == "missing_check":
         saved["checks"].pop()
-    else:
+    elif alteration == "unknown_schema":
         saved["schema_version"] = "bogus"
-    report.write_text(json.dumps(saved))
+    elif alteration == "missing_seed":
+        del saved["seed"]
+    elif alteration == "unknown_scenario":
+        saved["scenario"] = "nope"
+    text = json.dumps(saved)
+    report.write_text(text[:len(text) // 2] if alteration == "not_json" else text)
+    capsys.readouterr()
     rc = main(["--budget-scale", "0.2", "replay", str(report)])
-    assert rc != 0
-    assert "identical" not in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert rc == REPLAY_EXIT[alteration]
+    assert "identical" not in out
+    if rc == 2:
+        assert err.startswith("replay: ") and out == ""
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-3", "0", "x"])
+def test_cli_rejects_budget_scale_that_is_not_finite_and_positive(scale, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--budget-scale", scale, "list"])
+    assert exc.value.code == 2
+    assert "--budget-scale" in capsys.readouterr().err
+
+
+def test_scenario_connections_lift_on_rows():
+    for name, scenario in REGISTRY.items():
+        if scenario.connection_factory is not None:
+            conn, _ = scenario.connection_factory(DEFAULT)
+            assert isinstance(conn.hor, RowLift), name
+            assert isinstance(conn.hor0, RowLift), name
 
 
 def test_trajectory_dump(tmp_path):

@@ -77,11 +77,12 @@ def test_transport_evaluates_velocity_once_per_distinct_time():
     gamma, g = c.morphism.transport.path_with_start(rng_for(31, 0))
     asked = []
 
-    def velocity(t):
+    def velocity_coeffs(t):
         asked.append(t)
-        return gamma.velocity(t)
+        return gamma.velocity_coeffs(t)
 
-    out = parallel_transport(c, BasePath(gamma.space, gamma.point, velocity), g, 1.0, h=0.02)
+    out = parallel_transport(c, BasePath(gamma.space, gamma.point, velocity_coeffs), g, 1.0,
+                             h=0.02)
     field_times = []
 
     def field(t, p):
