@@ -281,6 +281,7 @@ def _constant_jacobians(J, C):
 def unit_groupoid(M: Space, name: str = "") -> Groupoid:
     dim = M.dim
     ident = identity_map(M)
+    eye = np.eye(dim)
 
     def mul_eval(g, h):
         return h
@@ -306,9 +307,10 @@ def unit_groupoid(M: Space, name: str = "") -> Groupoid:
                   "compact_tfibers": True,
                   "source_connected": True},
         kernels=ArrayKernels(
-            nodes=lambda x, n: [(x.patch_index, np.array([x.coords], dtype=float), np.ones(1))],
+            nodes=lambda p, X, n: [(p, np.arange(len(X)), np.zeros(len(X), dtype=np.intp), X,
+                                    np.ones(len(X)))],
             mul=lambda p, G, q, H: (q, H),
-            inv=lambda p, C: (p, C, _constant_jacobians(np.eye(dim), C)),
+            inv=lambda p, C: (p, C, _constant_jacobians(eye, C)),
             src=lambda p, C: (p, C),
             unit=lambda p, X: (p, X)),
     )
@@ -338,12 +340,29 @@ def product_map(f1: SmoothMap, f2: SmoothMap, domain: ProductSpace,
     return SmoothMap(domain.space, codomain.space, ev, jac, name)
 
 
+def _same_owner_pairs(o1: np.ndarray, o2: np.ndarray, counts2: np.ndarray, one_each: bool):
+    """Indices (a, b) of every pair of rows with ``o1[a] == o2[b]``, a
+    ascending and, for each a, b ascending; o2 is in owner order and
+    ``counts2`` counts its rows per owner. ``one_each`` says that o1 holds
+    each owner once, in order, so that a row's owner is its index; then b
+    takes every row of o2, as a slice."""
+    if one_each:
+        return o2, slice(None)
+    per_a = counts2[o1]
+    a = np.arange(len(o1)).repeat(per_a)
+    # b runs from where o1[a]'s rows start in o2, counted from a's first pair
+    first = (counts2.cumsum() - counts2)[o1] - (per_a.cumsum() - per_a)
+    return a, first.repeat(per_a) + np.arange(len(a))
+
+
 def product_kernels(K1: ArrayKernels, K2: ArrayKernels, arr: ProductSpace,
                     obj: ProductSpace) -> ArrayKernels:
     """Kernels of G1 x G2 from those of its factors, by column placement.
 
     Target-fibre nodes run over G1's nodes, then G2's, as the product's
-    points do; each G1 node with each block of G2 nodes makes one block.
+    points do: an object's G1 node in slot s1 with its G2 node in slot s2 is
+    its node in slot ``s1 * n2 + s2``, n2 being its G2 node count, with
+    weight ``w1 * w2``. Each pair of factor node patches makes one block.
     """
 
     def mul(p, G, q, H):
@@ -371,15 +390,20 @@ def product_kernels(K1: ArrayKernels, K2: ArrayKernels, arr: ProductSpace,
         out = arr.pack_index(r1, r2)
         return out, arr.join_rows(out, R1, R2)
 
-    def nodes(x, n):
-        x1, x2 = obj.split(x)
-        second = K2.nodes(x2, n)
+    def nodes(p, X, n):
+        (i1, i2), (x1, x2) = obj.unpack_index(p), obj.split_rows(p, X)
+        first, second = K1.nodes(i1, x1, n), K2.nodes(i2, x2, n)
+        counts = [np.bincount(o2, minlength=len(X)) for _, o2, *_ in second]
+        n2 = sum(counts)
+        # every object has a node, so one block of k rows holds one per object
+        one_each = len(first) == 1 and len(first[0][1]) == len(X)
         blocks = []
-        for p1, C1, w1 in K1.nodes(x1, n):
-            for i in range(len(C1)):
-                for p2, C2, w2 in second:
-                    p = arr.pack_index(p1, p2)
-                    blocks.append((p, arr.join_rows(p, C1[i:i + 1], C2), w1[i] * w2))
+        for p1, o1, s1, H1, w1 in first:
+            for (p2, o2, s2, H2, w2), counts2 in zip(second, counts):
+                a, b = _same_owner_pairs(o1, o2, counts2, one_each)
+                q, owner = arr.pack_index(p1, p2), o1[a]
+                blocks.append((q, owner, s1[a] * n2[owner] + s2[b],
+                               arr.join_rows(q, H1[a], H2[b]), w1[a] * w2[b]))
         return blocks
 
     return ArrayKernels(nodes=nodes, mul=mul, inv=inv, src=src, unit=unit)
@@ -516,11 +540,18 @@ def abelian_group(A: Space, name: str) -> Groupoid:
     def inv_eval(p):
         return Point.raw(A, (-p.patch_index) % order, tuple(-c for c in p.coords))
 
-    def nodes(x, n):
-        angles = np.array(list(itertools.product([TWO_PI * j / n for j in range(n)],
-                                                 repeat=dim))).reshape(n ** dim, dim)
-        weights = np.full(len(angles), 1.0 / (order * len(angles)))
-        return [(k, angles, weights) for k in range(order)]
+    plans = {}   # per node count: the angles on one patch
+    minus_eye = -np.eye(dim)
+
+    def nodes(p, X, n):
+        if n not in plans:
+            plans[n] = np.array(list(itertools.product([TWO_PI * j / n for j in range(n)],
+                                                       repeat=dim))).reshape(n ** dim, dim)
+        angles = plans[n]
+        m = len(angles)
+        owner, slot = np.divmod(np.arange(len(X) * m), m)
+        H, w = angles[slot], np.full(len(slot), 1.0 / (order * m))
+        return [(q, owner, q * m + slot, H, w) for q in range(order)]
 
     compact = shape[0] == 0
     to_point = PatchJacobian(lambda p: np.zeros((0, dim)))   # src and tgt: the same on every patch
@@ -539,13 +570,13 @@ def abelian_group(A: Space, name: str) -> Groupoid:
         object_sampler=lambda rng: origin,
         sfiber_sampler=lambda x, rng: sample_point(A, rng),
         tfiber_sampler=lambda x, rng: sample_point(A, rng),
-        sfiber_grid=(lambda x, n: [p for k, C, _ in nodes(x, n) for p in points(A, k, C)])
-        if compact else None,
+        sfiber_grid=(lambda x, n: [p for q, *_, H, _ in nodes(0, np.zeros((1, 0)), n)
+                                   for p in points(A, q, H)]) if compact else None,
         metadata={"source_connected": order == 1, "compact_tfibers": compact},
         kernels=ArrayKernels(
             nodes=nodes,
             mul=lambda p, G, q, H: ((p + q) % order, G + H),
-            inv=lambda p, C: ((-p) % order, -C, _constant_jacobians(-np.eye(dim), C)),
+            inv=lambda p, C: ((-p) % order, -C, _constant_jacobians(minus_eye, C)),
             src=lambda p, C: (0, np.zeros((len(C), 0))),
             unit=lambda p, X: (0, np.zeros((len(X), dim)))) if compact else None,
     )
@@ -615,13 +646,14 @@ def group_bundle(
         sample_point(M, rng)  # discarded, so that seeded samples stay as reported
         return Point.raw(A, k, sample_coords(A.patches[k], rng))
 
+    def on_puncture(coords) -> bool:
+        # patch -1 carries the ball whenever order > 1
+        last = A.patches[-1]
+        return any(last.coord_distance(coords, c) <= r for c, r in last.excluded_points)
+
     def elements_over(x: Point):
-        # the identity alone survives over the puncture; patch -1 carries the
-        # ball whenever order > 1
-        for center, radius in A.patches[-1].excluded_points:
-            if A.patches[-1].coord_distance(x.coords, center) <= radius:
-                return [0]
-        return list(range(order))
+        # the identity alone survives over the puncture
+        return [0] if on_puncture(x.coords) else list(range(order))
 
     def sfiber(x, rng):
         ks = elements_over(x)
@@ -630,10 +662,15 @@ def group_bundle(
     def sfiber_grid(x, n):
         return [Point.raw(A, k, x.coords) for k in elements_over(x)]
 
-    def nodes(x, n):
-        ks = elements_over(x)
-        row = np.array([x.coords], dtype=float)
-        return [(k, row, np.full(1, 1.0 / len(ks))) for k in ks]
+    def nodes(p, X, n):
+        # each element over a row is its node, in slot k, weighted by 1 / count
+        alone = np.array([on_puncture(x) for x in X.tolist()], dtype=bool)
+        weights = np.where(alone, 1.0, 1.0 / order)
+        blocks = []
+        for k in range(order):
+            owner = np.flatnonzero(~alone) if k else np.arange(len(X))
+            blocks.append((k, owner, np.full(len(owner), k), X[owner], weights[owner]))
+        return blocks
 
     return Groupoid(
         name=name or f"bundle({M.name},Z{order}*)",
@@ -701,9 +738,21 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
         rows[:, 2] = phi
         return rows
 
-    def nodes(x, n):
-        return [(0, fibre_rows(np.asarray(x.coords), TWO_PI * np.arange(n) / n),
-                 np.full(n, 1.0 / n))]
+    plans = {}   # per node count: the angles phi and R(-phi) as acting
+
+    def nodes(p, X, n):
+        """The arrows (R(-phi) v, phi) with target v, for every row v of X."""
+        if n not in plans:
+            phi = TWO_PI * np.arange(n) / n
+            plans[n] = phi, _rot(acting(-phi))
+        phi, R = plans[n]
+        k = len(X)
+        H = np.empty((k, n, 3))
+        # one 2 x 2 product per node, each as fibre_rows makes it
+        H[:, :, :2] = np.matmul(R, X[:, None, :, None])[..., 0]
+        H[:, :, 2] = phi
+        return [(0, *np.divmod(np.arange(k * n), n), H.reshape(k * n, 3),
+                 np.full(k * n, 1.0 / n))]
 
     def mul(p, G, q, H):  # (v, phi)(w, psi) = (w, phi + psi)
         out = H.copy()

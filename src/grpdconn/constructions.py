@@ -22,6 +22,7 @@ from .config import DEFAULT, Config
 from .errors import (
     AtlasMismatch,
     CertificateFailure,
+    InvalidParams,
     NonProjectableInput,
     NotASubmersion,
     NotSourceProper,
@@ -313,20 +314,26 @@ def glue_local_trivial(
 class HaarFiberQuadrature:
     """Normalized nodes/weights on target fibres, from catalog closed forms.
 
-    ``nodes_at(x)`` returns the nodes at the object x as blocks of the
-    groupoid's array kernels, ``(patch, (k, dim) rows, (k,) weights)`` in node
-    order; Points are built only where a caller needs them.
+    ``node_count`` is the n handed to the groupoid's ``nodes`` kernel, which
+    places the nodes of a whole block of objects at once; ``nodes_at(x)`` is
+    its one-row call at the object x, ``(patch, owner, slot, rows, weights)``
+    blocks whose slots give the node order. Points are built only where a
+    caller needs them.
     """
 
     node_count: int
-    nodes_at: Callable[[Point], list[tuple[int, np.ndarray, np.ndarray]]]
+    nodes_at: Callable[[Point], list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]
 
     @classmethod
     def from_groupoid(cls, G: Groupoid, node_count: int) -> "HaarFiberQuadrature":
+        if (isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer))
+                or node_count < 1):
+            raise InvalidParams(f"node count must be a positive integer, not {node_count!r}")
         _require_kernels(G)
         if not G.metadata.get("compact_tfibers"):
             raise QuadratureMissing(f"{G.name} has non-compact target fibres")
-        return cls(node_count, lambda x: G.kernels.nodes(x, node_count))
+        return cls(node_count, lambda x: G.kernels.nodes(
+            x.patch_index, np.array([x.coords], dtype=float).reshape(1, -1), node_count))
 
     def validate(self, G: Groupoid, n_samples: int, seed: int,
                  cfg: Config = DEFAULT) -> CheckReport:
@@ -348,9 +355,11 @@ class HaarFiberQuadrature:
             rng = rng_for(seed, 83, i)
             g = G.arrow_sampler(rng)
             g_row = np.array([g.coords])
-            blocks_s = self.nodes_at(G.src(g))
-            composed, w_s = _node_points(G.arrows, [
-                (*G.kernels.mul(g.patch_index, g_row, q, H), w) for q, H, w in blocks_s])
+            blocks_s = []
+            for q, owner, slot, H, w in self.nodes_at(G.src(g)):
+                r, GH = G.kernels.mul(g.patch_index, g_row, q, H)
+                blocks_s.append((r, owner, slot, GH, w))
+            composed, w_s = _node_points(G.arrows, blocks_s)
             nodes_t, w_t = _node_points(G.arrows, self.nodes_at(G.tgt(g)))
             worst.record("normalization", abs(sum(w_s) - 1.0), {"g": _coords(g)})
             for fi, f in enumerate(test_functions):
@@ -362,8 +371,9 @@ class HaarFiberQuadrature:
 
 def _require_kernels(G: Groupoid) -> None:
     """Refuse a groupoid whose array kernels the average cannot use: it needs
-    them, and ``mul`` partials declared patch-constant, to apply the partials
-    at a block's first row to every row."""
+    them (target-fibre nodes on object rows, row-aligned ``mul``, ``inv`` and
+    ``src``), and ``mul`` partials declared patch-constant, to apply the
+    partials taken once per patch pair to every row of that pair."""
     if G.kernels is None:
         raise QuadratureMissing(f"{G.name} supplies no array kernels with target-fibre nodes")
     if not isinstance(G.mul.jac2, PatchJacobian):
@@ -371,9 +381,12 @@ def _require_kernels(G: Groupoid) -> None:
 
 
 def _node_points(space, blocks) -> tuple[list[Point], list[float]]:
-    """Points and weights of ``(patch, rows, weights)`` blocks, in node order."""
-    return ([p for q, rows, _ in blocks for p in points(space, q, rows)],
-            [w for *_, weights in blocks for w in weights.tolist()])
+    """Points and weights of one object's ``(patch, owner, slot, rows,
+    weights)`` node blocks, in slot order."""
+    pts = [p for q, _, _, rows, _ in blocks for p in points(space, q, rows)]
+    order = np.argsort(np.concatenate([slot for _, _, slot, _, _ in blocks]))
+    return ([pts[i] for i in order.tolist()],
+            np.concatenate([weights for *_, weights in blocks])[order].tolist())
 
 
 def s_projectability_residual(G: Groupoid, X, n_samples: int, seed: int,
@@ -432,15 +445,19 @@ def haar_average(
 
     X_hat(g) = sum_j w_j Tm(X_{g h_j}, Ti(X_{h_j})) over nodes h_j in the
     target fibre of s(g). X_hat is a :class:`RowField` that averages a whole
-    block of arrows: each row takes its nodes at its source (G's ``src``
-    kernel) and composes them with itself; the node rows of all arrows are
-    then grouped by their (product patch, node patch) pair, and each group
-    makes one pass that inverts and differentiates with G's array kernels,
-    evaluates X (through ``field_rows``) and applies G's ``mul`` partials,
-    declared patch-constant, at the group's first row to every row. Each
-    arrow's weighted terms are summed in its own node order, so a row's
-    average does not depend on the block it is in. Returns (X_hat, report);
-    the report runs the multiplicative-field identities at samples.
+    block of arrows in one pass per node patch: G's ``src`` kernel takes the
+    block to its sources and G's ``nodes`` kernel places the nodes of all of
+    them at once, each node row tagged with its arrow row (owner) and its
+    place in that row's node order (slot). Per node patch q, one row-aligned
+    ``mul`` composes the owners with their nodes, one ``inv`` inverts the
+    nodes with their Jacobians, and X (through ``field_rows``) is evaluated
+    once on the stacked ``[H; GH]`` when the composites lie on q, as they do
+    when ``mul`` keeps the node patch. G's ``mul`` partials, declared
+    patch-constant, are taken once per (image patch, inverse patch) pair.
+    The weighted terms are scattered by (owner, slot) and each arrow's are
+    summed in its own node order, so a row's average does not depend on the
+    block it is in. Returns (X_hat, report); the report runs the
+    multiplicative-field identities at samples.
     """
     _require_kernels(G)
     if check:
@@ -451,33 +468,35 @@ def haar_average(
             )
     K, arrows = G.kernels, G.arrows
     X_rows = field_rows(X, arrows)
+    partials = {}   # per (image patch, inverse patch): the mul partials
 
     def averaged(p: int, C: np.ndarray) -> np.ndarray:
-        # per (product patch, node patch): (arrow row, first node slot, H, GH, w)
-        groups: dict[tuple[int, int], list] = {}
-        n_nodes = 0
-        for i, x in enumerate(points(G.objects, *K.src(p, C))):
-            slot = 0
-            for q, H, w in quad.nodes_at(x):
-                r, GH = K.mul(p, C[i:i + 1], q, H)
-                groups.setdefault((r, q), []).append((i, slot, H, GH, w))
-                slot += len(H)
-            n_nodes = max(n_nodes, slot)
+        if not len(C):
+            return np.zeros(C.shape)
+        blocks = [b for b in K.nodes(*K.src(p, C), quad.node_count) if len(b[1])]
         # a row with fewer nodes than the most is padded with +0.0 terms,
         # which leave its running sum as its last term left it
+        n_nodes = 1 + max(int(slot.max()) for _, _, slot, _, _ in blocks)
         terms = np.zeros((len(C), n_nodes, C.shape[1]))
-        for (r, q), parts in groups.items():
-            H, GH, w = (np.concatenate([part[k] for part in parts]) for k in (2, 3, 4))
+        for q, owner, slot, H, w in blocks:
+            r, GH = K.mul(p, C[owner], q, H)
             q_inv, H_inv, Ti = K.inv(q, H)
-            A, B = G.mul.partials(Point(arrows, r, tuple(GH[0].tolist())),
-                                  Point(arrows, q_inv, tuple(H_inv[0].tolist())), cfg)
-            moved = np.matmul(Ti, X_rows(q, H)[..., None])
-            lifted = np.matmul(A, X_rows(r, GH)[..., None]) + np.matmul(B, moved)
-            at = (np.repeat([part[0] for part in parts], [len(part[2]) for part in parts]),
-                  np.concatenate([part[1] + np.arange(len(part[2])) for part in parts]))
-            terms[at] = w[:, None] * lifted[..., 0]
+            A_B = partials.get((r, q_inv))
+            if A_B is None:
+                A_B = partials[r, q_inv] = G.mul.partials(
+                    Point(arrows, r, tuple(GH[0].tolist())),
+                    Point(arrows, q_inv, tuple(H_inv[0].tolist())), cfg)
+            A, B = A_B
+            if r == q:
+                both = X_rows(q, np.concatenate((H, GH)))
+                X_H, X_GH = both[:len(H)], both[len(H):]
+            else:
+                X_H, X_GH = X_rows(q, H), X_rows(r, GH)
+            moved = np.matmul(Ti, X_H[..., None])
+            lifted = np.matmul(A, X_GH[..., None]) + np.matmul(B, moved)
+            terms[owner, slot] = w[:, None] * lifted[..., 0]
         # running sum in node order, as a loop would add; + 0.0 as from a zero start
-        return np.cumsum(terms, axis=1)[:, -1] + 0.0
+        return terms.cumsum(axis=1)[:, -1] + 0.0
 
     X_hat = RowField(averaged)
 
@@ -531,7 +550,7 @@ def proper_family_connection(
 
     if isinstance(hor0, RowLift) and isinstance(hor_s, RowLift):
         def composite(p: int, C: np.ndarray, e: tuple) -> np.ndarray:
-            E = np.tile(e, (len(C), 1))
+            E = np.array([e]).repeat(len(C), axis=0)
             return hor_s.rows(p, C, hor0.rows(*G.kernels.src(p, C), E))
     else:
         def composite(p: int, C: np.ndarray, e: tuple) -> np.ndarray:
@@ -565,6 +584,8 @@ def proper_family_connection(
 
     @RowLift
     def hor0_out(p: int, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        if not len(X):
+            return np.zeros(X.shape)
         u, U = G.kernels.unit(p, X)
         Ts = jacobian(G.src, Point(G.arrows, u, tuple(U[0].tolist())), cfg)
         acc = np.zeros(X.shape)

@@ -295,13 +295,14 @@ class ProductSpace:
         return self.factor_rows(packed_index, rows, 0), self.factor_rows(packed_index, rows, 1)
 
     def join_rows(self, packed_index: int, rows_left, rows_right):
-        """The packed block of two factor blocks; a one-row block broadcasts."""
+        """The packed block of two factor blocks; a one-row block broadcasts,
+        also against zero rows."""
         _, _, i, j, k = self._cuts[packed_index]
         if (i == j or j == k) and len(rows_left) == len(rows_right):
             # no left circle columns follow right line ones: the packing is
             # the left block, then the right one
             return _np.concatenate((rows_left, rows_right), axis=1)
-        out = _np.empty((max(len(rows_left), len(rows_right)),
+        out = _np.empty((len(rows_right) if len(rows_left) == 1 else len(rows_left),
                          rows_left.shape[1] + rows_right.shape[1]))
         out[:, :i] = rows_left[:, :i]
         out[:, i:j] = rows_right[:, :j - i]

@@ -31,19 +31,23 @@ class ArrayKernels:
     """Broadcasting structure maps on blocks of coordinate rows.
 
     A block is a patch index with a ``(k, dim)`` array of coordinates on that
-    patch. ``nodes(x, n)`` is the target-fibre quadrature at the object x for
-    node count n, as ``(patch, rows, weights)`` blocks in node order.
-    ``mul(p, G, q, H)`` composes the one arrow of the one-row block G with
-    every row of H; ``src(p, C)`` returns a block; ``unit(p, X)`` takes a
-    block of objects to the block of their units; ``inv(p, C)`` returns a
-    block and inv's Jacobians as a ``(k, dim, dim)`` array. The averaging
-    applies the ``mul`` partials at a block's first row to every row, so
-    ``haar_average`` and ``HaarFiberQuadrature.from_groupoid`` refuse a
-    groupoid whose ``mul.jac2`` is not a ``PatchJacobian``. Treat returned
-    arrays as read-only.
+    patch. ``nodes(p, X, n)`` is the target-fibre quadrature for node count n
+    at every object row of the block X, as one ``(q, owner, slot, H, w)``
+    block per node patch q: node row i of ``H`` (weight ``w[i]``) belongs to
+    the object row ``owner[i]`` and is its ``slot[i]``-th node. A block lists
+    its rows in owner order and may be empty; every object row has at least
+    one node. ``mul(p, G, q, H)`` composes row i of G with row i of H, and a
+    one-row G with every row of H; ``src(p, C)`` returns a block;
+    ``unit(p, X)`` takes a block of objects to the block of their units;
+    ``inv(p, C)`` returns a block and inv's Jacobians as a ``(k, dim, dim)``
+    array. The averaging applies the ``mul`` partials at one row of a patch
+    pair to every row, so ``haar_average`` and
+    ``HaarFiberQuadrature.from_groupoid`` refuse a groupoid whose ``mul.jac2``
+    is not a ``PatchJacobian``. Treat returned arrays as read-only.
     """
 
-    nodes: Callable[[Point, int], list[tuple[int, np.ndarray, np.ndarray]]]
+    nodes: Callable[[int, np.ndarray, int],
+                    list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]
     mul: Callable[[int, np.ndarray, int, np.ndarray], tuple[int, np.ndarray]]
     inv: Callable[[int, np.ndarray], tuple[int, np.ndarray, np.ndarray]]
     src: Callable[[int, np.ndarray], tuple[int, np.ndarray]]

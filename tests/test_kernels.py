@@ -1,6 +1,8 @@
 """Array kernels against the Point-level structure maps, bit for bit, and the
 array-native Haar average against the per-node loop it replaced and against
 its own one-row calls."""
+import collections
+import dataclasses
 import itertools
 import math
 
@@ -14,15 +16,16 @@ from grpdconn.constructions import (
     haar_average,
     proper_family_connection,
 )
+from grpdconn.errors import InvalidParams
 from grpdconn.geometry import Point, Tangent, line
-from grpdconn.groupoid import points, rng_for
+from grpdconn.groupoid import ArrayKernels, points, rng_for
 from grpdconn.scenarios import (
     _rotating_base_lift,
     _skewed_source_lift,
     skewed_family_field,
     so2_family_setup,
 )
-from grpdconn.smoothmap import jacobian
+from grpdconn.smoothmap import PairMap, jacobian
 from grpdconn.tangent import tm_apply
 
 SAMPLES = 200
@@ -40,6 +43,12 @@ KERNEL_GROUPOIDS = [
     ("SO(2)xZ2", cat.product_groupoid(cat.so2_group(), cat.finite_group_groupoid(2))),
     ("bundle(R,Z2)*", cat.group_bundle(line(1, name="R"), "finite", order=2,
                                        punctured_at=(0.0,))),
+    # left factors with several nodes or node patches per object, paired
+    # with right factors whose nodes differ from object to object
+    ("SO(2)xSO(2)⋉R2", cat.product_groupoid(cat.so2_group(), cat.so2_action_groupoid())),
+    ("Z2xbundle(R,Z2)*", cat.product_groupoid(
+        cat.finite_group_groupoid(2),
+        cat.group_bundle(line(1, name="R"), "finite", order=2, punctured_at=(0.0,)))),
 ]
 
 
@@ -67,6 +76,21 @@ def _reference_so2_inverse(G, g: Point) -> Point:
     v, phi = np.asarray(g.coords[:2]), g.coords[2]
     R = _rotation(0.0 if G.metadata["trivial_action"] else phi)
     return Point.raw(G.arrows, 0, (*(R @ v), -phi))
+
+
+def _row(x: Point) -> np.ndarray:
+    return np.array([x.coords], dtype=float).reshape(1, -1)
+
+
+def _slot_order(blocks, owner: int):
+    """One object row's nodes, ``(patch, row)`` pairs, and their weights, read
+    from ``(patch, owner, slot, rows, weights)`` blocks in slot order; the
+    slots must run 0, 1, ... without a gap or a repeat."""
+    mine = sorted(((s, q, r, w) for q, o, slot, H, weights in blocks
+                   for s, r, w, o_i in zip(slot.tolist(), H, weights.tolist(), o.tolist())
+                   if o_i == owner), key=lambda t: t[0])
+    assert [t[0] for t in mine] == list(range(len(mine))), "slots"
+    return [(q, r) for _, q, r, _ in mine], np.array([w for *_, w in mine])
 
 
 def _reference_nodes(G, x: Point, n: int):
@@ -118,16 +142,15 @@ def test_kernels_match_point_maps_bit_for_bit(name, G):
                              G.compose(g, h)), (name, "mul")
 
         n = 1 + i % 6
-        blocks = K.nodes(x, n)
+        got, weights = _slot_order(K.nodes(x.patch_index, _row(x), n), 0)
         ref_pts, ref_w = _reference_nodes(G, x, n)
-        got = [(q, r) for q, H, _ in blocks for r in H]
         assert len(got) == len(ref_pts), (name, "node count")
         assert all(_same_point(q, r, p) for (q, r), p in zip(got, ref_pts)), (name, "nodes")
-        assert _bits(np.concatenate([w for *_, w in blocks])) == _bits(ref_w), (name, "weights")
+        assert _bits(weights) == _bits(ref_w), (name, "weights")
 
         # one arrow against a block of rows, as the average composes them
         y = G.src(g)
-        for q, H, _ in K.nodes(y, n):
+        for q, _, _, H, _ in K.nodes(y.patch_index, _row(y), n):
             r, GH = K.mul(g.patch_index, g_row, q, H)
             for row, node in zip(GH, points(G.arrows, q, H)):
                 assert _same_point(r, row, G.compose(g, node)), (name, "mul block")
@@ -135,6 +158,51 @@ def test_kernels_match_point_maps_bit_for_bit(name, G):
             for row, J_row, node in zip(H_inv, Ti, points(G.arrows, q, H)):
                 assert _same_point(q_inv, row, G.inv(node)), (name, "inv block")
                 assert _bits(J_row) == _bits(jacobian(G.inv, node)), (name, "inv jac block")
+
+
+def _by_patch(items, patch_of):
+    groups = collections.defaultdict(list)
+    for item in items:
+        groups[patch_of(item)].append(item)
+    return groups.items()
+
+
+def _rows(pts) -> np.ndarray:
+    return np.array([p.coords for p in pts], dtype=float).reshape(len(pts), -1)
+
+
+@pytest.mark.parametrize("name,G", KERNEL_GROUPOIDS, ids=[n for n, _ in KERNEL_GROUPOIDS])
+def test_nodes_on_object_rows_match_reference_row_by_row(name, G):
+    # the probe objects sit among the samples: over the punctured bundle's
+    # puncture a row has one node, elsewhere two, so blocks mix layouts
+    samples = [G.object_sampler(rng_for(7, 229, i)) for i in range(64)]
+    xs = samples[:2] + list(G.probe_objects) + samples[2:]
+    for k in (1, 2, 5, 17, 64):
+        for patch, on in _by_patch(xs[:k], lambda x: x.patch_index):
+            for n in range(1, 7):
+                blocks = G.kernels.nodes(patch, _rows(on), n)
+                for _, owner, *_ in blocks:   # owner order, owners of the block
+                    assert np.all(np.diff(owner) >= 0) and set(owner.tolist()) <= set(range(len(on)))
+                for i, x in enumerate(on):
+                    got, weights = _slot_order(blocks, i)
+                    ref_pts, ref_w = _reference_nodes(G, x, n)
+                    assert len(got) == len(ref_pts), (name, k, n, "node count")
+                    assert all(_same_point(q, r, p) for (q, r), p in zip(got, ref_pts)), \
+                        (name, k, n, "nodes")
+                    assert _bits(weights) == _bits(ref_w), (name, k, n, "weights")
+    if name == "bundle(R,Z2)*":
+        counts = {len(_slot_order(G.kernels.nodes(0, _rows(xs[:5]), 3), i)[0]) for i in range(5)}
+        assert counts == {1, 2}
+
+
+@pytest.mark.parametrize("name,G", KERNEL_GROUPOIDS, ids=[n for n, _ in KERNEL_GROUPOIDS])
+def test_row_aligned_mul_matches_compose_per_row(name, G):
+    pairs = [G.pair_sample(rng_for(7, 233, i)) for i in range(64)]
+    for (pg, ph), on in _by_patch(pairs, lambda gh: (gh[0].patch_index, gh[1].patch_index)):
+        r, GH = G.kernels.mul(pg, _rows([g for g, _ in on]), ph, _rows([h for _, h in on]))
+        assert len(GH) == len(on), name
+        for row, (g, h) in zip(GH, on):
+            assert _same_point(r, row, G.compose(g, h)), (name, "row-aligned mul")
 
 
 @pytest.mark.parametrize("name,G", KERNEL_GROUPOIDS, ids=[n for n, _ in KERNEL_GROUPOIDS])
@@ -157,11 +225,12 @@ def _loop_average(G, quad, X):
 
     def X_hat(g):
         acc = np.zeros(g.patch.dim)
-        for q, H, weights in quad.nodes_at(G.src(g)):
-            for h, w in zip(points(G.arrows, q, H), weights.tolist()):
-                gh = G.compose(g, h)
-                Ti = jacobian(G.inv, h)
-                acc += w * tm_apply(G, gh, G.inv(h), X(gh), Ti @ np.asarray(X(h).coeffs))
+        nodes, weights = _slot_order(quad.nodes_at(G.src(g)), 0)
+        for (q, row), w in zip(nodes, weights.tolist()):
+            h = Point(G.arrows, q, tuple(row.tolist()))
+            gh = G.compose(g, h)
+            Ti = jacobian(G.inv, h)
+            acc += w * tm_apply(G, gh, G.inv(h), X(gh), Ti @ np.asarray(X(h).coeffs))
         return acc
 
     return X_hat
@@ -244,10 +313,105 @@ def test_punctured_bundle_average_mixes_node_layouts_in_a_block():
     for patch, ys in ((0, np.linspace(-3.0 * radius, 3.0 * radius, 64)),
                       (1, np.linspace(1.5 * radius, 1.0, 64))):
         C = ys[:, None]
-        layouts = {len(quad.nodes_at(Point(G.objects, 0, (y,)))) for y in ys.tolist()}
+        layouts = {sum(len(H) for *_, H, _ in quad.nodes_at(Point(G.objects, 0, (y,))))
+                   for y in ys.tolist()}
         assert layouts == ({1, 2} if patch == 0 else {2})
         block = X_hat.rows(patch, C)
         for y, row in zip(ys.tolist(), block):
             g = Point(G.arrows, patch, (y,))
             assert _bits(row) == _bits(X_hat(g).coeffs), (patch, y)
             assert float(np.max(np.abs(row - reference(g)))) <= 1e-15, (patch, y)
+
+
+def _average_case(name: str, nodes: int):
+    """(G, quadrature, field, patch, 64 arrow rows) for a block-average test."""
+    rng = np.random.default_rng(31)
+    if name == "SO(2) family":
+        fam, quad = so2_family_setup(nodes=nodes)
+        C = np.column_stack((rng.uniform(-2.0, 2.0, (64, 3)), rng.uniform(0.0, 2 * math.pi, 64)))
+        return fam.total, quad, skewed_family_field(fam), 0, C
+    X = RowField(lambda p, C: np.sin(3.0 * C) + 0.5 * p)
+    if name == "bundle(R,Z2)*":
+        G = cat.group_bundle(line(1, name="R"), "finite", order=2, punctured_at=(0.0,))
+        radius = G.arrows.patches[1].excluded_points[0][1]
+        # rows on and off the ball, mixed from the first rows on
+        C = rng.permutation(np.linspace(-3.0 * radius, 3.0 * radius, 64))[:, None]
+        return G, HaarFiberQuadrature.from_groupoid(G, nodes), X, 0, C
+    G = cat.product_groupoid(cat.so2_group(), cat.finite_group_groupoid(2))
+    # arrows off the identity component: the composites leave the node patch
+    C = rng.uniform(0.0, 2 * math.pi, (64, 1))
+    return G, HaarFiberQuadrature.from_groupoid(G, nodes), X, 1, C
+
+
+@pytest.mark.parametrize("nodes", [8, 256])
+@pytest.mark.parametrize("name", ["SO(2) family", "bundle(R,Z2)*", "SO(2)xZ2"])
+def test_averaged_blocks_match_one_row_calls_and_node_loop(name, nodes):
+    G, quad, X, patch, C = _average_case(name, nodes)
+    X_hat, _ = haar_average(G, quad, X, check=False)
+    reference = _loop_average(G, quad, X)
+    for k in (1, 3, 5, 64):
+        block = X_hat.rows(patch, C[:k])
+        assert block.shape == (k, C.shape[1])
+        for i in range(k):
+            assert _bits(block[i]) == _bits(X_hat.rows(patch, C[i:i + 1])[0]), (name, k, i)
+        for i in range(0, k, 1 if k < 64 else 9):
+            g = Point(G.arrows, patch, tuple(C[i].tolist()))
+            assert float(np.max(np.abs(block[i] - reference(g)))) <= 1e-15, (name, k, i)
+
+
+def _counted(G):
+    """G with kernels and ``mul`` partials that count their calls."""
+    calls = collections.Counter()
+
+    def counting(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    class CountedMul(PairMap):
+        def partials(self, *args):
+            calls["partials"] += 1
+            return super().partials(*args)
+
+    K = G.kernels
+    kernels = ArrayKernels(**{f.name: counting(f.name, getattr(K, f.name))
+                              for f in dataclasses.fields(K)})
+    mul = CountedMul(**{f.name: getattr(G.mul, f.name) for f in dataclasses.fields(G.mul)})
+    return dataclasses.replace(G, kernels=kernels, mul=mul), calls
+
+
+@pytest.mark.parametrize("k", [1, 5, 64])
+def test_averaged_block_makes_one_pass_per_node_patch(k):
+    fam, _ = so2_family_setup(nodes=8)
+    bundle = cat.group_bundle(line(1, name="R"), "finite", order=2)
+    rng = np.random.default_rng(37)
+    # the rotation family has one node patch, the Z2 bundle two; on patch 0
+    # every composite stays on its node's patch
+    for G, node_patches in ((fam.total, 1), (bundle, 2)):
+        G, calls = _counted(G)
+        field_calls = []
+        X = RowField(lambda p, C: field_calls.append(len(C)) or np.cos(C))
+        X_hat, _ = haar_average(G, HaarFiberQuadrature.from_groupoid(G, 8), X, check=False)
+        C = rng.uniform(-2.0, 2.0, (k, G.arrows.dim))
+        for repeat in range(2):
+            calls.clear()
+            field_calls.clear()
+            X_hat.rows(0, C + repeat)
+            assert calls["src"] == calls["nodes"] == 1, (G.name, dict(calls))
+            assert calls["mul"] == calls["inv"] == len(field_calls) == node_patches, \
+                (G.name, dict(calls), field_calls)
+            # the partials are taken once per patch pair, at the first call only
+            assert calls["partials"] == (node_patches if repeat == 0 else 0), (G.name, dict(calls))
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, "8", True, None])
+def test_quadrature_refuses_a_node_count_that_is_not_a_positive_integer(count):
+    with pytest.raises(InvalidParams):
+        HaarFiberQuadrature.from_groupoid(cat.so2_group(), count)
+
+
+def test_so2_family_setup_refuses_a_negative_node_count():
+    with pytest.raises(InvalidParams):
+        so2_family_setup(nodes=-3)
+    assert so2_family_setup(nodes=np.int64(4))[1].node_count == 4

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import grpdconn
@@ -203,6 +204,20 @@ def test_scenario_connections_lift_on_rows():
             conn, _ = scenario.connection_factory(DEFAULT)
             assert isinstance(conn.hor, RowLift), name
             assert isinstance(conn.hor0, RowLift), name
+
+
+def test_scenario_connections_lift_empty_blocks():
+    # RowLift's contract allows k = 0: a (0, dim) block lifts to (0, dim)
+    for name, scenario in REGISTRY.items():
+        if scenario.connection_factory is not None:
+            conn, _ = scenario.connection_factory(DEFAULT)
+            arrows, objects = conn.total.arrows, conn.total.objects
+            base = conn.morphism.base_grpd
+            lifted = conn.hor.rows(0, np.zeros((0, arrows.dim)), np.zeros((0, base.arrows.dim)))
+            assert lifted.shape == (0, arrows.dim), (name, "hor", lifted.shape)
+            lifted0 = conn.hor0.rows(0, np.zeros((0, objects.dim)),
+                                     np.zeros((0, base.objects.dim)))
+            assert lifted0.shape == (0, objects.dim), (name, "hor0", lifted0.shape)
 
 
 def test_trajectory_dump(tmp_path):
