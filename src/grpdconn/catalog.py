@@ -340,14 +340,10 @@ def product_map(f1: SmoothMap, f2: SmoothMap, domain: ProductSpace,
     return SmoothMap(domain.space, codomain.space, ev, jac, name)
 
 
-def _same_owner_pairs(o1: np.ndarray, o2: np.ndarray, counts2: np.ndarray, one_each: bool):
+def _same_owner_pairs(o1: np.ndarray, o2: np.ndarray, counts2: np.ndarray):
     """Indices (a, b) of every pair of rows with ``o1[a] == o2[b]``, a
     ascending and, for each a, b ascending; o2 is in owner order and
-    ``counts2`` counts its rows per owner. ``one_each`` says that o1 holds
-    each owner once, in order, so that a row's owner is its index; then b
-    takes every row of o2, as a slice."""
-    if one_each:
-        return o2, slice(None)
+    ``counts2`` counts its rows per owner."""
     per_a = counts2[o1]
     a = np.arange(len(o1)).repeat(per_a)
     # b runs from where o1[a]'s rows start in o2, counted from a's first pair
@@ -395,12 +391,10 @@ def product_kernels(K1: ArrayKernels, K2: ArrayKernels, arr: ProductSpace,
         first, second = K1.nodes(i1, x1, n), K2.nodes(i2, x2, n)
         counts = [np.bincount(o2, minlength=len(X)) for _, o2, *_ in second]
         n2 = sum(counts)
-        # every object has a node, so one block of k rows holds one per object
-        one_each = len(first) == 1 and len(first[0][1]) == len(X)
         blocks = []
         for p1, o1, s1, H1, w1 in first:
             for (p2, o2, s2, H2, w2), counts2 in zip(second, counts):
-                a, b = _same_owner_pairs(o1, o2, counts2, one_each)
+                a, b = _same_owner_pairs(o1, o2, counts2)
                 q, owner = arr.pack_index(p1, p2), o1[a]
                 blocks.append((q, owner, s1[a] * n2[owner] + s2[b],
                                arr.join_rows(q, H1[a], H2[b]), w1[a] * w2[b]))

@@ -373,7 +373,7 @@ def _require_kernels(G: Groupoid) -> None:
     """Refuse a groupoid whose array kernels the average cannot use: it needs
     them (target-fibre nodes on object rows, row-aligned ``mul``, ``inv`` and
     ``src``), and ``mul`` partials declared patch-constant, to apply the
-    partials taken once per patch pair to every row of that pair."""
+    partials taken at one row of a patch pair to every row of that pair."""
     if G.kernels is None:
         raise QuadratureMissing(f"{G.name} supplies no array kernels with target-fibre nodes")
     if not isinstance(G.mul.jac2, PatchJacobian):
@@ -453,7 +453,7 @@ def haar_average(
     nodes with their Jacobians, and X (through ``field_rows``) is evaluated
     once on the stacked ``[H; GH]`` when the composites lie on q, as they do
     when ``mul`` keeps the node patch. G's ``mul`` partials, declared
-    patch-constant, are taken once per (image patch, inverse patch) pair.
+    patch-constant, are taken at a node patch's first row for all its rows.
     The weighted terms are scattered by (owner, slot) and each arrow's are
     summed in its own node order, so a row's average does not depend on the
     block it is in. Returns (X_hat, report); the report runs the
@@ -468,7 +468,6 @@ def haar_average(
             )
     K, arrows = G.kernels, G.arrows
     X_rows = field_rows(X, arrows)
-    partials = {}   # per (image patch, inverse patch): the mul partials
 
     def averaged(p: int, C: np.ndarray) -> np.ndarray:
         if not len(C):
@@ -481,12 +480,8 @@ def haar_average(
         for q, owner, slot, H, w in blocks:
             r, GH = K.mul(p, C[owner], q, H)
             q_inv, H_inv, Ti = K.inv(q, H)
-            A_B = partials.get((r, q_inv))
-            if A_B is None:
-                A_B = partials[r, q_inv] = G.mul.partials(
-                    Point(arrows, r, tuple(GH[0].tolist())),
-                    Point(arrows, q_inv, tuple(H_inv[0].tolist())), cfg)
-            A, B = A_B
+            A, B = G.mul.partials(Point(arrows, r, tuple(GH[0].tolist())),
+                                  Point(arrows, q_inv, tuple(H_inv[0].tolist())), cfg)
             if r == q:
                 both = X_rows(q, np.concatenate((H, GH)))
                 X_H, X_GH = both[:len(H)], both[len(H):]
@@ -550,7 +545,7 @@ def proper_family_connection(
 
     if isinstance(hor0, RowLift) and isinstance(hor_s, RowLift):
         def composite(p: int, C: np.ndarray, e: tuple) -> np.ndarray:
-            E = np.array([e]).repeat(len(C), axis=0)
+            E = np.tile(e, (len(C), 1))
             return hor_s.rows(p, C, hor0.rows(*G.kernels.src(p, C), E))
     else:
         def composite(p: int, C: np.ndarray, e: tuple) -> np.ndarray:

@@ -401,8 +401,7 @@ def test_averaged_block_makes_one_pass_per_node_patch(k):
             assert calls["src"] == calls["nodes"] == 1, (G.name, dict(calls))
             assert calls["mul"] == calls["inv"] == len(field_calls) == node_patches, \
                 (G.name, dict(calls), field_calls)
-            # the partials are taken once per patch pair, at the first call only
-            assert calls["partials"] == (node_patches if repeat == 0 else 0), (G.name, dict(calls))
+            assert calls["partials"] == node_patches, (G.name, dict(calls))
 
 
 @pytest.mark.parametrize("count", [0, -3, 2.5, "8", True, None])
