@@ -15,6 +15,16 @@ Layers:
 - ``constructions``: pullback lifts, gluing, fibre averaging, exhaustion
   functions, level schedules, and the interval-certified complete builder.
 - ``scenarios``, ``cli``: the named scenario registry and its CLI.
+
+Exported beyond what the scenarios run, each for a statement of the paper:
+``vb_subgroupoid_check`` with ``kernel_frames``, ``full_tangent_frames``,
+``core_side_decomposition`` and ``tangent_structure_maps`` (a multiplicative
+connection is a VB-subgroupoid of TG); ``glue_local_trivial`` with
+``bump_partition`` (locally trivial families admit one);
+``multiplicative_vf_lift`` (a multiplicative connection on a family lifts
+base vector fields to multiplicative ones); ``morphism_check`` (a
+submersion of groupoids is a morphism); ``constant_path`` and ``subpath``
+(parallel transport is a cocycle along paths).
 """
 
 from .config import Config, DEFAULT, parse_config_file
@@ -31,11 +41,13 @@ from .groupoid import (
     fibration_probe,
     morphism_check,
 )
-from .catalog import default_instances  # the entry dispatcher lives at grpdconn.catalog.catalog
+from .catalog import default_instances
 from .tangent import (
     SubbundleFrame,
     VBFiberData,
     core_side_decomposition,
+    full_tangent_frames,
+    kernel_frames,
     splitting_correspondence,
     tangent_structure_maps,
     vb_subgroupoid_check,
@@ -46,7 +58,6 @@ from .connection import (
     Rejection,
     action_connection,
     complement_check,
-    compose_connections,
     kernel_connection,
     multiplicativity_check_pointwise,
     multiplicative_vf_lift,
@@ -66,6 +77,7 @@ from .constructions import (
     HaarFiberQuadrature,
     LevelSchedule,
     TrivializingAtlas,
+    bump_partition,
     complete_connection_builder,
     flatness_certificate_check,
     glue_local_trivial,
@@ -75,7 +87,7 @@ from .constructions import (
     morita_connection,
     proper_family_connection,
 )
-from .paths import BasePath, constant_path, coordinate_path
+from .paths import BasePath, constant_path, coordinate_path, subpath
 from .scenarios import ReportDocument, emit_report, list_scenarios, run_scenario
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT
-from .errors import InvalidParams, UnknownName
+from .errors import InvalidParams
 from .geometry import (
     Patch,
     Point,
@@ -282,6 +282,7 @@ def unit_groupoid(M: Space, name: str = "") -> Groupoid:
     dim = M.dim
     ident = identity_map(M)
     eye = np.eye(dim)
+    slot, weight = np.zeros(1, dtype=np.intp), np.ones(1)   # each object is its one node
 
     def mul_eval(g, h):
         return h
@@ -307,8 +308,7 @@ def unit_groupoid(M: Space, name: str = "") -> Groupoid:
                   "compact_tfibers": True,
                   "source_connected": True},
         kernels=ArrayKernels(
-            nodes=lambda p, X, n: [(p, np.arange(len(X)), np.zeros(len(X), dtype=np.intp), X,
-                                    np.ones(len(X)))],
+            nodes=lambda p, X, n: [(p, slot, X[:, None, :], weight)],
             mul=lambda p, G, q, H: (q, H),
             inv=lambda p, C: (p, C, _constant_jacobians(eye, C)),
             src=lambda p, C: (p, C),
@@ -340,17 +340,6 @@ def product_map(f1: SmoothMap, f2: SmoothMap, domain: ProductSpace,
     return SmoothMap(domain.space, codomain.space, ev, jac, name)
 
 
-def _same_owner_pairs(o1: np.ndarray, o2: np.ndarray, counts2: np.ndarray):
-    """Indices (a, b) of every pair of rows with ``o1[a] == o2[b]``, a
-    ascending and, for each a, b ascending; o2 is in owner order and
-    ``counts2`` counts its rows per owner."""
-    per_a = counts2[o1]
-    a = np.arange(len(o1)).repeat(per_a)
-    # b runs from where o1[a]'s rows start in o2, counted from a's first pair
-    first = (counts2.cumsum() - counts2)[o1] - (per_a.cumsum() - per_a)
-    return a, first.repeat(per_a) + np.arange(len(a))
-
-
 def product_kernels(K1: ArrayKernels, K2: ArrayKernels, arr: ProductSpace,
                     obj: ProductSpace) -> ArrayKernels:
     """Kernels of G1 x G2 from those of its factors, by column placement.
@@ -358,7 +347,8 @@ def product_kernels(K1: ArrayKernels, K2: ArrayKernels, arr: ProductSpace,
     Target-fibre nodes run over G1's nodes, then G2's, as the product's
     points do: an object's G1 node in slot s1 with its G2 node in slot s2 is
     its node in slot ``s1 * n2 + s2``, n2 being its G2 node count, with
-    weight ``w1 * w2``. Each pair of factor node patches makes one block.
+    weight ``w1 * w2``. Each pair of factor node patches makes one block,
+    the outer product of their nodes.
     """
 
     def mul(p, G, q, H):
@@ -388,16 +378,18 @@ def product_kernels(K1: ArrayKernels, K2: ArrayKernels, arr: ProductSpace,
 
     def nodes(p, X, n):
         (i1, i2), (x1, x2) = obj.unpack_index(p), obj.split_rows(p, X)
-        first, second = K1.nodes(i1, x1, n), K2.nodes(i2, x2, n)
-        counts = [np.bincount(o2, minlength=len(X)) for _, o2, *_ in second]
-        n2 = sum(counts)
-        blocks = []
-        for p1, o1, s1, H1, w1 in first:
-            for (p2, o2, s2, H2, w2), counts2 in zip(second, counts):
-                a, b = _same_owner_pairs(o1, o2, counts2)
-                q, owner = arr.pack_index(p1, p2), o1[a]
-                blocks.append((q, owner, s1[a] * n2[owner] + s2[b],
-                               arr.join_rows(q, H1[a], H2[b]), w1[a] * w2[b]))
+        second = K2.nodes(i2, x2, n)
+        n2 = sum(len(s2) for _, s2, _, _ in second)
+        k, blocks = len(X), []
+        for p1, s1, H1, w1 in K1.nodes(i1, x1, n):
+            for p2, s2, H2, w2 in second:
+                q, m = arr.pack_index(p1, p2), len(s1) * len(s2)
+                # node a * len(s2) + b of a row pairs its G1 node a with its G2 node b
+                left = np.repeat(H1, len(s2), axis=1).reshape(k * m, H1.shape[2])
+                right = np.tile(H2, (1, len(s1), 1)).reshape(k * m, H2.shape[2])
+                H = arr.join_rows(q, left, right).reshape(k, m, H1.shape[2] + H2.shape[2])
+                blocks.append((q, (s1[:, None] * n2 + s2).ravel(), H,
+                               (w1[:, None] * w2).ravel()))
         return blocks
 
     return ArrayKernels(nodes=nodes, mul=mul, inv=inv, src=src, unit=unit)
@@ -534,18 +526,19 @@ def abelian_group(A: Space, name: str) -> Groupoid:
     def inv_eval(p):
         return Point.raw(A, (-p.patch_index) % order, tuple(-c for c in p.coords))
 
-    plans = {}   # per node count: the angles on one patch
+    plans = {}   # per node count: the angles on one patch, and each patch's slots and weights
     minus_eye = -np.eye(dim)
 
     def nodes(p, X, n):
         if n not in plans:
-            plans[n] = np.array(list(itertools.product([TWO_PI * j / n for j in range(n)],
-                                                       repeat=dim))).reshape(n ** dim, dim)
-        angles = plans[n]
-        m = len(angles)
-        owner, slot = np.divmod(np.arange(len(X) * m), m)
-        H, w = angles[slot], np.full(len(slot), 1.0 / (order * m))
-        return [(q, owner, q * m + slot, H, w) for q in range(order)]
+            angles = np.array(list(itertools.product([TWO_PI * j / n for j in range(n)],
+                                                     repeat=dim))).reshape(n ** dim, dim)
+            m = len(angles)
+            w = np.full(m, 1.0 / (order * m))
+            plans[n] = angles, [(q, q * m + np.arange(m), w) for q in range(order)]
+        angles, per_patch = plans[n]
+        H = np.broadcast_to(angles, (len(X),) + angles.shape)
+        return [(q, slots, H, w) for q, slots, w in per_patch]
 
     compact = shape[0] == 0
     to_point = PatchJacobian(lambda p: np.zeros((0, dim)))   # src and tgt: the same on every patch
@@ -564,8 +557,8 @@ def abelian_group(A: Space, name: str) -> Groupoid:
         object_sampler=lambda rng: origin,
         sfiber_sampler=lambda x, rng: sample_point(A, rng),
         tfiber_sampler=lambda x, rng: sample_point(A, rng),
-        sfiber_grid=(lambda x, n: [p for q, *_, H, _ in nodes(0, np.zeros((1, 0)), n)
-                                   for p in points(A, q, H)]) if compact else None,
+        sfiber_grid=(lambda x, n: [p for q, _, H, _ in nodes(0, np.zeros((1, 0)), n)
+                                   for p in points(A, q, H[0])]) if compact else None,
         metadata={"source_connected": order == 1, "compact_tfibers": compact},
         kernels=ArrayKernels(
             nodes=nodes,
@@ -598,7 +591,8 @@ def group_bundle(
     product Unit(M) x Gamma. The punctured variant removes
     {x0} x (Gamma \\ {e}) for finite Gamma, realized as an exclusion ball on
     every nontrivial-element patch; it is not a product and is built directly
-    over M.
+    over M. It carries no array kernels, so it has no Haar quadrature: it is
+    not proper, since the arrows (1/n, g), g != e, have no limit in it.
     """
     if group == "finite":
         if order < 1:
@@ -656,16 +650,6 @@ def group_bundle(
     def sfiber_grid(x, n):
         return [Point.raw(A, k, x.coords) for k in elements_over(x)]
 
-    def nodes(p, X, n):
-        # each element over a row is its node, in slot k, weighted by 1 / count
-        alone = np.array([on_puncture(x) for x in X.tolist()], dtype=bool)
-        weights = np.where(alone, 1.0, 1.0 / order)
-        blocks = []
-        for k in range(order):
-            owner = np.flatnonzero(~alone) if k else np.arange(len(X))
-            blocks.append((k, owner, np.full(len(owner), k), X[owner], weights[owner]))
-        return blocks
-
     return Groupoid(
         name=name or f"bundle({M.name},Z{order}*)",
         objects=M,
@@ -686,12 +670,6 @@ def group_bundle(
             "group_order": order,
             "source_connected": order == 1,
         },
-        kernels=ArrayKernels(
-            nodes=nodes,
-            mul=lambda p, G, q, H: ((p + q) % order, H),
-            inv=lambda p, C: ((-p) % order, C, _constant_jacobians(np.eye(dim), C)),
-            src=lambda p, C: (0, C),
-            unit=lambda p, X: (0, X)),
     )
 
 
@@ -732,21 +710,19 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
         rows[:, 2] = phi
         return rows
 
-    plans = {}   # per node count: the angles phi and R(-phi) as acting
+    plans = {}   # per node count: the angles phi, R(-phi) as acting, slots and weights
 
     def nodes(p, X, n):
         """The arrows (R(-phi) v, phi) with target v, for every row v of X."""
         if n not in plans:
             phi = TWO_PI * np.arange(n) / n
-            plans[n] = phi, _rot(acting(-phi))
-        phi, R = plans[n]
-        k = len(X)
-        H = np.empty((k, n, 3))
+            plans[n] = phi, _rot(acting(-phi)), np.arange(n), np.full(n, 1.0 / n)
+        phi, R, slots, w = plans[n]
+        H = np.empty((len(X), n, 3))
         # one 2 x 2 product per node, each as fibre_rows makes it
         H[:, :, :2] = np.matmul(R, X[:, None, :, None])[..., 0]
         H[:, :, 2] = phi
-        return [(0, *np.divmod(np.arange(k * n), n), H.reshape(k * n, 3),
-                 np.full(k * n, 1.0 / n))]
+        return [(0, slots, H, w)]
 
     def mul(p, G, q, H):  # (v, phi)(w, psi) = (w, phi + psi)
         out = H.copy()
@@ -1056,25 +1032,25 @@ def disjoint_union(parts: list[Groupoid], name: str = "") -> Groupoid:
         tfiber_sampler=tfiber,
         sfiber_grid=sfiber_grid if all(g.sfiber_grid for g in parts) else None,
         probe_objects=probes,
-        metadata={"union_arrows": ua, "union_objects": uo, "parts": parts,
+        metadata={"union_arrows": ua, "union_objects": uo,
                   # a source fibre lies in one part
                   "source_connected": all(g.metadata.get("source_connected") for g in parts)},
     )
 
 def covering_union_morphism(
-    order: int = 2, x0: float = 0.0, excl_radius: float = DEFAULT.numeric_excl_radius
+    excl_radius: float = DEFAULT.numeric_excl_radius
 ) -> GroupoidMorphism:
-    """Disjoint union (H ⊔ H*) -> H for H a constant bundle of finite groups.
+    """Disjoint union (H ⊔ H*) -> H for H the constant bundle R x Z2 over R.
 
-    H is the bundle R x Z_order over R; H* removes {x0} x (Z_order \\ {e}),
-    as balls of radius ``excl_radius``.
+    H* removes {0} x (Z2 \\ {e}), as balls of radius ``excl_radius``.
     The morphism is the identity on the first copy and the inclusion on the
     second; it is a local diffeomorphism but not a fibration (the arrow
-    (x0, g), g != e, has no lift over the second copy of x0).
+    (0, g), g != e, has no lift over the second copy of 0).
     """
+    order = 2
     base = line(1, name="R")
     H = group_bundle(base, "finite", order=order, name="RxZ")
-    H_star = group_bundle(base, "finite", order=order, punctured_at=(x0,),
+    H_star = group_bundle(base, "finite", order=order, punctured_at=(0.0,),
                           excl_radius=excl_radius, name="RxZ*")
     G = disjoint_union([H, H_star], name=f"{H.name}⊔{H_star.name}")
     ua: UnionSpace = G.metadata["union_arrows"]
@@ -1157,7 +1133,7 @@ def covering_union_morphism(
         object_fiber_sampler=lambda y, rng: uo.embed(int(rng.integers(2)), y),
         kernel=KernelData(K, SmoothMap(K.arrows, G.arrows, embed_eval, eye, "ker_incl"),
                           kernel_family),
-        metadata={"declared_fibration": False, "local_diffeo": True},
+        metadata={"declared_fibration": False},
     )
     pi.transport = fibre_starts(pi, path, composable, segment(H.objects))
     return pi
@@ -1286,7 +1262,6 @@ def bundle_family_morphism(bundle: Groupoid, name: str = "") -> GroupoidMorphism
             "family": True,
             "declared_fibration": bundle.metadata.get("group_order", 0) == 1
             or not bundle.probe_objects,
-            "local_diffeo": True,
         },
     )
     pi.transport = fibre_starts(pi, segment, composable, segment)
@@ -1365,63 +1340,6 @@ def reflection_action_morphism() -> GroupoidMorphism:
         object_fiber_sampler=lambda y, rng: sample_point(M, rng),
         metadata={"action_morphism": True},
     )
-
-
-# ---------------------------------------------------------------------------
-# dispatcher
-
-
-def catalog(name: str, **params):
-    """Look up a catalog entry by name. Returns a Groupoid or GroupoidMorphism."""
-    spaces = {
-        "R": line(1, name="R"),
-        "R2": line(2, name="R2"),
-        "S1": circle(),
-        "S1xR": Space((Patch(1, 1, "all"),), name="S1xR"),
-    }
-    try:
-        if name == "pair":
-            return pair_groupoid(spaces[params.get("space", "R")])
-        if name == "action":
-            kind = params.get("kind", "so2")
-            if kind == "so2":
-                return so2_action_morphism(trivial=params.get("trivial", False))
-            if kind == "finite":
-                return reflection_action_morphism()
-            raise InvalidParams(f"unknown action kind {kind}")
-        if name == "group_bundle":
-            return group_bundle(
-                spaces[params.get("space", "R")],
-                params.get("group", "finite"),
-                order=params.get("order", 2),
-            )
-        if name == "punctured_group_bundle":
-            return group_bundle(
-                spaces[params.get("space", "R")],
-                "finite",
-                order=params.get("order", 2),
-                punctured_at=(params.get("x0", 0.0),),
-            )
-        if name == "pullback":
-            H = params.get("base_groupoid") or pair_groupoid(spaces["R"])
-            return pullback_of_projection(H, params.get("fiber") or line(1, name="F"))
-        if name == "trivial_family":
-            fiber = params.get("fiber_groupoid") or group_bundle(
-                line(1, name="F"), "finite", order=params.get("order", 2)
-            )
-            return trivial_family(params.get("base") or line(1, name="N"), fiber)
-        if name == "disjoint_union":
-            parts = params.get("parts")
-            if parts:
-                return disjoint_union(parts)
-            return covering_union_morphism(order=params.get("order", 2),
-                                           x0=params.get("x0", 0.0))
-        if name == "product_with_manifold":
-            H = params.get("base_groupoid") or pair_groupoid(spaces["R"])
-            return product_with_manifold(H, params.get("manifold") or line(1, name="P"))
-    except KeyError as exc:
-        raise InvalidParams(f"bad parameters for {name}: {exc}") from exc
-    raise UnknownName(name)
 
 
 def default_instances() -> list[tuple[str, Groupoid]]:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import (
-    IncompatibleMorphisms,
     KernelEmbeddingNotPatchConstant,
     KernelNotExposed,
     NotAFamily,
@@ -390,65 +389,6 @@ def kernel_connection(c: Connection, cfg: Config = DEFAULT) -> Connection:
             "tangency_tracker": worst_tangency,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# composition
-
-
-def compose_connections(
-    c1: Connection, c2: Connection, cfg: Config = DEFAULT
-) -> Connection:
-    """Connection on pi2∘pi1 with lift hor1_g ∘ hor2_{pi1(g)}.
-
-    When both inputs claim multiplicativity the composite is re-checked at
-    20 samples.
-    """
-    pi1, pi2 = c1.morphism, c2.morphism
-    if pi1.base_grpd.name != pi2.total.name:
-        raise IncompatibleMorphisms(
-            f"cannot compose {pi1.name} with {pi2.name}: middle groupoids differ"
-        )
-    from .smoothmap import compose as compose_maps
-
-    composed = GroupoidMorphism(
-        name=f"{pi2.name}∘{pi1.name}",
-        total=pi1.total,
-        base_grpd=pi2.base_grpd,
-        arrow_map=compose_maps(pi2.arrow_map, pi1.arrow_map),
-        object_map=compose_maps(pi2.object_map, pi1.object_map),
-        fiber_sampler=None,
-    )
-
-    def hor(g: Point, a: Tangent) -> Tangent:
-        mid = pi1.arrow_map(g)
-        return c1.hor(g, c2.hor(mid, a))
-
-    def hor0(x: Point, w: Tangent) -> Tangent:
-        mid = pi1.object_map(x)
-        return c1.hor0(x, c2.hor0(mid, w))
-
-    both_multiplicative = c1.metadata.get("claimed_multiplicative", False) and c2.metadata.get(
-        "claimed_multiplicative", False
-    )
-    out = Connection(
-        morphism=composed,
-        hor=hor,
-        hor0=hor0,
-        metadata={
-            "provenance": f"compose[{c1.metadata.get('provenance', '?')},"
-            f"{c2.metadata.get('provenance', '?')}]",
-            "claimed_multiplicative": both_multiplicative,
-        },
-    )
-    if both_multiplicative:
-        rep = multiplicativity_check_pointwise(out, 20, seed=0, cfg=cfg)
-        if rep.verdict == NOT_MULTIPLICATIVE:
-            raise IncompatibleMorphisms(
-                f"composite of multiplicative lifts failed the clause set "
-                f"(residual {rep.max_residual:.3e}); inputs are inconsistent"
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -316,13 +316,13 @@ class HaarFiberQuadrature:
 
     ``node_count`` is the n handed to the groupoid's ``nodes`` kernel, which
     places the nodes of a whole block of objects at once; ``nodes_at(x)`` is
-    its one-row call at the object x, ``(patch, owner, slot, rows, weights)``
-    blocks whose slots give the node order. Points are built only where a
-    caller needs them.
+    its one-row call at the object x, ``(patch, slots, H, weights)`` blocks
+    with ``H`` of shape ``(1, m, dim)``, whose slots give the node order.
+    Points are built only where a caller needs them.
     """
 
     node_count: int
-    nodes_at: Callable[[Point], list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]
+    nodes_at: Callable[[Point], list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]
 
     @classmethod
     def from_groupoid(cls, G: Groupoid, node_count: int) -> "HaarFiberQuadrature":
@@ -356,9 +356,9 @@ class HaarFiberQuadrature:
             g = G.arrow_sampler(rng)
             g_row = np.array([g.coords])
             blocks_s = []
-            for q, owner, slot, H, w in self.nodes_at(G.src(g)):
-                r, GH = G.kernels.mul(g.patch_index, g_row, q, H)
-                blocks_s.append((r, owner, slot, GH, w))
+            for q, slots, H, w in self.nodes_at(G.src(g)):
+                r, GH = G.kernels.mul(g.patch_index, g_row, q, H[0])
+                blocks_s.append((r, slots, GH[None], w))
             composed, w_s = _node_points(G.arrows, blocks_s)
             nodes_t, w_t = _node_points(G.arrows, self.nodes_at(G.tgt(g)))
             worst.record("normalization", abs(sum(w_s) - 1.0), {"g": _coords(g)})
@@ -381,12 +381,20 @@ def _require_kernels(G: Groupoid) -> None:
 
 
 def _node_points(space, blocks) -> tuple[list[Point], list[float]]:
-    """Points and weights of one object's ``(patch, owner, slot, rows,
-    weights)`` node blocks, in slot order."""
-    pts = [p for q, _, _, rows, _ in blocks for p in points(space, q, rows)]
-    order = np.argsort(np.concatenate([slot for _, _, slot, _, _ in blocks]))
+    """Points and weights of one object's ``(patch, slots, H, weights)``
+    node blocks, in slot order."""
+    pts = [p for q, _, H, _ in blocks for p in points(space, q, H[0])]
+    order = np.argsort(np.concatenate([slots for _, slots, _, _ in blocks]))
     return ([pts[i] for i in order.tolist()],
             np.concatenate([weights for *_, weights in blocks])[order].tolist())
+
+
+def _require_projectable(G: Groupoid, X, n_samples: int, seed: int, cfg: Config) -> None:
+    """Refuse a field that is not source-projectable, at the samples the
+    average checks."""
+    resid = s_projectability_residual(G, X, max(8, n_samples // 4), seed, cfg)
+    if resid > cfg.groupoid_tol_alg * 100:
+        raise NonProjectableInput(f"input field is not source-projectable (residual {resid:.3e})")
 
 
 def s_projectability_residual(G: Groupoid, X, n_samples: int, seed: int,
@@ -445,40 +453,36 @@ def haar_average(
 
     X_hat(g) = sum_j w_j Tm(X_{g h_j}, Ti(X_{h_j})) over nodes h_j in the
     target fibre of s(g). X_hat is a :class:`RowField` that averages a whole
-    block of arrows in one pass per node patch: G's ``src`` kernel takes the
+    block of k arrows in one pass per node patch: G's ``src`` kernel takes the
     block to its sources and G's ``nodes`` kernel places the nodes of all of
-    them at once, each node row tagged with its arrow row (owner) and its
-    place in that row's node order (slot). Per node patch q, one row-aligned
-    ``mul`` composes the owners with their nodes, one ``inv`` inverts the
-    nodes with their Jacobians, and X (through ``field_rows``) is evaluated
-    once on the stacked ``[H; GH]`` when the composites lie on q, as they do
-    when ``mul`` keeps the node patch. G's ``mul`` partials, declared
-    patch-constant, are taken at a node patch's first row for all its rows.
-    The weighted terms are scattered by (owner, slot) and each arrow's are
-    summed in its own node order, so a row's average does not depend on the
-    block it is in. Returns (X_hat, report); the report runs the
-    multiplicative-field identities at samples.
+    them at once, the m nodes of each row on a node patch q as a ``(k, m,
+    dim)`` block with their slots in the row's node order. Per node patch,
+    one row-aligned ``mul`` composes each arrow, repeated m times, with its
+    nodes, one ``inv`` inverts the nodes with their Jacobians, and X (through
+    ``field_rows``) is evaluated once on the stacked ``[H; GH]`` when the
+    composites lie on q, as they do when ``mul`` keeps the node patch. G's
+    ``mul`` partials, declared patch-constant, are taken at a node patch's
+    first row for all its rows. The weighted terms are scattered by slot and
+    each arrow's are summed in its own node order, so a row's average does
+    not depend on the block it is in. Returns (X_hat, report); the report
+    runs the multiplicative-field identities at samples.
     """
     _require_kernels(G)
     if check:
-        resid = s_projectability_residual(G, X, max(8, n_samples // 4), seed, cfg)
-        if resid > cfg.groupoid_tol_alg * 100:
-            raise NonProjectableInput(
-                f"input field is not source-projectable (residual {resid:.3e})"
-            )
+        _require_projectable(G, X, n_samples, seed, cfg)
     K, arrows = G.kernels, G.arrows
     X_rows = field_rows(X, arrows)
 
     def averaged(p: int, C: np.ndarray) -> np.ndarray:
-        if not len(C):
+        k, dim = C.shape
+        if not k:
             return np.zeros(C.shape)
-        blocks = [b for b in K.nodes(*K.src(p, C), quad.node_count) if len(b[1])]
-        # a row with fewer nodes than the most is padded with +0.0 terms,
-        # which leave its running sum as its last term left it
-        n_nodes = 1 + max(int(slot.max()) for _, _, slot, _, _ in blocks)
-        terms = np.zeros((len(C), n_nodes, C.shape[1]))
-        for q, owner, slot, H, w in blocks:
-            r, GH = K.mul(p, C[owner], q, H)
+        blocks = K.nodes(*K.src(p, C), quad.node_count)
+        terms = np.zeros((k, sum(len(slots) for _, slots, _, _ in blocks), dim))
+        for q, slots, H, w in blocks:
+            m = len(slots)
+            H = H.reshape(k * m, dim)
+            r, GH = K.mul(p, C.repeat(m, axis=0), q, H)
             q_inv, H_inv, Ti = K.inv(q, H)
             A, B = G.mul.partials(Point(arrows, r, tuple(GH[0].tolist())),
                                   Point(arrows, q_inv, tuple(H_inv[0].tolist())), cfg)
@@ -489,7 +493,7 @@ def haar_average(
                 X_H, X_GH = X_rows(q, H), X_rows(r, GH)
             moved = np.matmul(Ti, X_H[..., None])
             lifted = np.matmul(A, X_GH[..., None]) + np.matmul(B, moved)
-            terms[owner, slot] = w[:, None] * lifted[..., 0]
+            terms[:, slots] = w[:, None] * lifted[..., 0].reshape(k, m, dim)
         # running sum in node order, as a loop would add; + 0.0 as from a zero start
         return terms.cumsum(axis=1)[:, -1] + 0.0
 
@@ -559,7 +563,9 @@ def proper_family_connection(
     for j in range(dim_N):
         e = tuple(1.0 if i == j else 0.0 for i in range(dim_N))
         X_tilde = RowField(lambda p, C, e=e: composite(p, C, e))
-        X_hat, _ = haar_average(G, quad, X_tilde, n_samples, seed, cfg, check=(j == 0))
+        if j == 0:
+            _require_projectable(G, X_tilde, n_samples, seed, cfg)
+        X_hat, _ = haar_average(G, quad, X_tilde, n_samples, seed, cfg, check=False)
         averaged.append(field_rows(X_hat, G.arrows))
 
     last = [None, None]   # the last block asked for, and its averaged basis rows

@@ -21,10 +21,6 @@ class SamplerFailure(GrpdConnError):
     pass
 
 
-class UnknownName(GrpdConnError):
-    pass
-
-
 class InvalidParams(GrpdConnError):
     pass
 
@@ -48,10 +44,6 @@ class KernelNotExposed(GrpdConnError):
 class KernelEmbeddingNotPatchConstant(GrpdConnError):
     """A kernel embedding's Jacobian, or that of the base groupoid's unit, is
     not declared a ``PatchJacobian``."""
-
-
-class IncompatibleMorphisms(GrpdConnError):
-    pass
 
 
 class NotAnActionMorphism(GrpdConnError):

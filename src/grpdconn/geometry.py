@@ -111,9 +111,6 @@ class Space:
     def patch(self, index: int) -> Patch:
         return self.patches[index]
 
-    def point(self, patch_index: int, coords: tuple[float, ...]) -> "Point":
-        return Point.make(self, patch_index, coords)
-
 
 @dataclass(frozen=True, slots=True)
 class Point:
@@ -322,14 +319,6 @@ class ProductSpace:
         c = p.coords
         return Point(self.left, ia, c[:i] + c[j:k]), Point(self.right, ib, c[i:j] + c[k:])
 
-    def join_coeffs(self, p: Point, ca: tuple[float, ...], cb: tuple[float, ...]):
-        _, _, i, j, _ = self._cuts[p.patch_index]
-        return ca[:i] + cb[:j - i] + ca[i:] + cb[j - i:]
-
-    def split_coeffs(self, p: Point, coeffs: tuple[float, ...]):
-        _, _, i, j, k = self._cuts[p.patch_index]
-        return coeffs[:i] + coeffs[j:k], coeffs[i:j] + coeffs[k:]
-
 
 def _slices(a: int, b: int, c: int, d: int):
     """Columns a:b and c:d as one slice, or as a pair of slices when both are
@@ -351,10 +340,6 @@ def line(n: int = 1, name: str = "R", excluded=()) -> Space:
 
 def circle(name: str = "S1") -> Space:
     return Space((Patch(0, 1, ""),), name=name)
-
-
-def torus_line(lin: int, circ: int, name: str = "") -> Space:
-    return Space((Patch(lin, circ, ""),), name=name or f"R{lin}xT{circ}")
 
 
 def point_space(name: str = "pt") -> Space:

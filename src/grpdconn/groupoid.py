@@ -32,13 +32,13 @@ class ArrayKernels:
 
     A block is a patch index with a ``(k, dim)`` array of coordinates on that
     patch. ``nodes(p, X, n)`` is the target-fibre quadrature for node count n
-    at every object row of the block X, as one ``(q, owner, slot, H, w)``
-    block per node patch q: node row i of ``H`` (weight ``w[i]``) belongs to
-    the object row ``owner[i]`` and is its ``slot[i]``-th node. A block lists
-    its rows in owner order and may be empty; every object row has at least
-    one node. ``mul(p, G, q, H)`` composes row i of G with row i of H, and a
-    one-row G with every row of H; ``src(p, C)`` returns a block;
-    ``unit(p, X)`` takes a block of objects to the block of their units;
+    at every object row of the block X, as one ``(q, slots, H, w)`` block per
+    node patch q: ``H`` is ``(k, m, dim)``, the m nodes on q of every object
+    row, ``slots`` (m,) their places in each row's node order and ``w`` (m,)
+    their weights. Every object of a groupoid has the same node layout.
+    ``mul(p, G, q, H)`` composes row i of G with row i of H, and a one-row G
+    with every row of H; ``src(p, C)`` returns a block; ``unit(p, X)`` takes
+    a block of objects to the block of their units;
     ``inv(p, C)`` returns a block and inv's Jacobians as a ``(k, dim, dim)``
     array. The averaging applies the ``mul`` partials at one row of a patch
     pair to every row, so ``haar_average`` and
@@ -46,8 +46,7 @@ class ArrayKernels:
     is not a ``PatchJacobian``. Treat returned arrays as read-only.
     """
 
-    nodes: Callable[[int, np.ndarray, int],
-                    list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]
+    nodes: Callable[[int, np.ndarray, int], list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]
     mul: Callable[[int, np.ndarray, int, np.ndarray], tuple[int, np.ndarray]]
     inv: Callable[[int, np.ndarray], tuple[int, np.ndarray, np.ndarray]]
     src: Callable[[int, np.ndarray], tuple[int, np.ndarray]]

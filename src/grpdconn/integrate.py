@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, Config
-from .errors import InvalidHorizon
+from .errors import InvalidHorizon, InvalidParams
 from .geometry import TWO_PI, Point, Tangent
 
 NORM_BLOWUP = "NormBlowup"
@@ -110,7 +110,8 @@ def integrate_rows(
     first_escape: bool = False,
 ) -> list[Optional[TrajectoryOutcome]]:
     """Integrate ``dy/dt = field(t, rows, Y)`` from a block of starts on one
-    patch over [0, horizon], one trajectory per start.
+    patch over [0, horizon], one trajectory per start. Starts on another
+    space or patch than the first raise ``InvalidParams``.
 
     ``field`` takes the indices ``rows`` (into ``starts``) of the ``(k, n)``
     block of states ``Y`` and returns the ``(k, n)`` block of velocities; a
@@ -133,6 +134,9 @@ def integrate_rows(
     bound = cfg.numeric_blowup_bound
 
     space, patch_index = starts[0].space, starts[0].patch_index
+    if any(p.patch_index != patch_index or (p.space is not space and p.space != space)
+           for p in starts):
+        raise InvalidParams("integrate_rows needs every start on the first start's patch")
     patch = starts[0].patch
     samples = [[(0.0, p)] for p in starts]
     escapes: dict[int, tuple[float, str, np.ndarray]] = {}

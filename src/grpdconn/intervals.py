@@ -3,7 +3,7 @@
 Every operation widens its result by one ulp on each side, so computed
 enclosures are sound overapproximations of the exact real intervals. Only
 the operations needed by the certification pipeline are provided (affine
-arithmetic, products, sqrt, sin/cos, abs, min/max, hull).
+arithmetic, products, quotients, squares, sqrt, sin/cos, abs).
 """
 from __future__ import annotations
 
@@ -47,9 +47,6 @@ class Interval:
 
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -140,16 +137,6 @@ def _trig(iv: Interval, fn, crest_offset: float) -> Interval:
         out_lo = min(out_lo, -1.0 if k % 2 else 1.0)
         out_hi = max(out_hi, -1.0 if k % 2 else 1.0)
     return Interval(max(-1.0, _down(out_lo)), min(1.0, _up(out_hi)))
-
-
-def hull_of(values) -> Interval:
-    result = None
-    for v in values:
-        iv = _coerce(v)
-        result = iv if result is None else result.hull(iv)
-    if result is None:
-        raise ValueError("hull of no intervals")
-    return result
 
 
 def fmt_bound(iv: Interval) -> dict:

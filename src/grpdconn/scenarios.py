@@ -33,6 +33,7 @@ from .connection import (
 from .constructions import (
     AtlasWindow,
     HaarFiberQuadrature,
+    RowField,
     TrivializingAtlas,
     complete_connection_builder,
     flatness_certificate_check,
@@ -417,14 +418,15 @@ def _rotating_base_lift(p: int, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.column_stack((w, 0.05 * X[:, 2] * w, -0.05 * X[:, 1] * w))
 
 
-def skewed_family_field(fam: GroupoidMorphism):
-    """A generic source-projectable lift of the unit base field."""
+def skewed_family_field(fam: GroupoidMorphism) -> RowField:
+    """A generic source-projectable lift of the unit base field, on rows
+    (y, v1, v2, phi)."""
 
-    def X(g: Point) -> Tangent:
-        y = g.coords[0]
-        v1, v2, phi = g.coords[1], g.coords[2], g.coords[3]
-        return Tangent(g, (1.0, 0.2 * v2 + 0.1 * math.sin(y), -0.1 * v1,
-                           0.3 + 0.25 * math.sin(phi) + 0.1 * v1))
+    @RowField
+    def X(p: int, C: np.ndarray) -> np.ndarray:
+        y, v1, v2, phi = C[:, 0], C[:, 1], C[:, 2], C[:, 3]
+        return np.column_stack((np.ones(len(C)), 0.2 * v2 + 0.1 * np.sin(y), -0.1 * v1,
+                                0.3 + 0.25 * np.sin(phi) + 0.1 * v1))
 
     return X
 
@@ -937,11 +939,11 @@ def _registry() -> dict[str, Scenario]:
     return {s.name: s for s in entries}
 
 
-def proper_average_connection(cfg: Config, nodes: int = 8) -> Connection:
+def proper_average_connection(cfg: Config) -> Connection:
     # the averaging integrands on this family are trigonometric polynomials
     # of degree <= 3 in the fibre angle, so 8 uniform nodes integrate exactly;
     # the acceptance suite re-verifies node-count independence numerically
-    fam, quad = so2_family_setup(cfg, nodes=nodes)
+    fam, quad = so2_family_setup(cfg, nodes=8)
 
     return proper_family_connection(fam, _rotating_base_lift, _skewed_source_lift, quad, 12,
                                     0, cfg)

@@ -73,21 +73,6 @@ def identity_map(space: Space, name: str = "id") -> SmoothMap:
                      PatchJacobian(lambda p: np.eye(space.dim)), name, lambda p, C: (p, C))
 
 
-def compose(outer: SmoothMap, inner: SmoothMap, name: str = "") -> SmoothMap:
-    jac = None
-    if outer.jac is not None and inner.jac is not None:
-        def jac(p: Point):
-            return outer.jac(inner.eval(p)) @ inner.jac(p)
-
-    return SmoothMap(
-        inner.domain,
-        outer.codomain,
-        lambda p: outer.eval(inner.eval(p)),
-        jac,
-        name or f"{outer.name}∘{inner.name}",
-    )
-
-
 def fd_jacobian(map_: SmoothMap, p: Point, step: float) -> np.ndarray:
     """Central finite-difference Jacobian with angle wraparound."""
     patch = p.patch

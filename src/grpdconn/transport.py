@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import DEFAULT, Config
-from .errors import NotALoop, PairSamplerFailure, StartFiberMismatch
+from .errors import InvalidParams, NotALoop, PairSamplerFailure, StartFiberMismatch
 from .geometry import Point, distance
 from .groupoid import _Worst, _coords, rng_for
 from .integrate import TrajectoryOutcome, integrate, integrate_rows
@@ -152,8 +152,11 @@ def parallel_transport_rows(
     in one call of ``c.hor.rows``; any other lift (a plain function, such as
     a tracer's wrapper) transports one row at a time through
     :func:`integrate`. With ``first_escape`` the rows after the first one that
-    escapes are dropped (their outcome is None).
+    escapes are dropped (their outcome is None). Unequal numbers of paths
+    and starts raise ``InvalidParams``.
     """
+    if len(paths) != len(starts):
+        raise InvalidParams(f"{len(paths)} paths for {len(starts)} starts")
     pi = c.morphism
     for gamma, g in zip(paths, starts):
         _check_start(pi, gamma, g, cfg)

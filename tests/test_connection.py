@@ -13,7 +13,6 @@ from grpdconn.connection import (
     Rejection,
     action_connection,
     complement_check,
-    compose_connections,
     kernel_connection,
     multiplicativity_check_pointwise,
     multiplicative_vf_lift,
@@ -149,51 +148,6 @@ def test_kernel_connection_pair_fibration_tangency():
         J = jacobian(kc.morphism.arrow_map, k)
         assert abs((J @ np.asarray(v.coeffs))[0] - 0.7) < 1e-9
     assert kc.metadata["tangency_tracker"][0] < 1e-9
-
-
-def test_compose_with_identity_is_identity():
-    from grpdconn.groupoid import GroupoidMorphism
-    from grpdconn.smoothmap import identity_map
-
-    c = flat_family_connection()
-    G = c.total
-    ident = GroupoidMorphism(c.total.name, G, G, identity_map(G.arrows),
-                             identity_map(G.objects))
-    id_conn = Connection(ident, lambda g, a: Tangent(g, a.coeffs),
-                         lambda x, w: Tangent(x, w.coeffs), {})
-    composed = compose_connections(id_conn, c)
-    rng = rng_for(4, 0)
-    g = G.arrow_sampler(rng)
-    a = Tangent(c.morphism.arrow_map(g), (0.5,))
-    assert composed.hor(g, a).coeffs == c.hor(g, a).coeffs
-
-
-def test_compose_flat_flat_multiplicative():
-    # two stacked flat families compose to the flat lift
-    fiber_inner = cat.group_bundle(line(1, name="F"), "finite", order=2)
-    fam_inner = cat.trivial_family(line(1, name="N"), fiber_inner)
-    c_inner = flat_family_connection()
-    # family over the family's base: the unit groupoid over N projects to itself
-    from grpdconn.groupoid import GroupoidMorphism
-    from grpdconn.smoothmap import identity_map
-
-    NU = fam_inner.base_grpd
-    ident = GroupoidMorphism("id_N", NU, NU, identity_map(NU.arrows),
-                             identity_map(NU.objects))
-    c_outer = Connection(ident, lambda g, a: Tangent(g, a.coeffs),
-                         lambda x, w: Tangent(x, w.coeffs), {})
-    composed = compose_connections(c_inner, c_outer)
-    rep = complement_check(composed, 30, seed=2)
-    assert rep.passed
-
-
-def test_compose_rejects_mismatched_morphisms():
-    from grpdconn.errors import IncompatibleMorphisms
-
-    c1, _ = luca_setup()
-    c2 = flat_family_connection()
-    with pytest.raises(IncompatibleMorphisms):
-        compose_connections(c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +303,26 @@ def test_uniform_fibration_factors_through_pullback():
     base_prod = pr.metadata["base_product"]
 
     def hor0(x, w):
-        return Tangent(x, base_prod.join_coeffs(x, tuple(w.coeffs), (0.0,)))
+        packed = base_prod.join_rows(x.patch_index, np.array([w.coeffs]), np.zeros((1, 1)))
+        return Tangent(x, tuple(packed[0].tolist()))
 
     c_pr = morita_connection(pr, hor0)
-    composed = compose_connections(c_star, c_pr)
 
+    # the composite pr o star, with the lift hor_star(g, hor_pr(star(g), a))
+    def after_star(outer, inner, name):
+        return SmoothMap(inner.domain, outer.codomain, lambda p: outer(inner(p)),
+                         lambda p: jacobian(outer, inner(p)) @ jacobian(inner, p), name)
+
+    composed = Connection(
+        GroupoidMorphism("pr∘comparison", G, pr.base_grpd,
+                         after_star(pr.arrow_map, star.arrow_map, "pr∘star"),
+                         after_star(pr.object_map, star.object_map, "pr0∘star0")),
+        lambda g, a: c_star.hor(g, c_pr.hor(star.arrow_map(g), a)),
+        lambda x, w: c_star.hor0(x, c_pr.hor0(star.object_map(x), w)),
+        {"provenance": "comparison_then_pullback", "claimed_multiplicative": True},
+    )
+
+    assert multiplicativity_check_pointwise(composed, 20, seed=0).verdict == MULTIPLICATIVE
     assert complement_check(composed, 30, seed=4).passed
     for i in range(30):
         g = G.arrow_sampler(rng_for(91, i))

@@ -10,6 +10,7 @@ import grpdconn.constructions as constructions
 from grpdconn.connection import (
     Connection,
     MULTIPLICATIVE,
+    RowLift,
     complement_check,
     multiplicativity_check_pointwise,
 )
@@ -143,7 +144,8 @@ def _morita_reference(c: Connection, g: Point, a: Tangent) -> tuple:
     for end, f in ((H.tgt, ft), (H.src, fs)):
         w = Tangent(end(h), tuple((jacobian(end, h) @ np.array(a.coeffs)).tolist()))
         x = base_prod.join(end(h), f)
-        fibre = base_prod.split_coeffs(x, c.hor0(x, w).coeffs)[1]
+        lifted = np.array([c.hor0(x, w).coeffs])
+        fibre = base_prod.factor_rows(x.patch_index, lifted, 1)[0].tolist()
         legs.append(Point.raw(f.space, f.patch_index, fibre))
     return join3(Point.raw(H.arrows, h.patch_index, a.coeffs), *legs).coords
 
@@ -372,6 +374,30 @@ def test_averaged_connection_averages_once_per_arrow(monkeypatch):
     conn.hor(conn.total.arrow_sampler(rng_for(73, 1)), a)
     conn.hor(g, a)   # one slot: the first arrow was displaced
     assert len(asked) == 5
+
+
+def test_proper_family_connection_builds_no_field_report(monkeypatch):
+    # the averaged basis fields become a connection: only the projectability
+    # guard runs on them, and no multiplicative-field report is made
+    reports = []
+    report = constructions.multiplicative_field_report
+    monkeypatch.setattr(constructions, "multiplicative_field_report",
+                        lambda *args, **kwargs: reports.append(args) or report(*args, **kwargs))
+    fam, quad = so2_family_setup(nodes=8)
+    proper_family_connection(fam, _rotating_base_lift, _skewed_source_lift, quad, 12)
+    assert reports == []
+
+
+def test_proper_family_connection_refuses_a_non_projectable_source_lift():
+    fam, quad = so2_family_setup(nodes=8)
+
+    @RowLift
+    def twisted(p, C, W):
+        # the source projection turns with the fibre angle: not s-projectable
+        return np.column_stack((W[:, 0], W[:, 1] + np.sin(C[:, 3]), W[:, 2], np.zeros(len(C))))
+
+    with pytest.raises(NonProjectableInput):
+        proper_family_connection(fam, _rotating_base_lift, twisted, quad, 12)
 
 
 def test_proper_family_connection_fixes_flat_input():

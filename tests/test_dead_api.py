@@ -1,6 +1,9 @@
 """Dead-API lint: every function, class and method defined in a module of
 ``src/grpdconn`` must be referenced by name somewhere in ``src/``, ``tests/``
-or ``perfbench/`` outside its own definition.
+or ``perfbench/`` outside its own definition. A module-level function or
+class that only tests reference (nothing in ``src/`` outside its own
+definition, the package's exports apart, and nothing in ``perfbench/``) must
+be exported by ``grpdconn/__init__.py``.
 
 References are names, attribute names and imported names read from the
 syntax tree of every Python file there. Inside a file, a name bound by
@@ -50,10 +53,10 @@ def _module_bindings(tree: ast.Module) -> set[str]:
             for alias in node.names if _imports_package_module(node, alias)}
 
 
-def _references() -> dict[str, list[tuple[Path, int]]]:
+def _references(trees) -> dict[str, list[tuple[Path, int]]]:
     """Every name a file reads, with the file and line of each reading."""
     refs: dict[str, list[tuple[Path, int]]] = {}
-    for path, tree in TREES:
+    for path, tree in trees:
         modules = _module_bindings(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -80,7 +83,7 @@ def _definitions(tree: ast.Module):
                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
 
-REFERENCES = _references()
+REFERENCES = _references(TREES)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -96,6 +99,35 @@ def test_every_definition_is_referenced(path):
         if not outside:
             dead.append(f"{name} (line {node.lineno})")
     assert not dead, f"{path.name} defines but never references: {', '.join(dead)}"
+
+
+INIT = SRC / "__init__.py"
+# what the library and the benchmark read, the package's exports apart
+LIBRARY_REFERENCES = _references(
+    (path, tree) for path, tree in TREES
+    if path != INIT and (SRC in path.parents or ROOT / "perfbench" in path.parents))
+EXPORTED = {alias.asname or alias.name for node in ast.parse(INIT.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_only_tests_reach_is_exported(path):
+    # API that no scenario, library code or benchmark runs stays only as
+    # exported API, where the package docstring names the statement it serves
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    test_only = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        name = node.name
+        if (name.startswith("__") and name.endswith("__")) or (path.name, name) in EXEMPT:
+            continue
+        outside = [(where, line) for where, line in LIBRARY_REFERENCES.get(name, ())
+                   if where != path or not node.lineno <= line <= node.end_lineno]
+        if not outside and name not in EXPORTED:
+            test_only.append(f"{name} (line {node.lineno})")
+    assert not test_only, (f"{path.name} defines, for tests only and unexported: "
+                           f"{', '.join(test_only)}")
 
 
 def _metadata_literals(tree: ast.Module):

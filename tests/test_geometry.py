@@ -16,7 +16,6 @@ from grpdconn.geometry import (
     distance,
     line,
     normalize_angle,
-    torus_line,
 )
 from grpdconn.groupoid import Groupoid
 
@@ -52,23 +51,25 @@ def test_distance_across_patches_is_infinite():
     assert math.isinf(distance(Point.make(s, 0, (0.0,)), Point.make(s, 1, (0.0,))))
 
 
+def _torus_line(lin: int, circ: int) -> Space:
+    return Space((Patch(lin, circ, ""),), name=f"R{lin}xT{circ}")
+
+
 def test_product_roundtrip():
-    M = torus_line(1, 1)
+    M = _torus_line(1, 1)
     prod = ProductSpace(M, M)
     a = Point.make(M, 0, (0.5, 1.0))
     b = Point.make(M, 0, (-0.25, 4.0))
     joined = prod.join(a, b)
     a2, b2 = prod.split(joined)
     assert a2.coords == a.coords and b2.coords == b.coords
-    ca, cb = prod.split_coeffs(joined, prod.join_coeffs(joined, (1.0, 2.0), (3.0, 4.0)))
-    assert ca == (1.0, 2.0) and cb == (3.0, 4.0)
 
 
 @pytest.mark.parametrize("F", [line(1, name="F"), circle(),
                                Space((Patch(1, 0, "pos"), Patch(1, 0, "neg")), name="F*")])
 def test_product_packing_is_associative(F):
     # (H x F) x F and H x (F x F) pack patches, labels and coordinates alike
-    H = ProductSpace(torus_line(1, 1), torus_line(1, 1)).space
+    H = ProductSpace(_torus_line(1, 1), _torus_line(1, 1)).space
     inner_left, inner_right = ProductSpace(H, F), ProductSpace(F, F)
     nested_left = ProductSpace(inner_left.space, F)
     nested_right = ProductSpace(H, inner_right.space)
@@ -140,8 +141,6 @@ def test_product_packing_matches_factor_patch_counts(prod):
                 pa_, pb_ = prod.split(Point(prod.space, ia * nb + ib, packed))
                 assert (pa_.space, pa_.patch_index, pa_.coords) == (prod.left, ia, a)
                 assert (pb_.space, pb_.patch_index, pb_.coords) == (prod.right, ib, b)
-                assert prod.join_coeffs(p, a, b) == packed
-                assert prod.split_coeffs(p, packed) == (a, b)
 
 
 def _factor_columns(pa: Patch, pb: Patch):
@@ -152,7 +151,7 @@ def _factor_columns(pa: Patch, pb: Patch):
             [*range(la, la + lb), *range(cut, pa.dim + pb.dim)])
 
 
-@pytest.mark.parametrize("prod", PRODUCT_SPACES + [ProductSpace(line(1), torus_line(2, 1))],
+@pytest.mark.parametrize("prod", PRODUCT_SPACES + [ProductSpace(line(1), _torus_line(2, 1))],
                          ids=lambda p: p.space.name)
 def test_factor_columns_are_one_slice_where_contiguous(prod):
     # touching ranges, such as the right factor's 1:3 and 3:4 of

@@ -125,17 +125,6 @@ def test_identity_morphism_passes():
     assert rep.passed and rep.max_residual == 0.0
 
 
-def test_catalog_dispatcher():
-    from grpdconn.errors import UnknownName
-
-    assert cat.catalog("pair", space="S1").name.startswith("pair")
-    assert cat.catalog("group_bundle", group="circle").arrows.dim == 2
-    assert cat.catalog("punctured_group_bundle", order=3).probe_objects
-    assert cat.catalog("disjoint_union").metadata["local_diffeo"]
-    with pytest.raises(UnknownName):
-        cat.catalog("nope")
-
-
 def test_disjoint_union_is_source_connected_when_every_part_is():
     # the cover's kernel Unit(R) ⊔ Unit(R) is; the cover, with its Z2 bundles, is not
     pi = cat.covering_union_morphism()

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from grpdconn.errors import InvalidHorizon
+from grpdconn.errors import InvalidHorizon, InvalidParams
 from grpdconn.geometry import Patch, Point, Space, Tangent, line
 from grpdconn.integrate import (
     EXCLUDED_POINT,
@@ -11,6 +12,7 @@ from grpdconn.integrate import (
     STEP_COLLAPSE,
     TrajectoryOutcome,
     integrate,
+    integrate_rows,
 )
 
 R = line(1)
@@ -125,3 +127,26 @@ def test_state_at_bisection_matches_the_nearest_sample_scan(times, t):
     # the first sample of least distance, as min() scans for it
     nearest = min(samples, key=lambda item: abs(item[0] - t))
     assert outcome.state_at(t) is nearest[1]
+
+
+TWO_PATCHES = Space((Patch(1, 0, "a"), Patch(1, 0, "b", (((0.5,), 0.1),))))
+
+
+def _unit_speed(t, rows, Y):
+    return np.ones(Y.shape)
+
+
+def test_a_start_on_a_punctured_patch_escapes_alone():
+    out = integrate_rows(_unit_speed, [Point.make(TWO_PATCHES, 1, (0.0,))], 1.0, h=0.1)[0]
+    assert out.escape_reason == EXCLUDED_POINT and out.end.patch_index == 1
+
+
+@pytest.mark.parametrize("other", [Point.make(TWO_PATCHES, 1, (0.0,)),
+                                   Point.make(line(1), 0, (0.0,))],
+                         ids=["other patch", "other space"])
+def test_rows_refuse_starts_off_the_first_start_patch(other):
+    # one block runs on one patch: a start elsewhere would be integrated on
+    # the first start's patch, past its own excluded ball
+    first = Point.make(TWO_PATCHES, 0, (0.0,))
+    with pytest.raises(InvalidParams):
+        integrate_rows(_unit_speed, [first, other], 1.0, h=0.1)

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from grpdconn.intervals import Interval, fmt_bound, hull_of
+from grpdconn.intervals import Interval, fmt_bound
 
 finite = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False)
 
@@ -80,11 +80,9 @@ def test_outward_rounding_strict():
     assert c.width > 0.0
 
 
-def test_intersections_and_hull():
+def test_intersections():
     assert Interval.of(0, 1).intersects(Interval.of(1, 2))
     assert not Interval.of(0, 1).intersects(Interval.of(1.5, 2))
-    h = hull_of([Interval.of(0, 1), Interval.of(3, 4)])
-    assert h.lo == 0 and h.hi == 4
 
 
 def test_fmt_bound_records_direction():

@@ -16,7 +16,7 @@ from grpdconn.constructions import (
     haar_average,
     proper_family_connection,
 )
-from grpdconn.errors import InvalidParams
+from grpdconn.errors import InvalidParams, QuadratureMissing
 from grpdconn.geometry import Point, Tangent, line
 from grpdconn.groupoid import ArrayKernels, points, rng_for
 from grpdconn.scenarios import (
@@ -39,16 +39,13 @@ KERNEL_GROUPOIDS = [
     ("family(R, SO(2)⋉R2)", cat.trivial_family(line(1, name="N"),
                                                 cat.so2_action_groupoid()).total),
     ("Unit(R)xZ2", cat.group_bundle(line(1, name="R"), "finite", order=2)),
-    # nodes on both factors, and a bespoke bundle with a puncture
+    # nodes on both factors
     ("SO(2)xZ2", cat.product_groupoid(cat.so2_group(), cat.finite_group_groupoid(2))),
-    ("bundle(R,Z2)*", cat.group_bundle(line(1, name="R"), "finite", order=2,
-                                       punctured_at=(0.0,))),
     # left factors with several nodes or node patches per object, paired
-    # with right factors whose nodes differ from object to object
+    # with a right factor whose nodes differ from object to object
     ("SO(2)xSO(2)⋉R2", cat.product_groupoid(cat.so2_group(), cat.so2_action_groupoid())),
-    ("Z2xbundle(R,Z2)*", cat.product_groupoid(
-        cat.finite_group_groupoid(2),
-        cat.group_bundle(line(1, name="R"), "finite", order=2, punctured_at=(0.0,)))),
+    ("Z2xSO(2)⋉R2", cat.product_groupoid(cat.finite_group_groupoid(2),
+                                          cat.so2_action_groupoid())),
 ]
 
 
@@ -82,13 +79,13 @@ def _row(x: Point) -> np.ndarray:
     return np.array([x.coords], dtype=float).reshape(1, -1)
 
 
-def _slot_order(blocks, owner: int):
-    """One object row's nodes, ``(patch, row)`` pairs, and their weights, read
-    from ``(patch, owner, slot, rows, weights)`` blocks in slot order; the
-    slots must run 0, 1, ... without a gap or a repeat."""
-    mine = sorted(((s, q, r, w) for q, o, slot, H, weights in blocks
-                   for s, r, w, o_i in zip(slot.tolist(), H, weights.tolist(), o.tolist())
-                   if o_i == owner), key=lambda t: t[0])
+def _slot_order(blocks, row: int):
+    """One object row's nodes, ``(patch, node row)`` pairs, and their weights,
+    read from ``(patch, slots, H, weights)`` blocks in slot order; the slots
+    must run 0, 1, ... without a gap or a repeat."""
+    mine = sorted(((s, q, r, w) for q, slots, H, weights in blocks
+                   for s, r, w in zip(slots.tolist(), H[row], weights.tolist())),
+                  key=lambda t: t[0])
     assert [t[0] for t in mine] == list(range(len(mine))), "slots"
     return [(q, r) for _, q, r, _ in mine], np.array([w for *_, w in mine])
 
@@ -106,9 +103,6 @@ def _reference_nodes(G, x: Point, n: int):
                 [u * v for u in w1 for v in w2])
     if G.metadata.get("is_unit_groupoid"):
         return [x], [1.0]
-    if "group_order" in G.metadata:   # the punctured bundle: the elements over x
-        pts = G.sfiber_grid(x, n)
-        return pts, [1.0 / len(pts)] * len(pts)
     if "trivial_action" in G.metadata:
         v, pts = np.asarray(x.coords), []
         for j in range(n):
@@ -150,7 +144,8 @@ def test_kernels_match_point_maps_bit_for_bit(name, G):
 
         # one arrow against a block of rows, as the average composes them
         y = G.src(g)
-        for q, _, _, H, _ in K.nodes(y.patch_index, _row(y), n):
+        for q, _, H, _ in K.nodes(y.patch_index, _row(y), n):
+            H = H[0]
             r, GH = K.mul(g.patch_index, g_row, q, H)
             for row, node in zip(GH, points(G.arrows, q, H)):
                 assert _same_point(r, row, G.compose(g, node)), (name, "mul block")
@@ -173,16 +168,15 @@ def _rows(pts) -> np.ndarray:
 
 @pytest.mark.parametrize("name,G", KERNEL_GROUPOIDS, ids=[n for n, _ in KERNEL_GROUPOIDS])
 def test_nodes_on_object_rows_match_reference_row_by_row(name, G):
-    # the probe objects sit among the samples: over the punctured bundle's
-    # puncture a row has one node, elsewhere two, so blocks mix layouts
+    # the probe objects sit among the samples
     samples = [G.object_sampler(rng_for(7, 229, i)) for i in range(64)]
     xs = samples[:2] + list(G.probe_objects) + samples[2:]
     for k in (1, 2, 5, 17, 64):
         for patch, on in _by_patch(xs[:k], lambda x: x.patch_index):
             for n in range(1, 7):
                 blocks = G.kernels.nodes(patch, _rows(on), n)
-                for _, owner, *_ in blocks:   # owner order, owners of the block
-                    assert np.all(np.diff(owner) >= 0) and set(owner.tolist()) <= set(range(len(on)))
+                for _, slots, H, weights in blocks:   # m nodes for every object row
+                    assert H.shape[:2] == (len(on), len(slots)) == (len(on), len(weights))
                 for i, x in enumerate(on):
                     got, weights = _slot_order(blocks, i)
                     ref_pts, ref_w = _reference_nodes(G, x, n)
@@ -190,9 +184,6 @@ def test_nodes_on_object_rows_match_reference_row_by_row(name, G):
                     assert all(_same_point(q, r, p) for (q, r), p in zip(got, ref_pts)), \
                         (name, k, n, "nodes")
                     assert _bits(weights) == _bits(ref_w), (name, k, n, "weights")
-    if name == "bundle(R,Z2)*":
-        counts = {len(_slot_order(G.kernels.nodes(0, _rows(xs[:5]), 3), i)[0]) for i in range(5)}
-        assert counts == {1, 2}
 
 
 @pytest.mark.parametrize("name,G", KERNEL_GROUPOIDS, ids=[n for n, _ in KERNEL_GROUPOIDS])
@@ -297,30 +288,28 @@ def test_row_lift_connection_matches_point_adapter(nodes):
         assert _bits(rows.hor0(x, w).coeffs) == _bits(adapter.hor0(x, w).coeffs)
 
 
-def test_punctured_bundle_average_mixes_node_layouts_in_a_block():
-    # over the ball the punctured bundle has one target-fibre node, elsewhere
-    # two: a block with rows on and off the ball averages each row as alone
+def test_punctured_bundle_quadrature_is_refused():
+    # the punctured bundle is not proper (the arrows (1/n, g), g != e, have no
+    # limit in it), so it carries no kernels and no Haar quadrature
     G = cat.group_bundle(line(1, name="R"), "finite", order=2, punctured_at=(0.0,))
-    quad = HaarFiberQuadrature.from_groupoid(G, 4)
-    radius = G.arrows.patches[1].excluded_points[0][1]
+    assert G.kernels is None and G.metadata["compact_tfibers"]
+    with pytest.raises(QuadratureMissing):
+        HaarFiberQuadrature.from_groupoid(G, 4)
 
-    @RowField
-    def X(p, C):
-        return np.sin(3.0 * C) + 0.5 * p
 
-    X_hat, _ = haar_average(G, quad, X, check=False)
-    reference = _loop_average(G, quad, X)
-    for patch, ys in ((0, np.linspace(-3.0 * radius, 3.0 * radius, 64)),
-                      (1, np.linspace(1.5 * radius, 1.0, 64))):
-        C = ys[:, None]
-        layouts = {sum(len(H) for *_, H, _ in quad.nodes_at(Point(G.objects, 0, (y,))))
-                   for y in ys.tolist()}
-        assert layouts == ({1, 2} if patch == 0 else {2})
-        block = X_hat.rows(patch, C)
-        for y, row in zip(ys.tolist(), block):
-            g = Point(G.arrows, patch, (y,))
-            assert _bits(row) == _bits(X_hat(g).coeffs), (patch, y)
-            assert float(np.max(np.abs(row - reference(g)))) <= 1e-15, (patch, y)
+def test_skewed_family_field_rows_keep_the_point_formula_bits():
+    fam, _ = so2_family_setup(nodes=8)
+    X = skewed_family_field(fam)
+    rng = np.random.default_rng(41)
+    C = np.column_stack((rng.uniform(-3.0, 3.0, (SAMPLES, 3)),
+                         rng.uniform(0.0, 2 * math.pi, SAMPLES)))
+    rows = X.rows(0, C)
+    for c, row in zip(C.tolist(), rows):
+        y, v1, v2, phi = c
+        point_formula = (1.0, 0.2 * v2 + 0.1 * math.sin(y), -0.1 * v1,
+                         0.3 + 0.25 * math.sin(phi) + 0.1 * v1)
+        assert _bits(row) == _bits(point_formula), c
+        assert _bits(X(Point(fam.total.arrows, 0, tuple(c))).coeffs) == _bits(row), c
 
 
 def _average_case(name: str, nodes: int):
@@ -331,12 +320,6 @@ def _average_case(name: str, nodes: int):
         C = np.column_stack((rng.uniform(-2.0, 2.0, (64, 3)), rng.uniform(0.0, 2 * math.pi, 64)))
         return fam.total, quad, skewed_family_field(fam), 0, C
     X = RowField(lambda p, C: np.sin(3.0 * C) + 0.5 * p)
-    if name == "bundle(R,Z2)*":
-        G = cat.group_bundle(line(1, name="R"), "finite", order=2, punctured_at=(0.0,))
-        radius = G.arrows.patches[1].excluded_points[0][1]
-        # rows on and off the ball, mixed from the first rows on
-        C = rng.permutation(np.linspace(-3.0 * radius, 3.0 * radius, 64))[:, None]
-        return G, HaarFiberQuadrature.from_groupoid(G, nodes), X, 0, C
     G = cat.product_groupoid(cat.so2_group(), cat.finite_group_groupoid(2))
     # arrows off the identity component: the composites leave the node patch
     C = rng.uniform(0.0, 2 * math.pi, (64, 1))
@@ -344,7 +327,7 @@ def _average_case(name: str, nodes: int):
 
 
 @pytest.mark.parametrize("nodes", [8, 256])
-@pytest.mark.parametrize("name", ["SO(2) family", "bundle(R,Z2)*", "SO(2)xZ2"])
+@pytest.mark.parametrize("name", ["SO(2) family", "SO(2)xZ2"])
 def test_averaged_blocks_match_one_row_calls_and_node_loop(name, nodes):
     G, quad, X, patch, C = _average_case(name, nodes)
     X_hat, _ = haar_average(G, quad, X, check=False)

@@ -7,7 +7,7 @@ import grpdconn.catalog as cat
 import grpdconn.transport as transport
 from grpdconn.config import DEFAULT
 from grpdconn.connection import Connection, MULTIPLICATIVE, NOT_MULTIPLICATIVE, RowLift
-from grpdconn.errors import NotALoop, StartFiberMismatch
+from grpdconn.errors import InvalidParams, NotALoop, StartFiberMismatch
 from grpdconn.geometry import Point, Tangent, distance, line
 from grpdconn.groupoid import TransportSamplers, rng_for
 from grpdconn.integrate import integrate
@@ -26,6 +26,7 @@ from grpdconn.transport import (
     current_groupoid_check,
     holonomy,
     parallel_transport,
+    parallel_transport_rows,
     theorem_crosscheck_kernel,
     transport_multiplicativity_check,
 )
@@ -70,6 +71,16 @@ def test_morita_transport_matches_closed_form():
         assert out.completed and out.drift < DEFAULT.transport_drift_tol
         worst = max(worst, distance(out.end, morita_closed_form_end(c, gamma, g, kappa)))
     assert worst < 1e-6
+
+
+def test_transport_rows_refuse_unequal_path_and_start_counts():
+    c, _ = morita_setup()
+    pairs = [c.morphism.transport.path_with_start(rng_for(31, i)) for i in range(2)]
+    paths, starts = [gamma for gamma, _ in pairs], [g for _, g in pairs]
+    with pytest.raises(InvalidParams):
+        parallel_transport_rows(c, paths, starts[:1], 1.0, h=2e-2)
+    with pytest.raises(InvalidParams):
+        parallel_transport_rows(c, paths[:1], starts, 1.0, h=2e-2)
 
 
 def test_transport_evaluates_velocity_once_per_distinct_time():
