@@ -14,13 +14,18 @@ Layers:
   probes, and theorem cross-checks.
 - ``constructions``: pullback lifts, gluing, fibre averaging, exhaustion
   functions, level schedules, and the interval-certified complete builder.
+  A trivializing atlas declares each window's shift once (``SineShift``:
+  value, derivative, interval extension), reads its fibre from the family,
+  and owns the one window-weight function that the glued lift, the
+  builder's lift and the certificate share.
 - ``scenarios``, ``cli``: the named scenario registry and its CLI.
 
 Exported beyond what the scenarios run, each for a statement of the paper:
 ``vb_subgroupoid_check`` with ``kernel_frames``, ``full_tangent_frames``,
 ``core_side_decomposition`` and ``tangent_structure_maps`` (a multiplicative
-connection is a VB-subgroupoid of TG); ``glue_local_trivial`` with
-``bump_partition`` (locally trivial families admit one);
+connection is a VB-subgroupoid of TG); ``glue_local_trivial``, which
+glues the chart-flat lifts of a ``TrivializingAtlas`` through its
+normalised window bumps (locally trivial families admit one);
 ``multiplicative_vf_lift`` (a multiplicative connection on a family lifts
 base vector fields to multiplicative ones); ``morphism_check`` (a
 submersion of groupoids is a morphism); ``constant_path`` and ``subpath``
@@ -76,8 +81,8 @@ from .constructions import (
     CompletenessCertificate,
     HaarFiberQuadrature,
     LevelSchedule,
+    SineShift,
     TrivializingAtlas,
-    bump_partition,
     complete_connection_builder,
     flatness_certificate_check,
     glue_local_trivial,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -155,18 +155,41 @@ def smoothstep(u: float) -> float:
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
+@dataclass(frozen=True)
+class SineShift:
+    """The fibre shift sigma(y) = amp sin(y), declared once: its value, its
+    derivative and its interval extension."""
+
+    amp: float
+
+    def value(self, y: float) -> float:
+        return self.amp * math.sin(y)
+
+    def deriv(self, y: float) -> float:
+        return self.amp * math.cos(y)
+
+    def interval(self, iv: Interval) -> Interval:
+        return self.amp * iv.sin()
+
+
 @dataclass
 class AtlasWindow:
     """One trivializing chart: windows U ⊂⊂ V and a fibre shift sigma."""
 
     inner: tuple[float, float]               # U^alpha
     outer: tuple[float, float]               # V^alpha (precompact)
-    shift: Callable[[float], float]
-    shift_deriv: Callable[[float], float]
-    shift_interval: Callable[[Interval], Interval]
+    shift: SineShift
 
     def margin(self) -> float:
         return min(self.inner[0] - self.outer[0], self.outer[1] - self.inner[1])
+
+    def bump(self, y: float) -> float:
+        """Smooth bump: 1 on the inner window, 0 outside the outer."""
+        lo_m = self.inner[0] - self.outer[0]
+        hi_m = self.outer[1] - self.inner[1]
+        up = smoothstep((y - self.outer[0]) / lo_m) if lo_m > 0 else 1.0
+        down = smoothstep((self.outer[1] - y) / hi_m) if hi_m > 0 else 1.0
+        return up * down
 
 
 @dataclass
@@ -176,12 +199,12 @@ class TrivializingAtlas:
     The family must come from the catalog's constant-family construction
     over a 1-d base with a single fibre line coordinate; each chart is the
     groupoid isomorphism (y, x, ...) -> (y, x - sigma(y), ...) over its
-    window, which visibly commutes with the fibrewise structure maps.
+    window, which visibly commutes with the fibrewise structure maps. Every
+    window needs finite ends with outer[0] <= inner[0] < inner[1] <= outer[1].
     """
 
     family: GroupoidMorphism
     windows: list[AtlasWindow]
-    fiber: Groupoid
 
     def __post_init__(self):
         constant_family = (self.family.metadata.get("family")
@@ -190,6 +213,17 @@ class TrivializingAtlas:
             raise AtlasMismatch("atlas requires a catalog constant family over a 1-d base")
         if self.fiber.objects.dim != 1 or self.fiber.objects.patches[0].circ_count:
             raise AtlasMismatch("atlas fibres must carry a single line coordinate")
+        if not self.windows:
+            raise AtlasMismatch("an atlas needs at least one window")
+        for alpha, win in enumerate(self.windows):
+            ends = (win.outer[0], *win.inner, win.outer[1])
+            if not (all(map(math.isfinite, ends)) and ends[0] <= ends[1] < ends[2] <= ends[3]):
+                raise AtlasMismatch(f"window {alpha}: inner {win.inner}, outer {win.outer}; need "
+                                    "finite ends, outer[0] <= inner[0] < inner[1] <= outer[1]")
+
+    @property
+    def fiber(self) -> Groupoid:
+        return self.family.total.metadata["factors"][1]
 
     def validate(self, n_samples: int, seed: int, cfg: Config = DEFAULT) -> CheckReport:
         """pr1∘psi = pi, chart multiplicativity, and window margins."""
@@ -207,8 +241,8 @@ class TrivializingAtlas:
                 # product of the charts (shifts act only on the shared unit
                 # coordinates, so both sides agree exactly)
                 gh = G.compose(g, h)
-                lhs = gh.coords[1] - win.shift(y)
-                rhs = h.coords[1] - win.shift(y)
+                lhs = gh.coords[1] - win.shift.value(y)
+                rhs = h.coords[1] - win.shift.value(y)
                 worst.record("chart_multiplicative", abs(lhs - rhs), {"window": alpha})
         return worst.report("atlas", cfg.groupoid_tol_alg * 10, n_samples, seed)
 
@@ -222,34 +256,39 @@ class TrivializingAtlas:
         h = G.tfiber_sampler(G.src(g), rng)
         return g, h
 
+    def weights(self, y: float, x: float, slabs: Sequence[tuple] = (),
+                margin: float = 1.0) -> list[float]:
+        """The normalised window weights at the row (y, x), or [] where all
+        are 0: window beta's bump times, over the slabs (alpha, win, branches)
+        with alpha != beta, the smoothstep of the row's distance from each
+        branch over ``margin``, a product that stops at its first 0. Without
+        slabs they are a partition of unity on the inner windows."""
+        rho = []
+        for beta, win_beta in enumerate(self.windows):
+            prod = 1.0
+            for alpha, win, branches in slabs:
+                if alpha == beta or prod == 0.0:
+                    continue
+                dy = max(0.0, win.inner[0] - y, y - win.inner[1])
+                sigma = win.shift.value(y)
+                for b in branches:
+                    prod *= smoothstep(math.hypot(dy, x - sigma - b) / margin)
+                    if prod == 0.0:
+                        break
+            rho.append(win_beta.bump(y) * prod)
+        total = sum(rho)
+        if total <= 0.0:
+            return []
+        return [r / total for r in rho]
 
-def window_bump(win: AtlasWindow) -> Callable[[float], float]:
-    """Smooth bump of one window: 1 on the inner window, 0 outside the outer."""
-    lo_m = win.inner[0] - win.outer[0]
-    hi_m = win.outer[1] - win.inner[1]
-
-    def b(y: float) -> float:
-        up = smoothstep((y - win.outer[0]) / lo_m) if lo_m > 0 else 1.0
-        down = smoothstep((win.outer[1] - y) / hi_m) if hi_m > 0 else 1.0
-        return up * down
-
-    return b
-
-
-def bump_partition(windows: list[AtlasWindow]):
-    """Normalized window bumps: a partition of unity on the inner windows."""
-    raws = [window_bump(win) for win in windows]
-
-    def chi(alpha: int):
-        def f(y: float) -> float:
-            total = sum(b(y) for b in raws)
-            if total <= 0.0:
-                return 0.0
-            return raws[alpha](y) / total
-
-        return f
-
-    return [chi(a) for a in range(len(windows))]
+    def slope(self, y: float, weights: list[float]) -> float:
+        """The weighted sum of the windows' shift slopes at y (zero weights
+        are skipped)."""
+        total = 0.0
+        for win, weight in zip(self.windows, weights):
+            if weight:
+                total += weight * win.shift.deriv(y)
+        return total
 
 
 _PARTITION_CHECKS = 64   # grid intervals on which a partition's sum is checked
@@ -271,33 +310,24 @@ def slope_lift(slope: Callable[[float, float], float]) -> RowLift:
     return hor
 
 
-def glue_local_trivial(
-    family: GroupoidMorphism,
-    atlas: TrivializingAtlas,
-    partition: list[Callable[[float], float]],
-) -> Connection:
-    """Glue the chart-flat lifts through a base partition of unity.
+def glue_local_trivial(family: GroupoidMorphism, atlas: TrivializingAtlas) -> Connection:
+    """Glue the chart-flat lifts through the atlas's normalised bumps.
 
     The partition is pulled back through the family projection, which makes
-    it invariant automatically; a partition failing to sum to 1 on the base
-    (beyond 1e-10) raises PartitionGap. Objects and arrows share the (y, x)
-    leading coordinates, so one slope lift serves both.
+    it invariant automatically; a partition failing to sum to 1 on the inner
+    windows' hull (beyond 1e-10) raises PartitionGap. Outside every outer
+    window the slope is 0. Objects and arrows share the (y, x) leading
+    coordinates, so one slope lift serves both.
     """
-    if len(partition) != len(atlas.windows):
-        raise PartitionGap("one partition function per window is required")
-    # the inner windows must cover the working region; the sum is checked there
     lo = min(w.inner[0] for w in atlas.windows)
     hi = max(w.inner[1] for w in atlas.windows)
     for k in range(_PARTITION_CHECKS + 1):
         y = lo + (hi - lo) * k / _PARTITION_CHECKS
-        total = sum(chi(y) for chi in partition)
+        total = sum(atlas.weights(y, 0.0))
         if abs(total - 1.0) > 1e-10:
             raise PartitionGap(f"partition sums to {total!r} at y = {y!r}")
 
-    def slope(y: float, x: float) -> float:
-        return sum(chi(y) * win.shift_deriv(y) for chi, win in zip(partition, atlas.windows))
-
-    hor = slope_lift(slope)
+    hor = slope_lift(lambda y, x: atlas.slope(y, atlas.weights(y, x)))
     return Connection(
         morphism=family,
         hor=hor,
@@ -326,9 +356,7 @@ class HaarFiberQuadrature:
 
     @classmethod
     def from_groupoid(cls, G: Groupoid, node_count: int) -> "HaarFiberQuadrature":
-        if (isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer))
-                or node_count < 1):
-            raise InvalidParams(f"node count must be a positive integer, not {node_count!r}")
+        _require_count(node_count)
         _require_kernels(G)
         if not G.metadata.get("compact_tfibers"):
             raise QuadratureMissing(f"{G.name} has non-compact target fibres")
@@ -367,6 +395,12 @@ class HaarFiberQuadrature:
                 right = sum(w * f(h) for h, w in zip(nodes_t, w_t))
                 worst.record(f"left_invariance[{fi}]", abs(left - right), {"g": _coords(g)})
         return worst.report("haar_quadrature", cfg.constr_quad_tol * 10, n_samples, seed)
+
+
+def _require_count(n) -> None:
+    """Refuse a node or sample count that is not a positive integer."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidParams(f"a count must be a positive integer, not {n!r}")
 
 
 def _require_kernels(G: Groupoid) -> None:
@@ -703,13 +737,17 @@ def invariant_exhaustion(
 @dataclass
 class LevelSchedule:
     levels: dict[tuple[int, int], int]          # (i, alpha) -> integer level
-    per_window: list[list[int]]
     disjoint_verified: bool
     truncation_depth: int
     notes: list[str] = field(default_factory=list)
 
     def window_levels(self, alpha: int) -> list[int]:
-        return self.per_window[alpha]
+        return [self.levels[(i, alpha)] for i in range(self.truncation_depth)]
+
+    @property
+    def per_window(self) -> list[list[int]]:
+        windows = 1 + max((a for _, a in self.levels), default=-1)
+        return [self.window_levels(a) for a in range(windows)]
 
 
 def _window_overlap(a: AtlasWindow, b: AtlasWindow) -> Optional[Interval]:
@@ -746,7 +784,7 @@ def level_schedule(
             overlap = _window_overlap(win, windows[beta])
             if overlap is None:
                 continue
-            shift_diff = windows[beta].shift_interval(overlap) - win.shift_interval(overlap)
+            shift_diff = windows[beta].shift.interval(overlap) - win.shift.interval(overlap)
             for branch in profile.preimage_enclosures(n_jb):
                 value = profile.interval_value(branch + shift_diff)
                 if math.isinf(value.hi):
@@ -756,13 +794,9 @@ def level_schedule(
                 bound = max(bound, int(math.floor(value.hi)))
         levels[(i, alpha)] = bound + 1
 
-    per_window = [
-        [levels[(i, a)] for i in range(truncation_depth)] for a in range(len(windows))
-    ]
     disjoint, _, notes = verify_slab_disjointness(windows, profile, levels)
     return LevelSchedule(
         levels=levels,
-        per_window=per_window,
         disjoint_verified=disjoint,
         truncation_depth=truncation_depth,
         notes=notes,
@@ -810,7 +844,7 @@ def verify_slab_disjointness(
             overlap = _window_overlap(windows[alpha], windows[beta])
             if overlap is None:
                 continue
-            diff = windows[alpha].shift_interval(overlap) - windows[beta].shift_interval(overlap)
+            diff = windows[alpha].shift.interval(overlap) - windows[beta].shift.interval(overlap)
             for ba in branches_a:
                 for bb in branches_b:
                     D = ba - bb + diff
@@ -883,6 +917,7 @@ def complete_connection_builder(
     configured fibre box by a scheduled level radius. Any failed clause
     raises CertificateFailure naming the clause.
     """
+    _require_count(n_cert_samples)
     windows = atlas.windows
     disjoint, gap, notes = verify_slab_disjointness(windows, profile, schedule.levels)
     if not disjoint:
@@ -891,47 +926,20 @@ def complete_connection_builder(
         raise CertificateFailure("slab_disjointness: zero separation")
     margin = min(gap / 3.0, 0.25)
 
-    slab_data = [
+    slabs = [
         (alpha, windows[alpha], profile.preimage_points(n))
         for (i, alpha), n in sorted(schedule.levels.items())
     ]
 
-    def window_distance(y: float, win: AtlasWindow) -> float:
-        return max(0.0, win.inner[0] - y, y - win.inner[1])
-
-    def hole_factor(beta_excluded: int, y: float, x: float) -> float:
-        prod = 1.0
-        for alpha, win, branches in slab_data:
-            if alpha == beta_excluded:
-                continue
-            dy = window_distance(y, win)
-            sigma = win.shift(y)
-            for b in branches:
-                d = math.hypot(dy, x - sigma - b)
-                prod *= smoothstep(d / margin)
-                if prod == 0.0:
-                    return 0.0
-        return prod
-
-    raw_bumps = [window_bump(win) for win in windows]
-
-    def weights_at(y: float, x: float) -> list[float]:
-        rho = [raw_bumps[a](y) * hole_factor(a, y, x) for a in range(len(windows))]
-        total = sum(rho)
-        if total <= 0.0:
+    def weights(y: float, x: float) -> list[float]:
+        w = atlas.weights(y, x, slabs, margin)
+        if not w:
             raise CertificateFailure(
                 f"partition_cover: no window weight at (y, x) = ({y!r}, {x!r})"
             )
-        return [r / total for r in rho]
+        return w
 
-    def slope(y: float, x: float) -> float:
-        total = 0.0
-        for alpha, weight in enumerate(weights_at(y, x)):
-            if weight:
-                total += weight * windows[alpha].shift_deriv(y)
-        return total
-
-    hor = slope_lift(slope)
+    hor = slope_lift(lambda y, x: atlas.slope(y, weights(y, x)))
     connection = Connection(
         morphism=family,
         hor=hor,
@@ -947,44 +955,35 @@ def complete_connection_builder(
     invariance_residual = 0.0
     grid = [(k + 0.5) / n_cert_samples for k in range(n_cert_samples)]
     for alpha, win in enumerate(windows):
+        levels = schedule.window_levels(alpha)
         ys = [win.inner[0] + (win.inner[1] - win.inner[0]) * u for u in grid]
-        flat_worst = max(_chart_flat_deviation(
-            connection, win, profile, {n: ys for n in schedule.window_levels(alpha)}))
+        flat_worst = max(_chart_flat_deviation(connection, win, profile,
+                                               {n: ys for n in levels}))
         if flat_worst >= 1e-9:
             raise CertificateFailure(
                 f"flatness: window {alpha} deviates {flat_worst:.3e} on its slabs"
             )
-        max_radius = _level_radius(profile, schedule.window_levels(alpha))
+        max_radius = _level_radius(profile, levels)
         verified = profile.compact_fiber or max_radius.lo > box
         if not verified:
             raise CertificateFailure(
                 f"precompactness: window {alpha} has no scheduled level beyond the fibre box"
             )
-        window_certs.append(
-            WindowCertificate(
-                window=alpha,
-                levels=schedule.window_levels(alpha),
-                flatness_residual=flat_worst,
-                precompact_bound=fmt_bound(max_radius),
-                precompact_verified=verified,
-            )
-        )
+        window_certs.append(WindowCertificate(
+            window=alpha, levels=levels, flatness_residual=flat_worst,
+            precompact_bound=fmt_bound(max_radius), precompact_verified=verified))
 
     for k in range(64):
         rng = rng_for(seed, 101, k)
         y = float(rng.uniform(min(w.outer[0] for w in windows) + 0.01,
                               max(w.outer[1] for w in windows) - 0.01))
         x = float(rng.uniform(-box, box))
-        partition_residual = max(
-            partition_residual, abs(sum(weights_at(y, x)) - 1.0)
-        )
+        partition_residual = max(partition_residual, abs(sum(weights(y, x)) - 1.0))
         g = G.arrow_sampler(rng)
-        s_val = weights_at(G.src(g).coords[0], G.src(g).coords[1])
-        t_val = weights_at(G.tgt(g).coords[0], G.tgt(g).coords[1])
-        invariance_residual = max(
-            invariance_residual,
-            max(abs(a - b) for a, b in zip(s_val, t_val)),
-        )
+        s_val = weights(*G.src(g).coords[:2])
+        t_val = weights(*G.tgt(g).coords[:2])
+        invariance_residual = max(invariance_residual,
+                                  max(abs(a - b) for a, b in zip(s_val, t_val)))
     if partition_residual > 1e-10:
         raise CertificateFailure(f"partition_sum: residual {partition_residual:.3e}")
     if invariance_residual > cfg.groupoid_tol_alg * 10:
@@ -1015,12 +1014,12 @@ def _chart_flat_deviation(c: Connection, win: AtlasWindow, profile: ExhaustionPr
     for n, ys in ys_by_level.items():
         for b in profile.preimage_points(n):
             for y in ys:
-                x = win.shift(y) + b
+                x = win.shift.value(y) + b
                 for patch_index, patch in enumerate(arrows.patches):
                     g = Point.raw(arrows, patch_index, (y, x) + (0.0,) * (patch.dim - 2))
                     w = Tangent(c.morphism.arrow_map(g), (1.0,))
                     v = np.array(c.hor(g, w).coeffs, dtype=float)
-                    v[1] -= win.shift_deriv(y) * v[0]
+                    v[1] -= win.shift.deriv(y) * v[0]
                     worst_base = max(worst_base, abs(v[0] - 1.0))
                     worst_fiber = max(worst_fiber, float(np.max(np.abs(v[1:]))))
     return worst_base, worst_fiber
@@ -1057,6 +1056,7 @@ def flatness_certificate_check(
     within 1e-8); precompactness of complement components meeting the fibre
     box is re-verified from the level enclosures.
     """
+    _require_count(n_samples)
     if c.total.arrows is not atlas.family.total.arrows:
         raise AtlasMismatch("connection and atlas live on different families")
     worst_fiber = 0.0

@@ -34,6 +34,7 @@ from .constructions import (
     AtlasWindow,
     HaarFiberQuadrature,
     RowField,
+    SineShift,
     TrivializingAtlas,
     complete_connection_builder,
     flatness_certificate_check,
@@ -435,21 +436,8 @@ def sproper_setup(cfg: Config = DEFAULT):
     """Two-window shifted atlas on the Z2-bundle family over a line."""
     fiber = cat.group_bundle(line(1, name="F"), "finite", order=2)
     fam = cat.trivial_family(line(1, name="N"), fiber)
-
-    def mk_window(inner, outer, amp):
-        return AtlasWindow(
-            inner, outer,
-            lambda y: amp * math.sin(y),
-            lambda y: amp * math.cos(y),
-            lambda iv: amp * iv.sin(),
-        )
-
-    atlas = TrivializingAtlas(
-        fam,
-        [mk_window((-2.8, 0.8), (-3.2, 1.2), 0.0),
-         mk_window((-0.8, 2.8), (-1.2, 3.2), 0.3)],
-        fiber,
-    )
+    atlas = TrivializingAtlas(fam, [AtlasWindow((-2.8, 0.8), (-3.2, 1.2), SineShift(0.0)),
+                                    AtlasWindow((-0.8, 2.8), (-1.2, 3.2), SineShift(0.3))])
     profile, _ = invariant_exhaustion(fiber, 16, 0, cfg)
     schedule = level_schedule(atlas, profile)
     return fam, atlas, profile, schedule

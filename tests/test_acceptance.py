@@ -6,7 +6,6 @@ pass/fail lines.
 import math
 
 import numpy as np
-import pytest
 
 import grpdconn.catalog as cat
 from grpdconn.config import DEFAULT
@@ -37,7 +36,6 @@ from grpdconn.scenarios import (
     morita_closed_form_end,
     morita_setup,
     pair_fibration_setup,
-    proper_average_connection,
     punctured_bundle_setup,
     run_scenario,
     skewed_family_field,

@@ -13,7 +13,7 @@ import grpdconn.catalog as cat
 import grpdconn.transport as transport
 from grpdconn.config import DEFAULT
 from grpdconn.connection import Connection, RowLift, kernel_connection
-from grpdconn.constructions import bump_partition, glue_local_trivial
+from grpdconn.constructions import glue_local_trivial
 from grpdconn.errors import StartFiberMismatch
 from grpdconn.geometry import Point, Tangent, line
 from grpdconn.groupoid import rng_for
@@ -55,7 +55,7 @@ def _bits(values) -> list[int]:
 
 def _glued_sproper():
     fam, atlas, _, _ = sproper_setup()
-    return glue_local_trivial(fam, atlas, bump_partition(atlas.windows))
+    return glue_local_trivial(fam, atlas)
 
 
 CONNECTIONS = {

@@ -1,11 +1,9 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 import grpdconn.catalog as cat
-from grpdconn.config import DEFAULT
 from grpdconn.connection import (
     Connection,
     MULTIPLICATIVE,
@@ -270,7 +268,7 @@ def test_uniform_fibration_factors_through_pullback():
     # lift on the comparison iso with the pullback lift reproduces the flat
     # product connection
     from grpdconn.constructions import morita_connection
-    from grpdconn.geometry import Patch, Space, circle
+    from grpdconn.geometry import circle
     from grpdconn.groupoid import GroupoidMorphism
     from grpdconn.scenarios import pair_fibration_setup
     from grpdconn.smoothmap import SmoothMap

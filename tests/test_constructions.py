@@ -17,14 +17,12 @@ from grpdconn.connection import (
 from grpdconn.constructions import (
     AtlasWindow,
     HaarFiberQuadrature,
+    SineShift,
     TrivializingAtlas,
-    bump_partition,
     complete_connection_builder,
-    constant_profile,
     flatness_certificate_check,
     glue_local_trivial,
     haar_average,
-    hyperbolic_profile,
     invariant_exhaustion,
     level_schedule,
     morita_compare,
@@ -33,7 +31,9 @@ from grpdconn.constructions import (
     verify_slab_disjointness,
 )
 from grpdconn.errors import (
+    AtlasMismatch,
     CertificateFailure,
+    InvalidParams,
     NonProjectableInput,
     NotSourceProper,
     PartitionGap,
@@ -177,10 +177,8 @@ def test_morita_rows_match_point_reference(setup):
 
 def test_single_window_glue_is_flat():
     fam, atlas, profile, schedule = sproper_setup()
-    single = TrivializingAtlas(fam, [atlas.windows[0].__class__(
-        (-2.8, 2.8), (-3.2, 3.2),
-        lambda y: 0.0, lambda y: 0.0, lambda iv: iv * 0.0)], atlas.fiber)
-    c = glue_local_trivial(fam, single, bump_partition(single.windows))
+    single = TrivializingAtlas(fam, [AtlasWindow((-2.8, 2.8), (-3.2, 3.2), SineShift(0.0))])
+    c = glue_local_trivial(fam, single)
     g = fam.total.arrow_sampler(rng_for(3, 0))
     w = Tangent(fam.arrow_map(g), (1.0,))
     assert c.hor(g, w).coeffs == (1.0, 0.0)
@@ -190,7 +188,7 @@ def test_single_window_glue_is_flat():
 
 def test_two_window_glue_multiplicative():
     fam, atlas, profile, schedule = sproper_setup()
-    c = glue_local_trivial(fam, atlas, bump_partition(atlas.windows))
+    c = glue_local_trivial(fam, atlas)
     rep = multiplicativity_check_pointwise(c, 40, seed=3)
     assert rep.verdict == MULTIPLICATIVE
     v = completeness_probe(c, lambda rng: _box_path(fam, rng), 40, seed=3)
@@ -203,7 +201,7 @@ def test_two_window_glue_is_not_slab_flat():
     # slopes, which the chart-flat clause rejects (the builder's slab-avoiding
     # partition passes it: test_builder_and_recheck)
     fam, atlas, profile, sched = sproper_setup()
-    c = glue_local_trivial(fam, atlas, bump_partition(atlas.windows))
+    c = glue_local_trivial(fam, atlas)
     assert c.hor is c.hor0
     fv = flatness_certificate_check(c, atlas, sched.per_window, profile, 6, 2)
     assert fv.worst_base_residual == 0.0
@@ -218,11 +216,26 @@ def _box_path(fam, rng):
     return gamma, fam.fiber_sampler(gamma.point(0.0), rng)
 
 
+def _apart_windows() -> list[AtlasWindow]:
+    # two windows that leave (-1.5, 1.5) uncovered
+    return [AtlasWindow((-2.8, -1.6), (-3.0, -1.5), SineShift(0.0)),
+            AtlasWindow((1.6, 2.8), (1.5, 3.0), SineShift(0.0))]
+
+
 def test_partition_gap_detected():
     fam, atlas, profile, schedule = sproper_setup()
-    gappy = [lambda y: 0.5 * chi(y) for chi in bump_partition(atlas.windows)]
+    gappy = TrivializingAtlas(fam, _apart_windows())
     with pytest.raises(PartitionGap):
-        glue_local_trivial(fam, atlas, gappy)
+        glue_local_trivial(fam, gappy)
+
+
+def test_glued_slope_is_zero_outside_every_outer_window():
+    fam, atlas, profile, schedule = sproper_setup()
+    c = glue_local_trivial(fam, atlas)
+    C = np.array([[-4.0, 0.5], [3.5, -1.0], [0.0, 0.0]])
+    got = c.hor.rows(0, C, np.ones((3, 1)))
+    assert got[:2, 1].tolist() == [0.0, 0.0]
+    assert got[2, 1] == atlas.slope(0.0, atlas.weights(0.0, 0.0)) != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +462,7 @@ def test_not_source_proper_rejected():
 
 def test_single_window_schedule():
     fam, atlas, profile, _ = sproper_setup()
-    single = TrivializingAtlas(fam, [atlas.windows[0]], atlas.fiber)
+    single = TrivializingAtlas(fam, [atlas.windows[0]])
     sched = level_schedule(single, profile, truncation_depth=4)
     levels = sched.per_window[0]
     assert levels == sorted(levels) and len(set(levels)) == 4
@@ -465,11 +478,7 @@ def test_two_window_schedule_interleaves_and_separates():
 
 def test_disjoint_windows_schedule_independent():
     fam, atlas, profile, _ = sproper_setup()
-    w0 = AtlasWindow((-2.8, -1.6), (-3.0, -1.5), lambda y: 0.0, lambda y: 0.0,
-                     lambda iv: iv * 0.0)
-    w1 = AtlasWindow((1.6, 2.8), (1.5, 3.0), lambda y: 0.0, lambda y: 0.0,
-                     lambda iv: iv * 0.0)
-    apart = TrivializingAtlas(fam, [w0, w1], atlas.fiber)
+    apart = TrivializingAtlas(fam, _apart_windows())
     sched = level_schedule(apart, profile, truncation_depth=3)
     # no overlap constraints: both windows use the same independent ladder
     assert sched.per_window[0] == sched.per_window[1]
@@ -489,9 +498,7 @@ def test_builder_and_recheck():
 
 def test_flat_connection_certifies_with_any_levels():
     fam, atlas, profile, sched = sproper_setup()
-    single = TrivializingAtlas(fam, [AtlasWindow(
-        (-2.8, 2.8), (-3.2, 3.2), lambda y: 0.0, lambda y: 0.0,
-        lambda iv: iv * 0.0)], atlas.fiber)
+    single = TrivializingAtlas(fam, [AtlasWindow((-2.8, 2.8), (-3.2, 3.2), SineShift(0.0))])
 
     def hor(g, w):
         return Tangent(g, (w.coeffs[0], 0.0))
@@ -503,9 +510,7 @@ def test_flat_connection_certifies_with_any_levels():
 
 def test_skewed_connection_fails_flatness_clause():
     fam, atlas, profile, _ = sproper_setup()
-    single = TrivializingAtlas(fam, [AtlasWindow(
-        (-2.8, 2.8), (-3.2, 3.2), lambda y: 0.0, lambda y: 0.0,
-        lambda iv: iv * 0.0)], atlas.fiber)
+    single = TrivializingAtlas(fam, [AtlasWindow((-2.8, 2.8), (-3.2, 3.2), SineShift(0.0))])
 
     def skewed(g, w):
         return Tangent(g, (w.coeffs[0], 0.3 * w.coeffs[0]))
@@ -514,6 +519,60 @@ def test_skewed_connection_fails_flatness_clause():
     fv = flatness_certificate_check(c, single, [[4]], profile, 6, 2)
     assert fv.verdict == "NotCertified"
     assert "chart_flat_form" in fv.failed_clauses
+
+
+def test_builder_refuses_a_gap_in_the_cover():
+    fam, atlas, profile, _ = sproper_setup()
+    gappy = TrivializingAtlas(fam, _apart_windows())
+    sched = level_schedule(gappy, profile, truncation_depth=4)
+    with pytest.raises(CertificateFailure, match="^partition_cover"):
+        complete_connection_builder(fam, gappy, sched, profile, n_cert_samples=4, seed=2)
+
+
+def test_raised_level_moves_the_window_levels():
+    # a level raised after scheduling keeps the slabs disjoint; the builder
+    # must check flatness at the raised level, not at a stale copy
+    fam, atlas, profile, sched = sproper_setup()
+    sched.levels[(2, 1)] += 2
+    assert sched.window_levels(1) == [0, 2, 6] == sched.per_window[1]
+    conn, cert = complete_connection_builder(fam, atlas, sched, profile,
+                                             n_cert_samples=8, seed=2)
+    assert cert.verdict == "CertifiedComplete"
+    assert [w.levels for w in cert.windows] == sched.per_window
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, True, "6", None])
+def test_sample_counts_must_be_positive_integers(n):
+    fam, atlas, profile, sched = sproper_setup()
+    c = glue_local_trivial(fam, atlas)
+    with pytest.raises(InvalidParams):
+        flatness_certificate_check(c, atlas, sched.per_window, profile, n, 1)
+    with pytest.raises(InvalidParams):
+        complete_connection_builder(fam, atlas, sched, profile, n_cert_samples=n, seed=2)
+
+
+@pytest.mark.parametrize("inner, outer", [
+    ((2.8, -0.8), (3.2, -1.2)),             # reversed ends
+    ((-0.8, 2.8), (-0.5, 3.2)),             # inner starts before outer
+    ((-0.8, 3.4), (-1.2, 3.2)),             # inner ends after outer
+    ((1.0, 1.0), (0.5, 1.5)),               # empty inner window
+    ((-0.8, 2.8), (-math.inf, 3.2)),        # infinite end
+    ((-0.8, math.nan), (-1.2, 3.2)),        # NaN end
+])
+def test_atlas_refuses_malformed_windows(inner, outer):
+    fam, atlas, _, _ = sproper_setup()
+    with pytest.raises(AtlasMismatch):
+        TrivializingAtlas(fam, [AtlasWindow(inner, outer, SineShift(0.0))])
+
+
+def test_atlas_needs_a_window_and_reads_its_fibre_from_the_family():
+    fam, atlas, _, _ = sproper_setup()
+    with pytest.raises(AtlasMismatch):
+        TrivializingAtlas(fam, [])
+    # zero margins are legal
+    flush = TrivializingAtlas(fam, [AtlasWindow((-1.0, 1.0), (-1.0, 1.0), SineShift(0.0))])
+    assert flush.windows[0].bump(-1.0) == flush.windows[0].bump(1.0) == 1.0
+    assert atlas.fiber is fam.total.metadata["factors"][1]
 
 
 def test_injected_overlap_fails():
@@ -525,14 +584,12 @@ def test_injected_overlap_fails():
 
 def test_unbounded_supremum_rejected():
     from grpdconn.errors import SupremumUnbounded
-    from grpdconn.intervals import Interval
 
     fam, atlas, profile, _ = sproper_setup()
-    wild = AtlasWindow((-2.8, 0.8), (-3.2, 1.2), lambda y: 0.0, lambda y: 0.0,
-                       lambda iv: Interval.of(0.0, math.inf))
-    overlapping = AtlasWindow((-0.8, 2.8), (-1.2, 3.2), lambda y: 0.0,
-                              lambda y: 0.0, lambda iv: Interval.point(0.0))
-    bad_atlas = TrivializingAtlas(fam, [wild, overlapping], atlas.fiber)
+    # the interval extension of 1e308 sin overflows to an infinite bound
+    wild = AtlasWindow((-2.8, 0.8), (-3.2, 1.2), SineShift(1e308))
+    overlapping = AtlasWindow((-0.8, 2.8), (-1.2, 3.2), SineShift(0.0))
+    bad_atlas = TrivializingAtlas(fam, [wild, overlapping])
     with pytest.raises(SupremumUnbounded):
         level_schedule(bad_atlas, profile, truncation_depth=2)
 

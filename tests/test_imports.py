@@ -1,4 +1,5 @@
-"""Unused-import lint: every name a module imports must be referenced in it.
+"""Unused-import lint: every name a module of ``src/grpdconn`` or a test
+module imports must be referenced in it.
 
 Package re-exports in ``__init__.py`` and ``from __future__`` imports are
 exempt. Names are collected from the module's syntax tree, including names
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "grpdconn"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "grpdconn").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
