@@ -17,14 +17,16 @@ Layers:
   A trivializing atlas declares each window's shift once (``SineShift``:
   value, derivative, interval extension), reads its fibre from the family,
   and owns the one window-weight function that the glued lift, the
-  builder's lift and the certificate share.
+  builder's lift and the certificate share. A ``LevelSchedule`` holds its
+  atlas, profile and levels and derives its depth, radii and disjointness;
+  the builder, its recheck and the disjointness proof read that record.
 - ``scenarios``, ``cli``: the named scenario registry and its CLI.
 
 Exported beyond what the scenarios run, each for a statement of the paper:
 ``vb_subgroupoid_check`` with ``kernel_frames``, ``full_tangent_frames``,
 ``core_side_decomposition`` and ``tangent_structure_maps`` (a multiplicative
-connection is a VB-subgroupoid of TG); ``glue_local_trivial``, which
-glues the chart-flat lifts of a ``TrivializingAtlas`` through its
+connection is a VB-subgroupoid of TG); ``glue_local_trivial(atlas)``,
+which glues the chart-flat lifts of a ``TrivializingAtlas`` through its
 normalised window bumps (locally trivial families admit one);
 ``multiplicative_vf_lift`` (a multiplicative connection on a family lifts
 base vector fields to multiplicative ones); ``morphism_check`` (a

@@ -13,7 +13,7 @@ own interval extensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -237,9 +237,9 @@ class TrivializingAtlas:
                 y = float(rng.uniform(win.outer[0], win.outer[1]))
                 g, h = self._sample_pair_over(y, rng)
                 worst.record("projection_compat", abs(g.coords[0] - y), {"window": alpha})
-                # psi is a groupoid morphism: the chart of a product is the
-                # product of the charts (shifts act only on the shared unit
-                # coordinates, so both sides agree exactly)
+                # sigma(y) cancels, so this tests that composition keeps h's
+                # fibre coordinate: the chart class of bundles of groups over
+                # a line (a pair-groupoid fibre fails it)
                 gh = G.compose(g, h)
                 lhs = gh.coords[1] - win.shift.value(y)
                 rhs = h.coords[1] - win.shift.value(y)
@@ -310,7 +310,7 @@ def slope_lift(slope: Callable[[float, float], float]) -> RowLift:
     return hor
 
 
-def glue_local_trivial(family: GroupoidMorphism, atlas: TrivializingAtlas) -> Connection:
+def glue_local_trivial(atlas: TrivializingAtlas) -> Connection:
     """Glue the chart-flat lifts through the atlas's normalised bumps.
 
     The partition is pulled back through the family projection, which makes
@@ -329,7 +329,7 @@ def glue_local_trivial(family: GroupoidMorphism, atlas: TrivializingAtlas) -> Co
 
     hor = slope_lift(lambda y, x: atlas.slope(y, atlas.weights(y, x)))
     return Connection(
-        morphism=family,
+        morphism=atlas.family,
         hor=hor,
         hor0=hor,
         metadata={"provenance": "glued_local_trivial", "claimed_multiplicative": True},
@@ -648,7 +648,6 @@ class ExhaustionProfile:
     interval_value: Callable[[Interval], Interval]
     preimage_points: Callable[[int], list[float]]
     preimage_enclosures: Callable[[int], list[Interval]]
-    compact_fiber: bool = False
 
 
 def hyperbolic_profile() -> ExhaustionProfile:
@@ -686,7 +685,6 @@ def constant_profile(c: float = 1.0) -> ExhaustionProfile:
         interval_value=lambda iv: Interval.point(c),
         preimage_points=lambda level: [],
         preimage_enclosures=lambda level: [],
-        compact_fiber=True,
     )
 
 
@@ -712,7 +710,7 @@ def invariant_exhaustion(
             abs(profile.value(fiber.src(g)) - profile.value(fiber.tgt(g))),
             {"g": _coords(g)},
         )
-    if not profile.compact_fiber:
+    if not compact:
         F = fiber.objects
         rs = [0.25 * k for k in range(1, 17)]
         for direction in (-1.0, 1.0):
@@ -736,18 +734,40 @@ def invariant_exhaustion(
 
 @dataclass
 class LevelSchedule:
+    """Integer slab levels of an atlas under an exhaustion profile; the depth,
+    the per-window levels, their radii and disjointness are read from these
+    three fields, so an edited level is the one every reader sees."""
+
+    atlas: TrivializingAtlas
+    profile: ExhaustionProfile
     levels: dict[tuple[int, int], int]          # (i, alpha) -> integer level
-    disjoint_verified: bool
-    truncation_depth: int
-    notes: list[str] = field(default_factory=list)
+
+    @property
+    def truncation_depth(self) -> int:
+        return 1 + max((i for i, _ in self.levels), default=-1)
+
+    @property
+    def disjoint_verified(self) -> bool:
+        return verify_slab_disjointness(self)[0]
 
     def window_levels(self, alpha: int) -> list[int]:
         return [self.levels[(i, alpha)] for i in range(self.truncation_depth)]
 
     @property
     def per_window(self) -> list[list[int]]:
-        windows = 1 + max((a for _, a in self.levels), default=-1)
-        return [self.window_levels(a) for a in range(windows)]
+        return [self.window_levels(a) for a in range(len(self.atlas.windows))]
+
+    def radius(self, alpha: int) -> Interval:
+        """Enclosure of the largest |preimage| over window alpha's levels: the
+        radius its slabs reach in the fibre (the first enclosure with the
+        largest lower end wins)."""
+        radius = Interval.point(0.0)
+        for n in self.window_levels(alpha):
+            for enc in self.profile.preimage_enclosures(n):
+                r = enc.abs()
+                if r.lo > radius.lo:
+                    radius = r
+        return radius
 
 
 def _window_overlap(a: AtlasWindow, b: AtlasWindow) -> Optional[Interval]:
@@ -767,8 +787,8 @@ def level_schedule(
 
     Each new level strictly dominates the rigorous interval bound of the
     exhaustion over every earlier slab that meets the window, so the closed
-    slabs Z^{i,alpha} are pairwise disjoint; disjointness is then re-verified
-    by interval arithmetic (over-approximating the transition dependence,
+    slabs Z^{i,alpha} are pairwise disjoint; ``disjoint_verified`` re-verifies
+    this by interval arithmetic (over-approximating the transition dependence,
     which is sound for the certificate).
     """
     windows = atlas.windows
@@ -793,25 +813,15 @@ def level_schedule(
                     )
                 bound = max(bound, int(math.floor(value.hi)))
         levels[(i, alpha)] = bound + 1
-
-    disjoint, _, notes = verify_slab_disjointness(windows, profile, levels)
-    return LevelSchedule(
-        levels=levels,
-        disjoint_verified=disjoint,
-        truncation_depth=truncation_depth,
-        notes=notes,
-    )
+    return LevelSchedule(atlas, profile, levels)
 
 
-def verify_slab_disjointness(
-    windows: list[AtlasWindow],
-    profile: ExhaustionProfile,
-    levels: dict[tuple[int, int], int],
-) -> tuple[bool, float, list[str]]:
+def verify_slab_disjointness(schedule: LevelSchedule) -> tuple[bool, float, list[str]]:
     """Interval re-verification of pairwise slab disjointness.
 
     Returns (disjoint, gap lower bound in the global fibre coordinate, notes).
     """
+    windows, profile, levels = schedule.atlas.windows, schedule.profile, schedule.levels
     notes: list[str] = []
     disjoint = True
     gap = math.inf
@@ -856,19 +866,6 @@ def verify_slab_disjointness(
     return disjoint, (0.0 if math.isinf(gap) else gap), notes
 
 
-def _level_radius(profile: ExhaustionProfile, levels: list[int]) -> Interval:
-    """Enclosure of the largest |preimage| over a window's levels: the radius
-    its slabs reach in the fibre (the first enclosure with the largest lower
-    end wins)."""
-    radius = Interval.point(0.0)
-    for n in levels:
-        for enc in profile.preimage_enclosures(n):
-            r = enc.abs()
-            if r.lo > radius.lo:
-                radius = r
-    return radius
-
-
 def _interval_separation(a: Interval, b: Interval) -> float:
     if a.intersects(b):
         return 0.0
@@ -896,7 +893,6 @@ class CompletenessCertificate:
     windows: list[WindowCertificate]
     partition_sum_residual: float
     invariance_residual: float
-    notes: list[str] = field(default_factory=list)
 
 
 def complete_connection_builder(
@@ -915,11 +911,14 @@ def complete_connection_builder(
     lift on each slab (flatness clause). The precompactness clause bounds,
     by interval arithmetic, every complement component meeting the
     configured fibre box by a scheduled level radius. Any failed clause
-    raises CertificateFailure naming the clause.
+    raises CertificateFailure naming the clause; a family, atlas or profile
+    other than the schedule's raises AtlasMismatch.
     """
     _require_count(n_cert_samples)
+    if not (family is atlas.family and atlas is schedule.atlas and profile is schedule.profile):
+        raise AtlasMismatch("the builder needs the family, atlas and profile of its schedule")
     windows = atlas.windows
-    disjoint, gap, notes = verify_slab_disjointness(windows, profile, schedule.levels)
+    disjoint, gap, notes = verify_slab_disjointness(schedule)
     if not disjoint:
         raise CertificateFailure("slab_disjointness: " + "; ".join(notes[:3]))
     if gap <= 0.0:
@@ -941,7 +940,7 @@ def complete_connection_builder(
 
     hor = slope_lift(lambda y, x: atlas.slope(y, weights(y, x)))
     connection = Connection(
-        morphism=family,
+        morphism=atlas.family,
         hor=hor,
         hor0=hor,  # objects and arrows share the (y, x) leading coordinates
         metadata={"provenance": "complete_builder", "claimed_multiplicative": True},
@@ -949,7 +948,7 @@ def complete_connection_builder(
 
     # --- certificate clauses -------------------------------------------------
     box = cfg.constr_box
-    G = family.total
+    G = atlas.family.total
     window_certs = []
     partition_residual = 0.0
     invariance_residual = 0.0
@@ -963,8 +962,8 @@ def complete_connection_builder(
             raise CertificateFailure(
                 f"flatness: window {alpha} deviates {flat_worst:.3e} on its slabs"
             )
-        max_radius = _level_radius(profile, levels)
-        verified = profile.compact_fiber or max_radius.lo > box
+        max_radius = schedule.radius(alpha)
+        verified = max_radius.lo > box
         if not verified:
             raise CertificateFailure(
                 f"precompactness: window {alpha} has no scheduled level beyond the fibre box"
@@ -996,9 +995,6 @@ def complete_connection_builder(
         windows=window_certs,
         partition_sum_residual=partition_residual,
         invariance_residual=invariance_residual,
-        notes=[
-            "flatness and precompactness certified relative to the configured fibre box",
-        ],
     )
     return connection, certificate
 
@@ -1042,9 +1038,7 @@ class FlatnessVerdict:
 
 def flatness_certificate_check(
     c: Connection,
-    atlas: TrivializingAtlas,
-    level_values: list[list[int]],
-    profile: ExhaustionProfile,
+    schedule: LevelSchedule,
     n_samples: int,
     seed: int,
     cfg: Config = DEFAULT,
@@ -1057,6 +1051,7 @@ def flatness_certificate_check(
     box is re-verified from the level enclosures.
     """
     _require_count(n_samples)
+    atlas, profile = schedule.atlas, schedule.profile
     if c.total.arrows is not atlas.family.total.arrows:
         raise AtlasMismatch("connection and atlas live on different families")
     worst_fiber = 0.0
@@ -1068,11 +1063,11 @@ def flatness_certificate_check(
         base, fiber = _chart_flat_deviation(c, win, profile, {
             n: [float(rng_for(seed, 103, alpha, n, k).uniform(win.inner[0], win.inner[1]))
                 for k in range(n_samples)]
-            for n in level_values[alpha]})
+            for n in schedule.window_levels(alpha)})
         worst_base, worst_fiber = max(worst_base, base), max(worst_fiber, fiber)
-        max_radius = _level_radius(profile, level_values[alpha])
+        max_radius = schedule.radius(alpha)
         bounds.append(fmt_bound(max_radius))
-        if not (profile.compact_fiber or max_radius.lo > box):
+        if not max_radius.lo > box:
             failed.append(f"precompactness[window {alpha}]")
     if worst_fiber >= 1e-8 or worst_base >= 1e-8:
         failed.append("chart_flat_form")

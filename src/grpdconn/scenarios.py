@@ -760,8 +760,7 @@ def _run_sproper(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
                       for w in cert.windows
                   ]})
 
-    fv = flatness_certificate_check(conn, atlas, schedule.per_window, profile,
-                                    _scale(12, scale), seed, cfg)
+    fv = flatness_certificate_check(conn, schedule, _scale(12, scale), seed, cfg)
     yield _check("certificate_recheck", fv.verdict, "CertifiedComplete",
                  max(fv.worst_fiber_residual, fv.worst_base_residual),
                  None, fv.n_samples, {"bounds": fv.precompact_bounds})
@@ -844,7 +843,7 @@ def _registry() -> dict[str, Scenario]:
             "fibrewise complement that fails the product clause",
             "abelian-group counterexample: the horizontal space is not a subgroup",
             _run_luca,
-            lambda cfg: luca_setup(cfg),
+            luca_setup,
         ),
         Scenario(
             "so2_action_no_mec",
@@ -862,7 +861,7 @@ def _registry() -> dict[str, Scenario]:
             "local diffeomorphism with a non-covering projection: multiplicative "
             "but incomplete; the base stays complete",
             _run_punctured_bundle,
-            lambda cfg: punctured_bundle_setup(cfg=cfg),
+            punctured_bundle_setup,
         ),
         Scenario(
             "disjoint_union_cover",
@@ -871,7 +870,7 @@ def _registry() -> dict[str, Scenario]:
             "kernel completeness does not transfer without the fibration "
             "hypothesis",
             _run_cover,
-            lambda cfg: cover_setup(cfg=cfg),
+            cover_setup,
         ),
         Scenario(
             "morita_pullback",
@@ -880,7 +879,7 @@ def _registry() -> dict[str, Scenario]:
             "pullback projections carry a unique lift per base connection; "
             "completeness transfers from the base",
             _run_morita,
-            lambda cfg: morita_setup(cfg),
+            morita_setup,
         ),
         Scenario(
             "pair_fibration_kernel_thm",
@@ -913,7 +912,7 @@ def _registry() -> dict[str, Scenario]:
             "first factor: a fibration that is not uniform",
             "the comparison map to the pullback groupoid drops rank on products",
             _run_product_not_uniform,
-            lambda cfg: product_not_uniform_setup(cfg),
+            product_not_uniform_setup,
         ),
         Scenario(
             "splitting_fixture",

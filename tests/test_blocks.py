@@ -54,8 +54,7 @@ def _bits(values) -> list[int]:
 
 
 def _glued_sproper():
-    fam, atlas, _, _ = sproper_setup()
-    return glue_local_trivial(fam, atlas)
+    return glue_local_trivial(sproper_setup()[1])
 
 
 CONNECTIONS = {

@@ -17,9 +17,11 @@ from grpdconn.connection import (
 from grpdconn.constructions import (
     AtlasWindow,
     HaarFiberQuadrature,
+    LevelSchedule,
     SineShift,
     TrivializingAtlas,
     complete_connection_builder,
+    constant_profile,
     flatness_certificate_check,
     glue_local_trivial,
     haar_average,
@@ -28,6 +30,7 @@ from grpdconn.constructions import (
     morita_compare,
     morita_connection,
     proper_family_connection,
+    slope_lift,
     verify_slab_disjointness,
 )
 from grpdconn.errors import (
@@ -49,6 +52,7 @@ from grpdconn.scenarios import (
     proper_average_connection,
     skewed_family_field,
     so2_family_setup,
+    sproper_paths,
     sproper_setup,
 )
 from grpdconn.smoothmap import jacobian
@@ -178,7 +182,7 @@ def test_morita_rows_match_point_reference(setup):
 def test_single_window_glue_is_flat():
     fam, atlas, profile, schedule = sproper_setup()
     single = TrivializingAtlas(fam, [AtlasWindow((-2.8, 2.8), (-3.2, 3.2), SineShift(0.0))])
-    c = glue_local_trivial(fam, single)
+    c = glue_local_trivial(single)
     g = fam.total.arrow_sampler(rng_for(3, 0))
     w = Tangent(fam.arrow_map(g), (1.0,))
     assert c.hor(g, w).coeffs == (1.0, 0.0)
@@ -188,7 +192,7 @@ def test_single_window_glue_is_flat():
 
 def test_two_window_glue_multiplicative():
     fam, atlas, profile, schedule = sproper_setup()
-    c = glue_local_trivial(fam, atlas)
+    c = glue_local_trivial(atlas)
     rep = multiplicativity_check_pointwise(c, 40, seed=3)
     assert rep.verdict == MULTIPLICATIVE
     v = completeness_probe(c, lambda rng: _box_path(fam, rng), 40, seed=3)
@@ -201,9 +205,9 @@ def test_two_window_glue_is_not_slab_flat():
     # slopes, which the chart-flat clause rejects (the builder's slab-avoiding
     # partition passes it: test_builder_and_recheck)
     fam, atlas, profile, sched = sproper_setup()
-    c = glue_local_trivial(fam, atlas)
+    c = glue_local_trivial(atlas)
     assert c.hor is c.hor0
-    fv = flatness_certificate_check(c, atlas, sched.per_window, profile, 6, 2)
+    fv = flatness_certificate_check(c, sched, 6, 2)
     assert fv.worst_base_residual == 0.0
     assert fv.worst_fiber_residual > 1e-2
     assert "chart_flat_form" in fv.failed_clauses
@@ -226,12 +230,12 @@ def test_partition_gap_detected():
     fam, atlas, profile, schedule = sproper_setup()
     gappy = TrivializingAtlas(fam, _apart_windows())
     with pytest.raises(PartitionGap):
-        glue_local_trivial(fam, gappy)
+        glue_local_trivial(gappy)
 
 
 def test_glued_slope_is_zero_outside_every_outer_window():
     fam, atlas, profile, schedule = sproper_setup()
-    c = glue_local_trivial(fam, atlas)
+    c = glue_local_trivial(atlas)
     C = np.array([[-4.0, 0.5], [3.5, -1.0], [0.0, 0.0]])
     got = c.hor.rows(0, C, np.ones((3, 1)))
     assert got[:2, 1].tolist() == [0.0, 0.0]
@@ -449,7 +453,7 @@ def test_invariant_exhaustion_z2_bundle():
 def test_invariant_exhaustion_compact_fiber_constant():
     fiber = cat.so2_group()
     profile, rep = invariant_exhaustion(fiber, 10, seed=2)
-    assert profile.compact_fiber
+    assert profile.value(fiber.object_sampler(rng_for(2, 0))) == 1.0
     assert profile.preimage_points(3) == []
     assert rep.passed
 
@@ -472,8 +476,26 @@ def test_single_window_schedule():
 def test_two_window_schedule_interleaves_and_separates():
     fam, atlas, profile, sched = sproper_setup()
     assert sched.disjoint_verified
-    ok, gap, notes = verify_slab_disjointness(atlas.windows, profile, sched.levels)
+    ok, gap, notes = verify_slab_disjointness(sched)
     assert ok and gap > 0.0
+
+
+def test_edited_level_is_the_one_disjointness_verifies():
+    fam, atlas, profile, _ = sproper_setup()
+    bad = level_schedule(atlas, profile, 3)
+    assert bad.disjoint_verified and bad.truncation_depth == 3
+    bad.levels[(1, 1)] = bad.levels[(1, 0)]
+    ok, _, notes = verify_slab_disjointness(bad)
+    assert not ok and notes == ["slabs (1,0)/(1,1) may intersect"]
+    assert not bad.disjoint_verified
+
+
+def test_schedule_stores_its_atlas_profile_and_levels_only():
+    fam, atlas, profile, sched = sproper_setup()
+    assert [f.name for f in dataclasses.fields(sched)] == ["atlas", "profile", "levels"]
+    assert sched.atlas is atlas and sched.profile is profile
+    assert sched.truncation_depth == 3
+    assert all(sched.radius(a).lo > DEFAULT.constr_box for a in range(2))
 
 
 def test_disjoint_windows_schedule_independent():
@@ -492,7 +514,7 @@ def test_builder_and_recheck():
     for w in cert.windows:
         assert w.precompact_verified
         assert float(w.precompact_bound["lo"]) > DEFAULT.constr_box
-    fv = flatness_certificate_check(conn, atlas, sched.per_window, profile, 6, 2)
+    fv = flatness_certificate_check(conn, sched, 6, 2)
     assert fv.verdict == "CertifiedComplete"
 
 
@@ -504,8 +526,47 @@ def test_flat_connection_certifies_with_any_levels():
         return Tangent(g, (w.coeffs[0], 0.0))
 
     flat = Connection(fam, hor, hor, {})
-    fv = flatness_certificate_check(flat, single, [[4]], profile, 6, 2)
+    fv = flatness_certificate_check(flat, LevelSchedule(single, profile, {(0, 0): 4}), 6, 2)
     assert fv.verdict == "CertifiedComplete"
+
+
+def test_recheck_refuses_a_constant_profile_on_an_atlas():
+    # dx/dt = x^2 dy/dt escapes in finite time; a constant profile has no
+    # slabs, so only the precompactness clause can refuse the lift, and an
+    # atlas fibre (one line coordinate) is never compact
+    fam, atlas, _, _ = sproper_setup()
+    lift = slope_lift(lambda y, x: x * x)
+    c = Connection(fam, lift, lift, {})
+    v = completeness_probe(c, sproper_paths(fam, DEFAULT), 10, 0)
+    assert v.found_witness and v.witness["reason"] == "StepCollapse"
+    fv = flatness_certificate_check(c, level_schedule(atlas, constant_profile()), 6, 0)
+    assert fv.verdict == "NotCertified"
+    assert fv.failed_clauses == ["precompactness[window 0]", "precompactness[window 1]"]
+
+
+def test_builder_refuses_a_constant_profile_on_an_atlas():
+    fam, atlas, _, _ = sproper_setup()
+    profile = constant_profile()
+    sched = level_schedule(atlas, profile)
+    with pytest.raises(CertificateFailure, match="^slab_disjointness: zero separation"):
+        complete_connection_builder(fam, atlas, sched, profile, n_cert_samples=4, seed=2)
+
+
+def _order3_family():
+    return cat.trivial_family(line(1, name="N"),
+                              cat.group_bundle(line(1, name="F"), "finite", order=3))
+
+
+@pytest.mark.parametrize("stranger", ["family", "atlas", "profile"])
+def test_builder_refuses_inputs_other_than_the_schedules(stranger):
+    fam, atlas, profile, sched = sproper_setup()
+    args = {"family": fam, "atlas": atlas, "profile": profile}
+    args[stranger] = {"family": _order3_family,
+                      "atlas": lambda: TrivializingAtlas(fam, atlas.windows),
+                      "profile": lambda: invariant_exhaustion(atlas.fiber, 4, 0)[0]}[stranger]()
+    with pytest.raises(AtlasMismatch):
+        complete_connection_builder(args["family"], args["atlas"], sched, args["profile"],
+                                    n_cert_samples=4, seed=2)
 
 
 def test_skewed_connection_fails_flatness_clause():
@@ -516,7 +577,7 @@ def test_skewed_connection_fails_flatness_clause():
         return Tangent(g, (w.coeffs[0], 0.3 * w.coeffs[0]))
 
     c = Connection(fam, skewed, skewed, {})
-    fv = flatness_certificate_check(c, single, [[4]], profile, 6, 2)
+    fv = flatness_certificate_check(c, LevelSchedule(single, profile, {(0, 0): 4}), 6, 2)
     assert fv.verdict == "NotCertified"
     assert "chart_flat_form" in fv.failed_clauses
 
@@ -544,9 +605,9 @@ def test_raised_level_moves_the_window_levels():
 @pytest.mark.parametrize("n", [0, -3, 2.5, True, "6", None])
 def test_sample_counts_must_be_positive_integers(n):
     fam, atlas, profile, sched = sproper_setup()
-    c = glue_local_trivial(fam, atlas)
+    c = glue_local_trivial(atlas)
     with pytest.raises(InvalidParams):
-        flatness_certificate_check(c, atlas, sched.per_window, profile, n, 1)
+        flatness_certificate_check(c, sched, n, 1)
     with pytest.raises(InvalidParams):
         complete_connection_builder(fam, atlas, sched, profile, n_cert_samples=n, seed=2)
 
@@ -563,6 +624,16 @@ def test_atlas_refuses_malformed_windows(inner, outer):
     fam, atlas, _, _ = sproper_setup()
     with pytest.raises(AtlasMismatch):
         TrivializingAtlas(fam, [AtlasWindow(inner, outer, SineShift(0.0))])
+
+
+def test_atlas_chart_multiplicativity_refuses_a_pair_fibre():
+    # sigma(y) cancels in the clause: it tests that composition keeps h's
+    # fibre coordinate, which bundles of groups do and pair groupoids do not
+    fam, atlas, _, _ = sproper_setup()
+    assert atlas.validate(20, 7).clauses["chart_multiplicative"] == 0.0
+    pair_family = cat.trivial_family(line(1, name="N"), cat.pair_groupoid(line(1, name="F")))
+    rep = TrivializingAtlas(pair_family, atlas.windows).validate(20, 7)
+    assert not rep.passed and rep.clauses["chart_multiplicative"] > 1.0
 
 
 def test_atlas_needs_a_window_and_reads_its_fibre_from_the_family():
@@ -603,4 +674,4 @@ def test_atlas_mismatch_rejected():
     stranger = Connection(other, lambda g, w: Tangent(g, (w.coeffs[0], 0.0)),
                           lambda x, w: Tangent(x, (w.coeffs[0], 0.0)), {})
     with pytest.raises(AtlasMismatch):
-        flatness_certificate_check(stranger, atlas, sched.per_window, profile, 4, 1)
+        flatness_certificate_check(stranger, sched, 4, 1)
