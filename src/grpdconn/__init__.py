@@ -3,8 +3,8 @@
 Layers:
 
 - ``geometry``, ``smoothmap``, ``integrate``, ``linalg``: coordinate patches,
-  maps with analytic or finite-difference Jacobians, guarded RK4, subspace
-  tests in the flat patch gauge.
+  maps with declared Jacobians, guarded RK4, subspace tests in the flat
+  patch gauge.
 - ``groupoid``, ``catalog``: groupoids as coordinate data with closed-form
   samplers; the example catalog.
 - ``tangent``: tangent structure maps, subgroupoid closure checks, exact
@@ -18,7 +18,8 @@ Layers:
   value, derivative, interval extension), reads its fibre from the family,
   and owns the one window-weight function that the glued lift, the
   builder's lift and the certificate share. A ``LevelSchedule`` holds its
-  atlas, profile and levels and derives its depth, radii and disjointness;
+  atlas, profile and levels (keyed exactly by depth x windows) and derives
+  its depth, radii and disjointness;
   the builder, its recheck and the disjointness proof read that record.
 - ``scenarios``, ``cli``: the named scenario registry and its CLI.
 
@@ -31,12 +32,14 @@ normalised window bumps (locally trivial families admit one);
 ``multiplicative_vf_lift`` (a multiplicative connection on a family lifts
 base vector fields to multiplicative ones); ``morphism_check`` (a
 submersion of groupoids is a morphism); ``constant_path`` and ``subpath``
-(parallel transport is a cocycle along paths).
+(parallel transport is a cocycle along paths); ``fd_jacobian``, the
+finite-difference reference against which the declared Jacobians (the
+tangent maps of the structure maps) are tested.
 """
 
 from .config import Config, DEFAULT, parse_config_file
 from .geometry import Patch, Point, ProductSpace, Space, Tangent, distance
-from .smoothmap import PairMap, SmoothMap, jacobian
+from .smoothmap import PairMap, SmoothMap, fd_jacobian, jacobian
 from .integrate import TrajectoryOutcome, dump_trajectory, integrate
 from .linalg import subspace_residual
 from .groupoid import (

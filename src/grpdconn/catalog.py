@@ -764,19 +764,20 @@ def so2_action_groupoid(trivial: bool = False, name: str = "") -> Groupoid:
         phi = float(rng.uniform(0, TWO_PI))
         return point(A, 0, fibre_rows(np.asarray(x.coords), np.array([phi])))
 
+    # Ti and Tt (its top rows: t = s o inv) depend on phi unless the action is trivial
+    declare = PatchJacobian if trivial else (lambda jac: jac)
     return Groupoid(
         name=name or ("SO(2)⋉R2(trivial)" if trivial else "SO(2)⋉R2"),
         objects=M,
         arrows=A,
         src=SmoothMap(A, M, lambda p: point(M, *src(0, row(p))), PatchJacobian(lambda p: S_v),
                       "src"),
-        # t = s o inv, and Tt is the top of inv's Jacobian
         tgt=SmoothMap(A, M, lambda p: point(M, *src(*inv(0, row(p))[:2])),
-                      lambda p: inv(0, row(p))[2][0, :2], "tgt"),
+                      declare(lambda p: inv(0, row(p))[2][0, :2]), "tgt"),
         unit=SmoothMap(M, A, lambda x: prod.join(x, Point.raw(circ, 0, (0.0,))),
                        PatchJacobian(lambda x: S_v.T), "unit"),
         inv=SmoothMap(A, A, lambda p: point(A, *inv(0, row(p))[:2]),
-                      lambda p: inv(0, row(p))[2][0], "inv"),
+                      declare(lambda p: inv(0, row(p))[2][0]), "inv"),
         mul=PairMap(A, A, A, lambda g, h: point(A, *mul(0, row(g), 0, row(h))),
                     PatchJacobian(mul_jac), "mul"),
         arrow_sampler=lambda rng: sample_point(A, rng),
@@ -810,7 +811,7 @@ def so2_action_morphism(trivial: bool = False) -> GroupoidMorphism:
         base_grpd=H,
         arrow_map=factor_projection(prod, 1, "pr1"),
         object_map=SmoothMap(G.objects, H.objects, lambda x: Point.raw(H.objects, 0, ()),
-                             lambda p: np.zeros((0, 2)), "pt"),
+                             PatchJacobian(lambda p: np.zeros((0, 2))), "pt"),
         fiber_sampler=lambda h, rng: prod.join(sample_point(G.objects, rng), h),
         object_fiber_sampler=lambda y, rng: sample_point(G.objects, rng),
         metadata={"action_morphism": True},
@@ -849,8 +850,10 @@ def plane_to_circle_morphism() -> GroupoidMorphism:
         name="R2->S1",
         total=G,
         base_grpd=H,
-        arrow_map=SmoothMap(plane, circ_arr, pi_eval, lambda p: np.array([[1.0, 0.0]]), "pi"),
-        object_map=SmoothMap(pt, pt, lambda x: Point.raw(pt, 0, ()), lambda p: np.zeros((0, 0)), "pi0"),
+        arrow_map=SmoothMap(plane, circ_arr, pi_eval,
+                            PatchJacobian(lambda p: np.array([[1.0, 0.0]])), "pi"),
+        object_map=SmoothMap(pt, pt, lambda x: Point.raw(pt, 0, ()),
+                             PatchJacobian(lambda p: np.zeros((0, 0))), "pi0"),
         fiber_sampler=fiber_sampler,
         object_fiber_sampler=lambda y, rng: y,
     )
@@ -976,6 +979,8 @@ def disjoint_union(parts: list[Groupoid], name: str = "") -> Groupoid:
             i, q = in_union.split(p)
             return jacobian(get_map(parts[i]), q)
 
+        if all(isinstance(get_map(g).jac, PatchJacobian) for g in parts):
+            jac = PatchJacobian(jac)
         return SmoothMap(in_union.space, out_union.space, ev, jac, nm)
 
     def mul_eval(g, h):
@@ -1303,15 +1308,16 @@ def reflection_action_morphism() -> GroupoidMorphism:
         return Point.raw(A, (g.patch_index + h.patch_index) % 2, h.coords)
 
     eye = PatchJacobian(lambda p: np.eye(1))   # src and unit: the same on every patch
+    signed = PatchJacobian(lambda p: np.array([[sign(p)]]))   # tgt and inv: one sign per patch
     G = Groupoid(
         name="Z2⋉R",
         objects=M,
         arrows=A,
         src=SmoothMap(A, M, lambda p: Point.raw(M, 0, p.coords), eye, "src"),
-        tgt=SmoothMap(A, M, tgt_eval, lambda p: np.array([[sign(p)]]), "tgt"),
+        tgt=SmoothMap(A, M, tgt_eval, signed, "tgt"),
         unit=SmoothMap(M, A, lambda x: Point.raw(A, 0, x.coords), eye, "unit"),
         inv=SmoothMap(A, A, lambda p: Point.raw(A, p.patch_index, (sign(p) * p.coords[0],)),
-                      lambda p: np.array([[sign(p)]]), "inv"),
+                      signed, "inv"),
         mul=PairMap(A, A, A, mul_eval, PatchJacobian(lambda g, h: (np.zeros((1, 1)), np.eye(1))),
                     "mul"),
         arrow_sampler=lambda rng: Point.raw(A, int(rng.integers(2)),
@@ -1332,9 +1338,9 @@ def reflection_action_morphism() -> GroupoidMorphism:
         total=G,
         base_grpd=H,
         arrow_map=SmoothMap(A, H.arrows, lambda p: Point.raw(H.arrows, p.patch_index, ()),
-                            lambda p: np.zeros((0, 1)), "pr1"),
+                            PatchJacobian(lambda p: np.zeros((0, 1))), "pr1"),
         object_map=SmoothMap(M, H.objects, lambda x: Point.raw(H.objects, 0, ()),
-                             lambda x: np.zeros((0, 1)), "pt"),
+                             PatchJacobian(lambda x: np.zeros((0, 1))), "pt"),
         fiber_sampler=lambda h, rng: Point.raw(A, h.patch_index,
                                                (float(rng.uniform(-BOX, BOX)),)),
         object_fiber_sampler=lambda y, rng: sample_point(M, rng),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 class Config:
     # numeric core
     numeric_tol_fd: float = 1e-5        # analytic-vs-finite-difference agreement
-    numeric_fd_step: float = 1e-6       # central finite-difference step
+    numeric_fd_step: float = 1e-6       # step of the fd_jacobian reference
     numeric_ode_tol: float = 1e-8       # Richardson disagreement per step
     numeric_h_ode: float = 1e-3         # nominal fixed RK4 step
     numeric_blowup_bound: float = 1e6   # coordinate-norm escape threshold

@@ -152,7 +152,7 @@ def complement_check(c: Connection, n_samples: int, seed: int, cfg: Config = DEF
         rng = rng_for(seed, 41, i)
         g = pi.total.arrow_sampler(rng)
         h = pi.arrow_map(g)
-        Dpi = jacobian(pi.arrow_map, g, cfg)
+        Dpi = jacobian(pi.arrow_map, g)
         fr = c.lift_frame(g)
         L = fr.matrix()
         w = {"g": _coords(g)}
@@ -183,7 +183,7 @@ def complement_check(c: Connection, n_samples: int, seed: int, cfg: Config = DEF
 
         x = pi.total.object_sampler(rng)
         y = pi.object_map(x)
-        Dpi0 = jacobian(pi.object_map, x, cfg)
+        Dpi0 = jacobian(pi.object_map, x)
         fr0 = c.base_lift_frame(x)
         if y.patch.dim:
             proj0 = Dpi0 @ fr0.matrix() - np.eye(y.patch.dim)
@@ -196,7 +196,7 @@ def complement_check(c: Connection, n_samples: int, seed: int, cfg: Config = DEF
 
 
 def product_clause_residual(
-    c: Connection, g: Point, h: Point, a: Tangent, b: Tangent, cfg: Config = DEFAULT
+    c: Connection, g: Point, h: Point, a: Tangent, b: Tangent
 ) -> tuple[float, tuple, tuple]:
     """Residual of Tm(hor_g(a), hor_h(b)) = hor_{gh}(Tm_H(a, b)) in the flat gauge.
 
@@ -205,20 +205,20 @@ def product_clause_residual(
     G = c.total
     H = c.base
     gh = G.compose(g, h)
-    lhs = tm_apply(G, g, h, c.hor(g, a), c.hor(h, b), cfg)
-    ab = tm_apply(H, c.morphism.arrow_map(g), c.morphism.arrow_map(h), a, b, cfg)
+    lhs = tm_apply(G, g, h, c.hor(g, a), c.hor(h, b))
+    ab = tm_apply(H, c.morphism.arrow_map(g), c.morphism.arrow_map(h), a, b)
     base_prod = H.compose(c.morphism.arrow_map(g), c.morphism.arrow_map(h))
     rhs = c.hor(gh, Tangent(base_prod, tuple(ab)))
     resid = float(np.linalg.norm(lhs - np.asarray(rhs.coeffs))) if len(lhs) else 0.0
     return resid, tuple(float(v) for v in lhs), tuple(rhs.coeffs)
 
 
-def _solve_composable_base_pair(H: Groupoid, h1: Point, h2: Point, rng, cfg: Config):
+def _solve_composable_base_pair(H: Groupoid, h1: Point, h2: Point, rng):
     """Random base tangents (a, b) at (h1, h2) with Ts(a) = Tt(b)."""
     dim = h1.patch.dim
     a = np.asarray(rng.uniform(-1, 1, dim))
-    Ts = jacobian(H.src, h1, cfg)
-    Tt = jacobian(H.tgt, h2, cfg)
+    Ts = jacobian(H.src, h1)
+    Tt = jacobian(H.tgt, h2)
     b0 = np.asarray(rng.uniform(-1, 1, dim))
     correction, resid = solve_least_squares(Tt, Ts @ a - Tt @ b0)
     b = b0 + correction
@@ -252,8 +252,8 @@ def multiplicativity_check_pointwise(
         for clause, m_G, m_H, lift_at in (("source", G.src, H.src, c.hor0),
                                           ("target", G.tgt, H.tgt, c.hor0),
                                           ("inverse", G.inv, H.inv, c.hor)):
-            Tm_G = jacobian(m_G, g, cfg)
-            Tm_H = jacobian(m_H, hg, cfg)
+            Tm_G = jacobian(m_G, g)
+            Tm_H = jacobian(m_H, hg)
             rhs = lift_at(m_G(g), Tangent(m_H(hg), tuple(Tm_H @ np.asarray(a.coeffs))))
             lhs = Tm_G @ np.asarray(lift.coeffs)
             worst.record(clause, float(np.linalg.norm(lhs - np.asarray(rhs.coeffs))), w)
@@ -264,8 +264,8 @@ def multiplicativity_check_pointwise(
         dim_n = y.patch.dim
         wv = Tangent(y, tuple(rng.uniform(-1, 1, dim_n)))
         ux = G.unit(x)
-        Tu_H = jacobian(H.unit, y, cfg)
-        Tu_G = jacobian(G.unit, x, cfg)
+        Tu_H = jacobian(H.unit, y)
+        Tu_G = jacobian(G.unit, x)
         lhs_t = c.hor(ux, Tangent(H.unit(y), tuple(Tu_H @ np.asarray(wv.coeffs))))
         rhs_v = Tu_G @ np.asarray(c.hor0(x, wv).coeffs)
         worst.record(
@@ -298,10 +298,10 @@ def multiplicativity_check_pointwise(
 
         # product clause
         g1, h1 = G.pair_sample(rng)
-        pair = _solve_composable_base_pair(H, pi.arrow_map(g1), pi.arrow_map(h1), rng, cfg)
+        pair = _solve_composable_base_pair(H, pi.arrow_map(g1), pi.arrow_map(h1), rng)
         if pair is not None:
             a1, b1 = pair
-            residual, produced, required = product_clause_residual(c, g1, h1, a1, b1, cfg)
+            residual, produced, required = product_clause_residual(c, g1, h1, a1, b1)
             worst.record(
                 "product",
                 residual,
@@ -341,7 +341,8 @@ def kernel_connection(c: Connection, cfg: Config = DEFAULT) -> Connection:
     first row seen there, lifted by ``c.hor`` on rows (through the per-row
     adapter when ``c.hor`` is not a RowLift), and pulled back through the
     pseudo-inverse of that Jacobian. The worst tangency residual of the
-    pullback is recorded in the returned connection's metadata.
+    pullback is recorded in the returned connection's metadata. The lift
+    reads nothing from ``cfg``; the parameter keeps the call signature.
     """
     pi = c.morphism
     if pi.kernel is None:
@@ -363,10 +364,10 @@ def kernel_connection(c: Connection, cfg: Config = DEFAULT) -> Connection:
         on kernel patch p, and H's unit Jacobian there."""
         if p not in per_patch:
             k = Point(K.arrows, p, tuple(C[0].tolist()))
-            J = jacobian(embed, k, cfg)
+            J = jacobian(embed, k)
             g = embed(k)
             offset = np.asarray(g.coords) - J @ np.asarray(k.coords)
-            Tu_H = jacobian(H.unit, family.arrow_map(k), cfg)
+            Tu_H = jacobian(H.unit, family.arrow_map(k))
             per_patch[p] = g.patch_index, J, offset, np.linalg.pinv(J), Tu_H
         return per_patch[p]
 
@@ -432,20 +433,20 @@ def action_connection(
     witness = None
     probe_residuals: dict[str, float] = {}
 
-    def invariance_residual(g: Point, a_H: np.ndarray, w_coeffs: np.ndarray, cfgl=cfg):
+    def invariance_residual(g: Point, a_H: np.ndarray, w_coeffs: np.ndarray):
         """|| Ta(a_H, w) - hor0(h·x, Tt_H(a_H)) || at an action arrow g=(h,x)."""
-        J_act = jacobian(act, g, cfgl)
-        J_pi = jacobian(Dpi, g, cfgl)
+        J_act = jacobian(act, g)
+        J_pi = jacobian(Dpi, g)
         # assemble the total tangent with prescribed H-part and M-part
         total, resid = solve_least_squares(
-            np.vstack([J_pi, jacobian(G.src, g, cfgl)]),
+            np.vstack([J_pi, jacobian(G.src, g)]),
             np.concatenate([a_H, w_coeffs]),
         )
         if resid > 1e-8:
             return None
         pushed = J_act @ total
         h_img = am.arrow_map(g)
-        Tt_H = jacobian(H.tgt, h_img, cfgl)
+        Tt_H = jacobian(H.tgt, h_img)
         expected = c_hor0_at(act(g), Tt_H @ a_H)
         return float(np.linalg.norm(pushed - expected))
 
@@ -458,7 +459,7 @@ def action_connection(
         g = G.arrow_sampler(rng)
         h_img = am.arrow_map(g)
         a_H = np.asarray(rng.uniform(-1, 1, dim_H))
-        Ts_H = jacobian(H.src, h_img, cfg)
+        Ts_H = jacobian(H.src, h_img)
         x = G.src(g)
         w = c_hor0_at(x, Ts_H @ a_H)
         r = invariance_residual(g, a_H, w)
@@ -473,7 +474,7 @@ def action_connection(
     for j, x in enumerate(probe_points):
         ux = G.unit(x)
         h_img = am.arrow_map(ux)
-        Ts_H = jacobian(H.src, h_img, cfg)
+        Ts_H = jacobian(H.src, h_img)
         lie = nullspace(Ts_H, cfg)
         for k in range(lie.shape[1]):
             xi = lie[:, k]
@@ -495,12 +496,12 @@ def action_connection(
         )
 
     def hor(g: Point, a: Tangent) -> Tangent:
-        J_pi = jacobian(Dpi, g, cfg)
-        Ts_H = jacobian(H.src, a.base, cfg)
+        J_pi = jacobian(Dpi, g)
+        Ts_H = jacobian(H.src, a.base)
         x = G.src(g)
         w = c_hor0_at(x, Ts_H @ np.asarray(a.coeffs))
         total, _ = solve_least_squares(
-            np.vstack([J_pi, jacobian(G.src, g, cfg)]),
+            np.vstack([J_pi, jacobian(G.src, g)]),
             np.concatenate([np.asarray(a.coeffs), w]),
         )
         return Tangent(g, tuple(total))
@@ -533,8 +534,8 @@ def multiplicative_field_report(
         g = G.arrow_sampler(rng)
         Xg = np.asarray(X_arrows(g).coeffs)
         w = {"g": _coords(g)}
-        Ts = jacobian(G.src, g, cfg)
-        Tt = jacobian(G.tgt, g, cfg)
+        Ts = jacobian(G.src, g)
+        Tt = jacobian(G.tgt, g)
         worst.record(
             "source_projectable",
             float(np.linalg.norm(Ts @ Xg - np.asarray(X_objects(G.src(g)).coeffs))),
@@ -546,7 +547,7 @@ def multiplicative_field_report(
             w,
         )
         g1, h1 = G.pair_sample(rng)
-        lhs = tm_apply(G, g1, h1, X_arrows(g1), X_arrows(h1), cfg)
+        lhs = tm_apply(G, g1, h1, X_arrows(g1), X_arrows(h1))
         rhs = np.asarray(X_arrows(G.compose(g1, h1)).coeffs)
         worst.record(
             "product", float(np.linalg.norm(lhs - rhs)), {"g": _coords(g1), "h": _coords(h1)}

@@ -426,21 +426,20 @@ def _node_points(space, blocks) -> tuple[list[Point], list[float]]:
 def _require_projectable(G: Groupoid, X, n_samples: int, seed: int, cfg: Config) -> None:
     """Refuse a field that is not source-projectable, at the samples the
     average checks."""
-    resid = s_projectability_residual(G, X, max(8, n_samples // 4), seed, cfg)
+    resid = s_projectability_residual(G, X, max(8, n_samples // 4), seed)
     if resid > cfg.groupoid_tol_alg * 100:
         raise NonProjectableInput(f"input field is not source-projectable (residual {resid:.3e})")
 
 
-def s_projectability_residual(G: Groupoid, X, n_samples: int, seed: int,
-                              cfg: Config = DEFAULT) -> float:
+def s_projectability_residual(G: Groupoid, X, n_samples: int, seed: int) -> float:
     worst = 0.0
     for i in range(n_samples):
         rng = rng_for(seed, 89, i)
         x = G.object_sampler(rng)
         g1 = G.sfiber_sampler(x, rng)
         g2 = G.sfiber_sampler(x, rng)
-        v1 = jacobian(G.src, g1, cfg) @ np.asarray(X(g1).coeffs)
-        v2 = jacobian(G.src, g2, cfg) @ np.asarray(X(g2).coeffs)
+        v1 = jacobian(G.src, g1) @ np.asarray(X(g1).coeffs)
+        v2 = jacobian(G.src, g2) @ np.asarray(X(g2).coeffs)
         worst = max(worst, float(np.linalg.norm(v1 - v2)))
     return worst
 
@@ -519,7 +518,7 @@ def haar_average(
             r, GH = K.mul(p, C.repeat(m, axis=0), q, H)
             q_inv, H_inv, Ti = K.inv(q, H)
             A, B = G.mul.partials(Point(arrows, r, tuple(GH[0].tolist())),
-                                  Point(arrows, q_inv, tuple(H_inv[0].tolist())), cfg)
+                                  Point(arrows, q_inv, tuple(H_inv[0].tolist())))
             if r == q:
                 both = X_rows(q, np.concatenate((H, GH)))
                 X_H, X_GH = both[:len(H)], both[len(H):]
@@ -535,7 +534,7 @@ def haar_average(
 
     def V(x: Point) -> Tangent:
         ux = G.unit(x)
-        Ts = jacobian(G.src, ux, cfg)
+        Ts = jacobian(G.src, ux)
         return Tangent(x, tuple(Ts @ np.asarray(X_hat(ux).coeffs)))
 
     report = None
@@ -622,7 +621,7 @@ def proper_family_connection(
         if not len(X):
             return np.zeros(X.shape)
         u, U = G.kernels.unit(p, X)
-        Ts = jacobian(G.src, Point(G.arrows, u, tuple(U[0].tolist())), cfg)
+        Ts = jacobian(G.src, Point(G.arrows, u, tuple(U[0].tolist())))
         acc = np.zeros(X.shape)
         for j, V in enumerate(basis_rows(u, U)):
             acc += W[:, j:j + 1] * apply_rows(Ts, V)
@@ -741,6 +740,12 @@ class LevelSchedule:
     atlas: TrivializingAtlas
     profile: ExhaustionProfile
     levels: dict[tuple[int, int], int]          # (i, alpha) -> integer level
+
+    def __post_init__(self):
+        depth, n = self.truncation_depth, len(self.atlas.windows)
+        if depth < 1 or set(self.levels) != {(i, a) for i in range(depth) for a in range(n)}:
+            raise AtlasMismatch(f"level keys {sorted(self.levels)} are not depth x "
+                                f"{n} windows of the atlas")
 
     @property
     def truncation_depth(self) -> int:
@@ -882,7 +887,6 @@ class WindowCertificate:
     levels: list[int]
     flatness_residual: float
     precompact_bound: dict
-    precompact_verified: bool
 
 
 @dataclass
@@ -906,18 +910,25 @@ def complete_connection_builder(
 ) -> tuple[Connection, CompletenessCertificate]:
     """Glue chart lifts through a slab-avoiding invariant partition and certify.
 
-    The partition weight of window alpha vanishes identically on every slab
-    of every other window, so the glued lift agrees exactly with the chart
-    lift on each slab (flatness clause). The precompactness clause bounds,
-    by interval arithmetic, every complement component meeting the
-    configured fibre box by a scheduled level radius. Any failed clause
-    raises CertificateFailure naming the clause; a family, atlas or profile
-    other than the schedule's raises AtlasMismatch.
+    The precompactness clause bounds, by interval arithmetic, every
+    complement component meeting the configured fibre box by a scheduled
+    level radius; it reads only the schedule and is checked first. The
+    partition weight of window alpha vanishes identically on every slab of
+    every other window, so the glued lift agrees exactly with the chart lift
+    on each slab (flatness clause). Any failed clause raises
+    CertificateFailure naming the clause; a family, atlas or profile other
+    than the schedule's raises AtlasMismatch.
     """
     _require_count(n_cert_samples)
     if not (family is atlas.family and atlas is schedule.atlas and profile is schedule.profile):
         raise AtlasMismatch("the builder needs the family, atlas and profile of its schedule")
     windows = atlas.windows
+    box = cfg.constr_box
+    radii = [schedule.radius(alpha) for alpha in range(len(windows))]
+    for alpha, radius in enumerate(radii):
+        if not radius.lo > box:
+            raise CertificateFailure(f"precompactness: window {alpha} has no scheduled "
+                                     f"level beyond the fibre box")
     disjoint, gap, notes = verify_slab_disjointness(schedule)
     if not disjoint:
         raise CertificateFailure("slab_disjointness: " + "; ".join(notes[:3]))
@@ -947,7 +958,6 @@ def complete_connection_builder(
     )
 
     # --- certificate clauses -------------------------------------------------
-    box = cfg.constr_box
     G = atlas.family.total
     window_certs = []
     partition_residual = 0.0
@@ -962,15 +972,9 @@ def complete_connection_builder(
             raise CertificateFailure(
                 f"flatness: window {alpha} deviates {flat_worst:.3e} on its slabs"
             )
-        max_radius = schedule.radius(alpha)
-        verified = max_radius.lo > box
-        if not verified:
-            raise CertificateFailure(
-                f"precompactness: window {alpha} has no scheduled level beyond the fibre box"
-            )
         window_certs.append(WindowCertificate(
             window=alpha, levels=levels, flatness_residual=flat_worst,
-            precompact_bound=fmt_bound(max_radius), precompact_verified=verified))
+            precompact_bound=fmt_bound(radii[alpha])))
 
     for k in range(64):
         rng = rng_for(seed, 101, k)

@@ -295,7 +295,7 @@ def _coord_delta(target: Point, at: Point):
     )
 
 
-def _refine_fiber_candidate(pi, G, x, h, g, best, cfg, steps: int = 4):
+def _refine_fiber_candidate(pi, G, x, h, g, best, steps: int = 4):
     """Gauss-Newton refinement of a source-fibre candidate toward a target.
 
     Moves the candidate inside s^{-1}(x) (to first order) to reduce
@@ -308,7 +308,7 @@ def _refine_fiber_candidate(pi, G, x, h, g, best, cfg, steps: int = 4):
         img = pi.arrow_map(g)
         if img.patch_index != h.patch_index:
             return best
-        J = np.vstack([jacobian(pi.arrow_map, g, cfg), jacobian(G.src, g, cfg)])
+        J = np.vstack([jacobian(pi.arrow_map, g), jacobian(G.src, g)])
         rhs = np.concatenate([_coord_delta(h, img), np.zeros(x.patch.dim)])
         step, *_ = np.linalg.lstsq(J, rhs, rcond=None)
         cand = Point.raw(g.space, g.patch_index,
@@ -349,12 +349,12 @@ def fibration_probe(
     for i in range(n_samples):
         rng = rng_for(seed, 17, i)
         g = G.arrow_sampler(rng)
-        Dpi = jacobian(pi.arrow_map, g, cfg)
+        Dpi = jacobian(pi.arrow_map, g)
         sv = np.linalg.svd(Dpi, compute_uv=False)
         min_sv = min(min_sv, float(sv[dim_H - 1]) if dim_H else math.inf)
 
-        Ds = jacobian(G.src, g, cfg)
-        Dt = jacobian(G.tgt, g, cfg)
+        Ds = jacobian(G.src, g)
+        Dt = jacobian(G.tgt, g)
         J_shriek = np.vstack([Dpi, Ds])
         sv2 = np.linalg.svd(J_shriek, compute_uv=False)
         if shriek_rank:
@@ -380,7 +380,7 @@ def fibration_probe(
                 d = distance(pi.arrow_map(cand), h)
                 if d < best:
                     best, g_best = d, cand
-            best = _refine_fiber_candidate(pi, G, x, h, g_best, best, cfg)
+            best = _refine_fiber_candidate(pi, G, x, h, g_best, best)
             worst_uncovered = max(worst_uncovered, best)
 
     return FibrationVerdict(

@@ -517,7 +517,7 @@ def _run_luca(seed: int, cfg: Config, scale: float) -> Iterator[CheckResult]:
     G = c.total
     g = Point.raw(G.arrows, 0, (1.0, 0.0))
     a = Tangent(c.morphism.arrow_map(g), (1.0,))
-    resid, produced, required = product_clause_residual(c, g, g, a, a, cfg)
+    resid, produced, required = product_clause_residual(c, g, g, a, a)
     yield _check(
         "product_clause_witness",
         "residual>=1" if resid >= 1.0 else f"residual={resid:.3e}",

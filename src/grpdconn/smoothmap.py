@@ -1,10 +1,11 @@
 """Coordinate maps between spaces and their differentiation.
 
-A :class:`SmoothMap` evaluates pointwise and optionally carries an analytic
-Jacobian. :func:`jacobian` falls back to central finite differences with
-wraparound handling on angle coordinates in both domain and codomain. A
-Jacobian wrapped in :class:`PatchJacobian` is declared to depend only on the
-patches of its arguments and is computed once per patch.
+A :class:`SmoothMap` evaluates pointwise and declares its Jacobian; a map
+built without one is refused. A Jacobian wrapped in :class:`PatchJacobian` is
+declared to depend only on the patches of its arguments and is computed once
+per patch. :func:`fd_jacobian` is a central finite-difference reference with
+wraparound on angle coordinates, against which the declared Jacobians are
+tested.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT, Config
 from .errors import EvaluationOutsideDomain
 from .geometry import Point, Space, wrap_difference
 
@@ -60,7 +60,7 @@ class SmoothMap:
     domain: Space
     codomain: Space
     eval: Callable[[Point], Point]
-    jac: Optional[Callable[[Point], np.ndarray]] = None
+    jac: Callable[[Point], np.ndarray]
     name: str = ""
     cut: Optional[Callable[[int, np.ndarray], tuple[int, np.ndarray]]] = None
 
@@ -73,49 +73,35 @@ def identity_map(space: Space, name: str = "id") -> SmoothMap:
                      PatchJacobian(lambda p: np.eye(space.dim)), name, lambda p, C: (p, C))
 
 
-def fd_jacobian(map_: SmoothMap, p: Point, step: float) -> np.ndarray:
-    """Central finite-difference Jacobian with angle wraparound."""
-    patch = p.patch
-    base = np.asarray(p.coords, dtype=float)
-    center_image = map_.eval(p)
-    out_patch = center_image.patch
+def fd_jacobian(map_: Callable[[Point], Point], p: Point, step: float) -> np.ndarray:
+    """Central finite-difference Jacobian of any map of points (a
+    :class:`SmoothMap` or a plain function) at ``p``, with angle wraparound;
+    it refuses a probe that hits an exclusion or jumps image patches."""
+    center = map_(p)
     cols = []
-    for i in range(patch.dim):
-        plus = base.copy()
-        minus = base.copy()
-        plus[i] += step
-        minus[i] -= step
-        try:
-            f_plus = map_.eval(Point.raw(p.space, p.patch_index, tuple(plus)))
-            f_minus = map_.eval(Point.raw(p.space, p.patch_index, tuple(minus)))
-        except EvaluationOutsideDomain as exc:
+    for i in range(p.patch.dim):
+        probes = []
+        for sign in (1.0, -1.0):
+            coords = list(p.coords)
+            coords[i] += sign * step
+            try:
+                probes.append(map_(Point.raw(p.space, p.patch_index, tuple(coords))))
+            except EvaluationOutsideDomain as exc:
+                name = getattr(map_, "name", "") or "map"
+                raise EvaluationOutsideDomain(
+                    f"finite-difference probe of {name} hit an exclusion") from exc
+        plus, minus = probes
+        if not plus.patch_index == minus.patch_index == center.patch_index:
             raise EvaluationOutsideDomain(
-                f"finite-difference probe of {map_.name or 'map'} hit an exclusion"
-            ) from exc
-        if f_plus.patch_index != center_image.patch_index or (
-            f_minus.patch_index != center_image.patch_index
-        ):
-            raise EvaluationOutsideDomain(
-                "finite-difference probe jumped patches; map is not smooth here"
-            )
-        col = []
-        for j in range(out_patch.dim):
-            if out_patch.is_circ(j):
-                d = wrap_difference(f_plus.coords[j], f_minus.coords[j])
-            else:
-                d = f_plus.coords[j] - f_minus.coords[j]
-            col.append(d / (2.0 * step))
-        cols.append(col)
-    if not cols:
-        return np.zeros((out_patch.dim, 0))
-    return np.asarray(cols, dtype=float).T
+                "finite-difference probe jumped patches; map is not smooth here")
+        cols.append([(wrap_difference(a, b) if center.patch.is_circ(j) else a - b) / (2.0 * step)
+                     for j, (a, b) in enumerate(zip(plus.coords, minus.coords))])
+    return np.asarray(cols, dtype=float).T if cols else np.zeros((center.patch.dim, 0))
 
 
-def jacobian(map_: SmoothMap, p: Point, cfg: Config = DEFAULT) -> np.ndarray:
-    """Jacobian matrix of ``map_`` at ``p`` (analytic when supplied)."""
-    if map_.jac is not None:
-        return np.asarray(map_.jac(p), dtype=float)
-    return fd_jacobian(map_, p, cfg.numeric_fd_step)
+def jacobian(map_: SmoothMap, p: Point) -> np.ndarray:
+    """The declared Jacobian matrix of ``map_`` at ``p``."""
+    return np.asarray(map_.jac(p), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -125,28 +111,18 @@ class PairMap:
     ``eval2(g, h)`` returns the image point; ``jac2(g, h)`` returns the pair
     of partial Jacobians (d/dg, d/dh). Every catalog multiplication passes a
     :class:`PatchJacobian`, so its partials are computed once per patch pair.
-    When ``jac2`` is missing, partials are taken by holding the other slot
-    fixed; the evaluation itself is expected to snap near-composable inputs,
-    so off-diagonal probes remain valid.
     """
 
     left: Space
     right: Space
     codomain: Space
     eval2: Callable[[Point, Point], Point]
-    jac2: Optional[Callable[[Point, Point], tuple[np.ndarray, np.ndarray]]] = None
+    jac2: Callable[[Point, Point], tuple[np.ndarray, np.ndarray]]
     name: str = ""
 
     def __call__(self, g: Point, h: Point) -> Point:
         return self.eval2(g, h)
 
-    def partials(self, g: Point, h: Point, cfg: Config = DEFAULT):
-        if self.jac2 is not None:
-            A, B = self.jac2(g, h)
-            return np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-        left_frozen = SmoothMap(self.left, self.codomain, lambda q: self.eval2(q, h))
-        right_frozen = SmoothMap(self.right, self.codomain, lambda q: self.eval2(g, q))
-        return (
-            fd_jacobian(left_frozen, g, cfg.numeric_fd_step),
-            fd_jacobian(right_frozen, h, cfg.numeric_fd_step),
-        )
+    def partials(self, g: Point, h: Point):
+        A, B = self.jac2(g, h)
+        return np.asarray(A, dtype=float), np.asarray(B, dtype=float)

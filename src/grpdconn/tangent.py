@@ -61,15 +61,15 @@ class TangentStructure:
 
 def composable_tangent_basis(G: Groupoid, g: Point, h: Point, cfg: Config = DEFAULT):
     """Orthonormal basis of {(u, v) : Ts_g(u) = Tt_h(v)} as stacked columns."""
-    Ts = jacobian(G.src, g, cfg)
-    Tt = jacobian(G.tgt, h, cfg)
+    Ts = jacobian(G.src, g)
+    Tt = jacobian(G.tgt, h)
     constraint = np.hstack([Ts, -Tt])
     return nullspace(constraint, cfg)
 
 
-def tm_apply(G: Groupoid, g: Point, h: Point, u, v, cfg: Config = DEFAULT) -> np.ndarray:
+def tm_apply(G: Groupoid, g: Point, h: Point, u, v) -> np.ndarray:
     """Tangent of multiplication applied to a composable tangent pair."""
-    A, B = G.mul.partials(g, h, cfg)
+    A, B = G.mul.partials(g, h)
     u = np.asarray(u.coeffs if isinstance(u, Tangent) else u, dtype=float)
     v = np.asarray(v.coeffs if isinstance(v, Tangent) else v, dtype=float)
     return A @ u + B @ v
@@ -85,7 +85,7 @@ def tangent_structure_maps(G: Groupoid, at, cfg: Config = DEFAULT) -> TangentStr
     if isinstance(at, tuple):
         g, h = at
         base = tangent_structure_maps(G, g, cfg)
-        A, B = G.mul.partials(g, h, cfg)
+        A, B = G.mul.partials(g, h)
         basis_cols = composable_tangent_basis(G, g, h, cfg)
         dim_g = g.patch.dim
         tm_cols = []
@@ -110,11 +110,11 @@ def tangent_structure_maps(G: Groupoid, at, cfg: Config = DEFAULT) -> TangentStr
         )
     g = at
     return TangentStructure(
-        Ts=jacobian(G.src, g, cfg),
-        Tt=jacobian(G.tgt, g, cfg),
-        Ti=jacobian(G.inv, g, cfg),
-        Tu_src=jacobian(G.unit, G.src(g), cfg),
-        Tu_tgt=jacobian(G.unit, G.tgt(g), cfg),
+        Ts=jacobian(G.src, g),
+        Tt=jacobian(G.tgt, g),
+        Ti=jacobian(G.inv, g),
+        Tu_src=jacobian(G.unit, G.src(g)),
+        Tu_tgt=jacobian(G.unit, G.tgt(g)),
     )
 
 
@@ -177,7 +177,7 @@ def vb_subgroupoid_check(
         ):
             ug = G.unit(unit_of)
             fr_unit = frames(ug)
-            Tu = jacobian(G.unit, unit_of, cfg)
+            Tu = jacobian(G.unit, unit_of)
             for v in fr.basis:
                 worst.record(
                     tag,
@@ -189,8 +189,8 @@ def vb_subgroupoid_check(
         x = G.object_sampler(rng)
         ux = G.unit(x)
         fr_u = frames(ux)
-        Ts_u = jacobian(G.src, ux, cfg)
-        Tu_x = jacobian(G.unit, x, cfg)
+        Ts_u = jacobian(G.src, ux)
+        Tu_x = jacobian(G.unit, x)
         for v in fr_u.basis:
             worst.record(
                 "unit",
@@ -206,8 +206,8 @@ def vb_subgroupoid_check(
         # multiplication clause on a composable pair
         g1, h1 = G.pair_sample(rng)
         fr_g, fr_h = frames(g1), frames(h1)
-        Ts1 = jacobian(G.src, g1, cfg)
-        Tt1 = jacobian(G.tgt, h1, cfg)
+        Ts1 = jacobian(G.src, g1)
+        Tt1 = jacobian(G.tgt, h1)
         links.append((G.src(g1).patch_index, G.tgt(g1).patch_index))
         gh = G.compose(g1, h1)
         fr_gh = frames(gh)
@@ -218,7 +218,7 @@ def vb_subgroupoid_check(
             if resid > max(1.0, float(np.linalg.norm(target))) * 1e-6:
                 continue  # no composable partner inside the candidate frame
             v = Bh @ coeffs
-            tm = tm_apply(G, g1, h1, np.asarray(u.coeffs), v, cfg)
+            tm = tm_apply(G, g1, h1, np.asarray(u.coeffs), v)
             worst.record(
                 "multiplication",
                 subspace_residual(tm, fr_gh.basis, cfg),
@@ -367,8 +367,8 @@ def core_side_decomposition(
     returns (core frame, side frame, complementarity residual).
     """
     ux = G.unit(x)
-    Ts = jacobian(G.src, ux, cfg)
-    Tu = jacobian(G.unit, x, cfg)
+    Ts = jacobian(G.src, ux)
+    Tu = jacobian(G.unit, x)
     S = frame.matrix()
     if rank(S, cfg) < S.shape[1]:
         raise DegenerateBasis("frame at the unit is rank-deficient")
@@ -394,7 +394,7 @@ def kernel_frames(arrow_map, cfg: Config = DEFAULT) -> Callable[[Point], Subbund
     """Frames of ker(T arrow_map) at each arrow, via SVD nullspaces."""
 
     def frames(g: Point) -> SubbundleFrame:
-        J = jacobian(arrow_map, g, cfg)
+        J = jacobian(arrow_map, g)
         N = nullspace(J, cfg)
         return SubbundleFrame(g, tangent_frame(g, N))
 

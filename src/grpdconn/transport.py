@@ -49,21 +49,21 @@ class TransportOutcome:
         return self.trajectory.state_at(t)
 
 
-def pushed_path(map_: SmoothMap, path: BasePath, cfg: Config = DEFAULT) -> BasePath:
+def pushed_path(map_: SmoothMap, path: BasePath) -> BasePath:
     """Image of a path under a smooth map, with pushforward velocities."""
 
     def point(t: float) -> Point:
         return map_(path.point(t))
 
     def coeffs(t: float) -> tuple:
-        J = jacobian(map_, path.point(t), cfg)
+        J = jacobian(map_, path.point(t))
         return tuple((J @ np.asarray(path.velocity_coeffs(t))).tolist())
 
     return BasePath(map_.codomain, point, coeffs,
                     is_loop=path.is_loop, label=f"{map_.name}∘{path.label}")
 
 
-def product_path(G, gamma: BasePath, eta: BasePath, cfg: Config = DEFAULT) -> BasePath:
+def product_path(G, gamma: BasePath, eta: BasePath) -> BasePath:
     """Pointwise product of two composable paths in a groupoid's arrows."""
 
     def point(t: float) -> Point:
@@ -71,7 +71,7 @@ def product_path(G, gamma: BasePath, eta: BasePath, cfg: Config = DEFAULT) -> Ba
 
     def coeffs(t: float) -> tuple:
         v = tm_apply(G, gamma.point(t), eta.point(t), gamma.velocity_coeffs(t),
-                     eta.velocity_coeffs(t), cfg)
+                     eta.velocity_coeffs(t))
         return tuple(v.tolist())
 
     return BasePath(G.arrows, point, coeffs,
@@ -425,16 +425,16 @@ def transport_multiplicativity_check(
         legs = [
             (c, gamma, g),
             (c, eta, k),
-            (c, pushed_path(H.inv, gamma, cfg), G.inv(g)),
-            (c, product_path(H, gamma, eta, cfg), G.compose(g, k)),
-            (base_conn, pushed_path(H.src, gamma, cfg), G.src(g)),
-            (base_conn, pushed_path(H.tgt, gamma, cfg), G.tgt(g)),
+            (c, pushed_path(H.inv, gamma), G.inv(g)),
+            (c, product_path(H, gamma, eta), G.compose(g, k)),
+            (base_conn, pushed_path(H.src, gamma), G.src(g)),
+            (base_conn, pushed_path(H.tgt, gamma), G.tgt(g)),
         ]
         x = None
         if unit_draw is not None:
             try:
                 delta, x = unit_draw(rng)
-                legs += [(base_conn, delta, x), (c, pushed_path(H.unit, delta, cfg), G.unit(x))]
+                legs += [(base_conn, delta, x), (c, pushed_path(H.unit, delta), G.unit(x))]
             except Exception as exc:
                 x = None
                 legs.append(exc)

@@ -490,6 +490,14 @@ def test_edited_level_is_the_one_disjointness_verifies():
     assert not bad.disjoint_verified
 
 
+@pytest.mark.parametrize("levels", [{(0, 0): 4}, {(0, 5): 4}, {}],
+                         ids=["missing-window", "foreign-window", "empty"])
+def test_schedule_refuses_keys_other_than_depth_by_windows(levels):
+    fam, atlas, profile, _ = sproper_setup()
+    with pytest.raises(AtlasMismatch):
+        LevelSchedule(atlas, profile, levels)
+
+
 def test_schedule_stores_its_atlas_profile_and_levels_only():
     fam, atlas, profile, sched = sproper_setup()
     assert [f.name for f in dataclasses.fields(sched)] == ["atlas", "profile", "levels"]
@@ -512,7 +520,6 @@ def test_builder_and_recheck():
                                              n_cert_samples=8, seed=2)
     assert cert.verdict == "CertifiedComplete"
     for w in cert.windows:
-        assert w.precompact_verified
         assert float(w.precompact_bound["lo"]) > DEFAULT.constr_box
     fv = flatness_certificate_check(conn, sched, 6, 2)
     assert fv.verdict == "CertifiedComplete"
@@ -548,7 +555,7 @@ def test_builder_refuses_a_constant_profile_on_an_atlas():
     fam, atlas, _, _ = sproper_setup()
     profile = constant_profile()
     sched = level_schedule(atlas, profile)
-    with pytest.raises(CertificateFailure, match="^slab_disjointness: zero separation"):
+    with pytest.raises(CertificateFailure, match="^precompactness"):
         complete_connection_builder(fam, atlas, sched, profile, n_cert_samples=4, seed=2)
 
 

@@ -33,7 +33,7 @@ def test_corrupted_multiplication_detected():
                          (out.coords[0] + 1e-3,) + out.coords[1:])
 
     corrupted = cat.pair_groupoid(line(1))
-    corrupted.mul = PairMap(G.arrows, G.arrows, G.arrows, bad_mul, None, "bad_mul")
+    corrupted.mul = PairMap(G.arrows, G.arrows, G.arrows, bad_mul, G.mul.jac2, "bad_mul")
     rep = check_axioms(corrupted, 50, seed=7)
     assert not rep.passed
     assert 5e-4 < rep.max_residual < 5e-3

@@ -14,33 +14,55 @@ from grpdconn.catalog import (
     so2_action_groupoid,
     so2_action_morphism,
 )
+from grpdconn.errors import EvaluationOutsideDomain
 from grpdconn.geometry import Patch, Point, Space, circle, line
 from grpdconn.groupoid import rng_for
 from grpdconn.smoothmap import PairMap, PatchJacobian, SmoothMap, fd_jacobian, jacobian
 
 import test_samplers
 
+STEP = DEFAULT.numeric_fd_step
+
 
 def test_linear_map_exact():
     A = np.array([[2.0, -1.0], [0.5, 3.0]])
-    f = SmoothMap(line(2), line(2), lambda p: Point.make(line(2), 0, tuple(A @ p.coords)))
-    J = jacobian(f, Point.make(line(2), 0, (0.3, -0.7)))
+    J = fd_jacobian(lambda p: Point.make(line(2), 0, tuple(A @ p.coords)),
+                    Point.make(line(2), 0, (0.3, -0.7)), STEP)
     assert np.max(np.abs(J - A)) < 1e-9
 
 
 def test_sine_derivative():
-    f = SmoothMap(line(1), line(1),
-                  lambda p: Point.make(line(1), 0, (math.sin(p.coords[0]),)))
-    J = jacobian(f, Point.make(line(1), 0, (0.0,)))
+    J = fd_jacobian(lambda p: Point.make(line(1), 0, (math.sin(p.coords[0]),)),
+                    Point.make(line(1), 0, (0.0,)), STEP)
     assert abs(J[0, 0] - 1.0) < DEFAULT.numeric_tol_fd
 
 
 def test_angle_doubling_wraps():
     # theta -> 2 theta crosses the 2 pi seam at theta = 3 pi / 2
     s = circle()
-    f = SmoothMap(s, s, lambda p: Point.make(s, 0, (2.0 * p.coords[0],)))
-    J = jacobian(f, Point.make(s, 0, (1.5 * math.pi,)))
+    J = fd_jacobian(lambda p: Point.make(s, 0, (2.0 * p.coords[0],)),
+                    Point.make(s, 0, (1.5 * math.pi,)), STEP)
     assert abs(J[0, 0] - 2.0) < DEFAULT.numeric_tol_fd
+
+
+def test_fd_reference_refuses_exclusions_and_patch_jumps():
+    R = line(1)
+    # an excluded ball one step to the right of 0: the plus probe lands in it
+    holed = Space((Patch(1, 0, "R", (((STEP,), 0.5 * STEP),)),), name="holed")
+    with pytest.raises(EvaluationOutsideDomain, match="hit an exclusion"):
+        fd_jacobian(lambda q: Point.make(holed, 0, q.coords), Point.raw(R, 0, (0.0,)), STEP)
+    halves = Space((Patch(1, 0, "neg"), Patch(1, 0, "pos")), name="halves")
+    with pytest.raises(EvaluationOutsideDomain, match="jumped patches"):
+        fd_jacobian(lambda q: Point.raw(halves, int(q.coords[0] > 0.0), q.coords),
+                    Point.raw(R, 0, (0.0,)), STEP)
+
+
+def test_maps_without_a_jacobian_are_refused():
+    S = line(1)
+    with pytest.raises(TypeError):
+        SmoothMap(S, S, lambda p: p)
+    with pytest.raises(TypeError):
+        PairMap(S, S, S, lambda g, h: h)
 
 
 # a product of two non-unit factors and two abelian groups, kept out of
@@ -53,30 +75,34 @@ EXTRA_INSTANCES = [
 ]
 
 
-@pytest.mark.parametrize("name,G", default_instances() + EXTRA_INSTANCES)
+INSTANCES = default_instances() + EXTRA_INSTANCES
+
+
+@pytest.mark.parametrize("name,G", INSTANCES)
 def test_analytic_jacobians_match_finite_differences(name, G):
     # read through jacobian(), which goes through a PatchJacobian's memo: a
     # point-dependent Jacobian declared patch-constant fails on its second
     # sample in a patch
-    fd_mul = PairMap(G.mul.left, G.mul.right, G.mul.codomain, G.mul.eval2)
     for i in range(100):
         rng = rng_for(101, i)
         g = G.arrow_sampler(rng)
         for m in (G.src, G.tgt, G.inv):
-            if m.jac is None or g.patch.dim == 0:
+            if g.patch.dim == 0:
                 continue
             analytic = jacobian(m, g)
             if analytic.size == 0:
                 continue
-            fd = fd_jacobian(m, g, DEFAULT.numeric_fd_step)
+            fd = fd_jacobian(m, g, STEP)
             assert np.max(np.abs(analytic - fd)) < DEFAULT.numeric_tol_fd, (name, m.name)
         x = G.object_sampler(rng)
-        if G.unit.jac is not None and x.patch.dim > 0:
+        if x.patch.dim > 0:
             analytic = jacobian(G.unit, x)
-            fd = fd_jacobian(G.unit, x, DEFAULT.numeric_fd_step)
+            fd = fd_jacobian(G.unit, x, STEP)
             assert np.max(np.abs(analytic - fd)) < DEFAULT.numeric_tol_fd, (name, "unit")
         g, h = G.pair_sample(rng_for(103, i))
-        for analytic, fd in zip(G.mul.partials(g, h), fd_mul.partials(g, h)):
+        fd_mul = (fd_jacobian(lambda q: G.mul(q, h), g, STEP),
+                  fd_jacobian(lambda q: G.mul(g, q), h, STEP))
+        for analytic, fd in zip(G.mul.partials(g, h), fd_mul):
             if analytic.size:
                 assert np.max(np.abs(analytic - fd)) < DEFAULT.numeric_tol_fd, (name, "mul")
 
@@ -111,9 +137,33 @@ def test_morphism_jacobians_match_finite_differences(name, m, sample):
         if p.patch.dim == 0:
             continue
         analytic = jacobian(m, p)
-        fd = fd_jacobian(m, p, DEFAULT.numeric_fd_step)
+        fd = fd_jacobian(m, p, STEP)
         assert analytic.shape == fd.shape, (name, analytic.shape, fd.shape)
         assert np.max(np.abs(analytic - fd), initial=0.0) < DEFAULT.numeric_tol_fd, (name, p)
+
+
+def _catalog_maps():
+    """Every instance and morphism map above, with a sampler of its domain."""
+    for name, G in INSTANCES:
+        for m in (G.src, G.tgt, G.inv):
+            yield f"{name}.{m.name}", m, G.arrow_sampler
+        yield f"{name}.unit", G.unit, G.object_sampler
+    yield from _morphism_maps()
+
+
+@pytest.mark.parametrize("name,m,sample", [
+    pytest.param(*entry, id=entry[0]) for entry in _catalog_maps()
+    if not isinstance(entry[1].jac, PatchJacobian)])
+def test_plain_jacobians_are_not_patch_constant(name, m, sample):
+    # a Jacobian that depends only on the patch is declared a PatchJacobian;
+    # a plain one must differ at two samples of one patch
+    seen = {}
+    for i in range(20):
+        p = sample(rng_for(109, i))
+        J = jacobian(m, p)
+        if not np.array_equal(seen.setdefault(p.patch_index, J), J):
+            return
+    pytest.fail(f"{name}: the same Jacobian at every sample of a patch")
 
 
 def test_patch_jacobian_memo_is_per_patch_and_read_only():
